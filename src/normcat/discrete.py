@@ -86,9 +86,8 @@ def csb_witness(f, g):
         raise NonInjective("second map is not injective")
     if set(f.source) != set(g.target) or set(f.target) != set(g.source):
         raise ValueError("maps do not run between the same two sets")
-    assert len(f.source) == len(f.target)
-    image = {f(x) for x in f.source}
-    assert image == set(f.target), "injective endo-pair failed to be surjective"
+    if len(f.source) != len(f.target) or {f(x) for x in f.source} != set(f.target):
+        raise RuntimeError("injective endo-pair failed to be surjective")
     return dict(f.assign)
 
 

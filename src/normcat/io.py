@@ -150,10 +150,24 @@ def map_to_json(m):
     raise UnknownKind("no schema for %r" % type(m).__name__)
 
 
+def _keys_to_points(assign, points):
+    """Match each JSON object key, a string, to the source point of that string form."""
+    if not isinstance(assign, dict):
+        raise SchemaError("map 'assign' must be a JSON object")
+    by_str = {}
+    for p in points:
+        if by_str.setdefault(str(p), p) != p:
+            raise SchemaError("source points %r and %r have the same string form"
+                              % (by_str[str(p)], p))
+    return {by_str.get(k, k): ys for k, ys in assign.items()}
+
+
 def map_from_json(d):
     src = space_from_json(_require(d, "source", "map"))
     tgt = space_from_json(_require(d, "target", "map"))
-    assign = _require(d, "assign", "map")
+    points = (src.base.points if isinstance(src, FiniteMMSpace)
+              else getattr(src, "vertices", getattr(src, "points", src)))
+    assign = _keys_to_points(_require(d, "assign", "map"), points)
     if isinstance(src, FiniteMetricSpace) and isinstance(tgt, FiniteMetricSpace):
         fixed = {}
         for x, ys in assign.items():

@@ -3,10 +3,10 @@
 The seminorm of a matrix measures worst-case contraction: max(0, -log
 of the smallest singular value), infinite when the matrix has a kernel.
 Its left dual is the matching expansion quantity max(0, log of the
-largest singular value).  Singular values come from a hand-rolled
-cyclic Jacobi diagonalization of A^T A so the package does not lean on
-a library eigensolver for its headline numbers; tests cross-check
-against an independent sphere-sampling oracle.
+largest singular value).  Singular values come from LAPACK's SVD of A
+itself, never from the Gram matrix A^T A, which would square the
+conditioning; tests cross-check against an independent sphere-sampling
+oracle.
 """
 
 import math
@@ -26,64 +26,18 @@ def as_matrix(entries):
     return a
 
 
-def jacobi_eigenvalues(sym, tol=1e-12, max_sweeps=100):
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps rotate away each off-diagonal entry in turn until the largest
-    off-diagonal magnitude falls below tol * max(1, largest entry).
-    """
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(a).max()):
-        raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    if n == 1:
-        return [float(a[0, 0])]
-    scale = max(1.0, float(np.abs(a).max()))
-    threshold = tol * scale
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * 1e-2:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    return sorted((float(a[i, i]) for i in range(n)), reverse=True)
-
-
 def singular_values(entries):
-    """Singular values of a rectangular matrix, descending, via Jacobi on A^T A.
+    """Singular values of a rectangular matrix, descending, padded to its width.
 
-    Gram eigenvalues below the Jacobi resolution (1e-12 relative to the
-    largest) are reported as exact zeros: squaring the conditioning means
-    sigma below ~1e-6 * sigma_max is indistinguishable from a kernel here.
+    Values with sigma <= sigma_max * max(m, n) * eps (LAPACK's rank
+    cut-off) are reported as exact zeros, and a wide m x n matrix gets
+    n - m more zeros: it always has a kernel.
     """
     a = as_matrix(entries)
-    gram = a.T @ a
-    eigs = jacobi_eigenvalues(gram)
-    cut = 1e-12 * max(1.0, eigs[0])
-    return [math.sqrt(e) if e > cut else 0.0 for e in eigs]
+    m, n = a.shape
+    sigma = np.linalg.svd(a, compute_uv=False)
+    sigma[sigma <= sigma[0] * max(m, n) * np.finfo(float).eps] = 0.0
+    return sigma.tolist() + [0.0] * (n - min(m, n))
 
 
 def operator_seminorm(entries):
@@ -112,7 +66,7 @@ def min_gain_estimate(entries, samples=100000, seed=0):
     """Smallest ||Av|| over `samples` random unit vectors v.
 
     An independent randomized estimate of sigma_min used as an oracle
-    against the Jacobi computation; always an upper bound on sigma_min.
+    against the SVD computation; always an upper bound on sigma_min.
     """
     a = as_matrix(entries)
     n = a.shape[1]

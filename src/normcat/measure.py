@@ -239,7 +239,8 @@ def volume_norm(sp):
             term = v - prokhorov_capacity(sp, a, v)
             if term > best:
                 best = term
-    assert best <= vol + 1e-9
+    if best > vol + 1e-9:
+        raise RuntimeError("norm of the initial map %r exceeds the volume %r" % (best, vol))
     return {"norm_of_initial": best, "volume": vol}
 
 

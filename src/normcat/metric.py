@@ -13,8 +13,10 @@ search, expansive-map search).
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extreal import INF, sup0
-from .category import FiniteCategory
+from .category import FiniteCategory, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
 
 
@@ -31,7 +33,8 @@ class FiniteMetricSpace:
 
     allow_pseudo permits distinct points at distance zero; allow_quasi
     permits asymmetry (the triangle inequality is then checked in its
-    directed form).  Distances must be finite and nonnegative.
+    directed form).  Distances must be finite and nonnegative.  The
+    symmetry and triangle checks allow 1e-9 * max(1, largest distance).
     """
 
     def __init__(self, points, dist, allow_pseudo=False, allow_quasi=False):
@@ -45,8 +48,9 @@ class FiniteMetricSpace:
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix shape does not match points")
         self.index = {p: i for i, p in enumerate(self.points)}
-        tol = 1e-9
         d = self.dist
+        arr = np.asarray(d, dtype=float).reshape(n, n)
+        tol = scale_tolerance(arr)
         for i in range(n):
             if d[i][i] != 0.0:
                 raise ValueError("nonzero diagonal at %r" % (self.points[i],))
@@ -59,13 +63,10 @@ class FiniteMetricSpace:
                                      % (self.points[i], self.points[j]))
                 if not allow_quasi and abs(v - d[j][i]) > tol:
                     raise ValueError("asymmetric distance at (%r, %r)" % (self.points[i], self.points[j]))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k] + tol:
-                        raise ValueError(
-                            "triangle inequality fails on (%r, %r, %r)"
-                            % (self.points[i], self.points[j], self.points[k]))
+        bad = first_triangle_violation(arr, tol)
+        if bad is not None:
+            raise ValueError("triangle inequality fails on (%r, %r, %r)"
+                             % tuple(self.points[i] for i in bad))
 
     def d(self, a, b):
         return self.dist[self.index[a]][self.index[b]]

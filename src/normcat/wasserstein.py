@@ -96,7 +96,8 @@ def normalize_representative(sp, phi):
     base = FiniteMetricSpace(rep.base.points,
                              [[lip * v for v in row] for row in rep.base.dist])
     out = FiniteMMSpace(base, {p: m / lip for p, m in rep.mass.items()})
-    assert abs(lipschitz_seminorm(phi, base) - 1.0) <= 1e-9
+    if abs(lipschitz_seminorm(phi, base) - 1.0) > 1e-9:
+        raise RuntimeError("rescaled representative does not give phi Lipschitz seminorm 1")
     return out
 
 

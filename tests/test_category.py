@@ -11,6 +11,7 @@ from normcat.category import (
     check_seminorm_axioms, check_norm_axioms,
     dual_seminorm, induced_pqmetric, modulator_subcategory,
     identity_only_category, monoid_category, PqMetricMatrix,
+    first_triangle_violation,
 )
 from normcat.discrete import function_category
 
@@ -248,6 +249,46 @@ def test_pqmetric_matrix_validation():
                        ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0)))
     with pytest.raises(ValueError):
         PqMetricMatrix(("a", "b"), ((0.0, -1.0), (1.0, 0.0)))
+
+
+def test_pqmetric_matrix_with_infinite_entries():
+    # an empty hom set gives inf, which is consistent when no path is finite
+    PqMetricMatrix(("a", "b", "c"), ((0.0, 1.0, 2.0), (INF, 0.0, 1.0), (INF, INF, 0.0)))
+    PqMetricMatrix(("a", "b"), ((0.0, INF), (INF, 0.0)))
+    with pytest.raises(ValueError, match=r"d\('a','c'\) > d\('a','b'\) \+ d\('b','c'\)"):
+        PqMetricMatrix(("a", "b", "c"), ((0.0, 1.0, INF), (INF, 0.0, 1.0), (INF, INF, 0.0)))
+
+
+def brute_force_violation(d, tol):
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k] + tol:
+                    return i, j, k
+    return None
+
+
+def test_triangle_helper_matches_the_triple_loop():
+    rng = random.Random(20)
+    verdicts = set()
+    for trial in range(300):
+        n = rng.randint(0, 30)
+        if trial % 2:
+            # collinear points: many triangles hold with equality
+            xs = [rng.uniform(0.0, 10.0) for _ in range(n)]
+            d = [[abs(a - b) for b in xs] for a in xs]
+        else:
+            ps = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+            d = [[math.dist(a, b) for b in ps] for a in ps]
+        if n > 1 and trial % 3:
+            i, k = rng.sample(range(n), 2)
+            d[i][k] = rng.choice([d[i][k] * rng.uniform(0.5, 1.5),
+                                  d[i][k] + 1e-10, d[i][k] + 1e-8, INF])
+        want = brute_force_violation(d, 1e-9)
+        assert first_triangle_violation(d, 1e-9) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_p_symmetrization_needs_p_at_least_one():

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from normcat import cli
 from normcat.cli import main
+from normcat.extreal import ConventionError
 from normcat.io import parse_instance, serialize_instance
 
 
@@ -273,3 +275,48 @@ def test_norm_dim_reports_both_forms(tmp_path, capsys):
     assert code == 0
     names = [r["name"] for r in json.loads(out)["results"]]
     assert names == ["fiber_form", "capacity_form"]
+
+
+def test_integer_point_labels_map_from_json(tmp_path, capsys):
+    f = write_json(tmp_path / "f.json", {
+        "kind": "map",
+        "source": {"kind": "finite_set", "points": [0, 1]},
+        "target": {"kind": "finite_set", "points": [0, 1]},
+        "assign": {"0": 0, "1": 1},
+    })
+    code, out, _ = run(capsys, "norm", "--kind", "set", "--map", f)
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == 0.0
+
+
+def test_points_with_one_string_form_exit_2(tmp_path, capsys):
+    f = write_json(tmp_path / "f.json", {
+        "kind": "map",
+        "source": {"kind": "finite_set", "points": [1, "1"]},
+        "target": {"kind": "finite_set", "points": [0]},
+        "assign": {"1": 0},
+    })
+    code, _, err = run(capsys, "norm", "--kind", "set", "--map", f)
+    assert code == 2
+    assert "same string form" in err
+
+
+@pytest.mark.parametrize("name, exc", [
+    ("operator_seminorm", ConventionError("inf + (-inf) is undefined")),
+    ("w1_transport", RuntimeError("optimality certificate failed")),
+])
+def test_computation_failures_exit_2_without_traceback(tmp_path, capsys, monkeypatch,
+                                                        name, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    op = write_json(tmp_path / "op.json", {"kind": "linear_map", "entries": [[1.0]]})
+    mu = write_json(tmp_path / "mu.json", {
+        "kind": "mm_space", "points": ["p"], "dist": [[0.0]], "mass": [1.0]})
+    argv = {"operator_seminorm": ("norm", "--kind", "op", "--map", op),
+            "w1_transport": ("dist", "--kind", "w1", mu, mu)}[name]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % (exc,)

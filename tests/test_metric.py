@@ -75,9 +75,27 @@ def test_separation_and_symmetry_flags():
 
 
 def test_triangle_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fails on \('a', 'b', 'c'\)"):
         FiniteMetricSpace(["a", "b", "c"],
                           [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+
+def test_triangle_tolerance_scales_with_the_distances():
+    # Euclidean midpoints at coordinates near 1e9: the rounding of
+    # math.dist exceeds an absolute 1e-9 on some of these triples
+    rng = random.Random(0)
+    for _ in range(200):
+        a = [rng.uniform(1e9, 2e9) for _ in range(2)]
+        b = [rng.uniform(1e9, 2e9) for _ in range(2)]
+        m = [(u + v) / 2 for u, v in zip(a, b)]
+        pts = (a, m, b)
+        FiniteMetricSpace(["a", "m", "b"],
+                          [[math.dist(p, q) for q in pts] for p in pts])
+    # a violation of 10 at scale 2e9 is still far above the tolerance
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        FiniteMetricSpace(["a", "m", "b"], [[0.0, 1e9, 2e9 + 10.0],
+                                            [1e9, 0.0, 1e9],
+                                            [2e9 + 10.0, 1e9, 0.0]])
 
 
 def test_multimap_validation():
