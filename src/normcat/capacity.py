@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 from .extreal import INF, NEG_INF, sup0
 from . import category as cat_mod
+from .search import subsets
 
 
 @dataclass(frozen=True)
@@ -209,16 +210,11 @@ def dual_inequality_report(inst, tol=1e-9):
 
 # -- stock families -------------------------------------------------------
 
-def subset_family(carrier, points, preimage=None, include_empty=True):
+def subset_family(carrier, points, preimage=None):
     """The family of subsets of a finite point set, ordered by inclusion."""
-    pts = tuple(points)
-    handles = []
-    n = len(pts)
-    for mask in range(0 if include_empty else 1, 1 << n):
-        handles.append(frozenset(pts[i] for i in range(n) if mask >> i & 1))
     return SubobjectFamily(
         carrier=carrier,
-        handles=tuple(handles),
+        handles=tuple(map(frozenset, subsets(points, nonempty=False))),
         leq=lambda a, b: a <= b,
         preimage=preimage,
         is_empty=lambda h: len(h) == 0)

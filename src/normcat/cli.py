@@ -20,6 +20,7 @@ from .io import (
     parse_instance,
     write_instance,
     serialize_instance,
+    cost_system_from_json,
     ext_to_json,
     json_to_ext,
     SchemaError,
@@ -27,7 +28,6 @@ from .io import (
 from .discrete import (
     FiniteFunction,
     SimplicialMap,
-    CostSystem,
     set_norm,
     cyclic_group,
     grothendieck_norm,
@@ -167,11 +167,7 @@ def _norm_results(kind, inst, aux):
     if kind == "word":
         if not (isinstance(inst, dict) and inst.get("kind") == "word"):
             raise SchemaError("norm --kind word needs a word instance")
-        cost = {}
-        for a, row in _field(inst, "cost", "word").items():
-            for b, c in row.items():
-                cost[(a, b)] = json_to_ext(c)
-        cs = CostSystem(tuple(_field(inst, "points", "word")), cost)
+        cs = cost_system_from_json(inst, "word")
         return [("word_cost", word_cost(cs, _field(inst, "word", "word")))], {}
     raise SchemaError("unknown norm kind %r" % (kind,))
 

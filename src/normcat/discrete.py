@@ -5,11 +5,11 @@ and cost systems on square-free words.
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Optional
 
 from .extreal import INF, ext_log, sup1
 from .category import FiniteCategory
+from .search import assignments, subsets
 
 
 class NonInjective(ValueError):
@@ -116,17 +116,16 @@ def function_category(sets):
     ids = {}
     for a in labels:
         ids[a] = "%s>%s:%s" % (a, a, ",".join(str(v) for v in sets[a]))
+    ends = {name: (a, b) for name, a, b in mors}
     by_key = {}
-    for name in funcs:
+    for name, (a, b) in ends.items():
         fn = funcs[name]
-        a = name.split(">")[0]
-        b = name.split(">")[1].split(":")[0]
         by_key[(a, b, tuple(fn.assign[x] for x in fn.source))] = name
     comp = {}
     for fname, f in funcs.items():
-        fa, fb = fname.split(">")[0], fname.split(">")[1].split(":")[0]
+        fa, fb = ends[fname]
         for gname, g in funcs.items():
-            ga, gb = gname.split(">")[0], gname.split(">")[1].split(":")[0]
+            ga, gb = ends[gname]
             if ga != fb:
                 continue
             values = tuple(g(f(x)) for x in f.source)
@@ -221,53 +220,42 @@ def simplicial_set_norm(m):
     return set_norm(m.vertex_function())
 
 
+def _injective_simplicial_maps(x, y):
+    """Every injective simplicial map x -> y, lexicographic in the vertex orders.
+
+    A simplex is checked as soon as its last vertex (in x's order) is
+    placed, which prunes every extension of a failing prefix.
+    """
+    xs, ys = x.vertices, y.vertices
+    pos = {v: i for i, v in enumerate(xs)}
+    closing = [[] for _ in xs]
+    for s in x.simplices:
+        closing[max(pos[v] for v in s)].append([pos[v] for v in s])
+
+    def fits(i, w, a):
+        return all(frozenset(ys[w] if k == i else ys[a[k]] for k in s) in y.simplices
+                   for s in closing[i])
+
+    for a in assignments(len(xs), len(ys), fits, injective=True):
+        yield {v: ys[k] for v, k in zip(xs, a)}
+
+
 def find_simplicial_isomorphism(x, y):
-    """Brute-force search for a simplicial isomorphism; None when there is none."""
+    """A simplicial isomorphism x -> y, or None when there is none."""
     if len(x.vertices) != len(y.vertices) or len(x.simplices) != len(y.simplices):
         return None
-    for perm in permutations(y.vertices):
-        assign = dict(zip(x.vertices, perm))
-        if all(frozenset(assign[v] for v in s) in y.simplices for s in x.simplices):
-            back = {w: v for v, w in assign.items()}
-            if all(frozenset(back[w] for w in t) in x.simplices for t in y.simplices):
-                return assign
+    for assign in _injective_simplicial_maps(x, y):
+        back = {w: v for v, w in assign.items()}
+        if all(frozenset(back[w] for w in t) in x.simplices for t in y.simplices):
+            return assign
     return None
 
 
 def find_injective_simplicial_map(x, y):
-    """Backtracking search for an injective simplicial map x -> y, or None."""
-    xs = list(x.vertices)
-    ys = list(y.vertices)
-    if len(xs) > len(ys):
+    """An injective simplicial map x -> y, or None."""
+    if len(x.vertices) > len(y.vertices):
         return None
-    assign = {}
-    used = set()
-
-    def ok(v):
-        for s in x.simplices:
-            if v in s and all(u in assign for u in s):
-                if frozenset(assign[u] for u in s) not in y.simplices:
-                    return False
-        return True
-
-    def rec(i):
-        if i == len(xs):
-            return True
-        v = xs[i]
-        for w in ys:
-            if w in used:
-                continue
-            assign[v] = w
-            used.add(w)
-            if ok(v) and rec(i + 1):
-                return True
-            del assign[v]
-            used.discard(w)
-        return False
-
-    if rec(0):
-        return dict(assign)
-    return None
+    return next(_injective_simplicial_maps(x, y), None)
 
 
 def simplicial_mutual_embedding(x, y):
@@ -530,11 +518,7 @@ def cost_category(cs, order=None):
     """
     pts = list(order if order is not None else cs.points)
     idx = {p: i for i, p in enumerate(pts)}
-    words = []
-    n = len(pts)
-    for mask in range(1, 1 << n):
-        w = tuple(pts[i] for i in range(n) if mask >> i & 1)
-        words.append(w)
+    words = [tuple(w) for w in subsets(pts)]
 
     def name(w):
         return "w:" + ">".join(str(p) for p in w)

@@ -150,16 +150,16 @@ def map_to_json(m):
     raise UnknownKind("no schema for %r" % type(m).__name__)
 
 
-def _keys_to_points(assign, points):
-    """Match each JSON object key, a string, to the source point of that string form."""
-    if not isinstance(assign, dict):
-        raise SchemaError("map 'assign' must be a JSON object")
+def _keys_to_points(obj, points, what):
+    """Match each key of a JSON object, a string, to the point of that string form."""
+    if not isinstance(obj, dict):
+        raise SchemaError("%s must be a JSON object" % (what,))
     by_str = {}
     for p in points:
         if by_str.setdefault(str(p), p) != p:
-            raise SchemaError("source points %r and %r have the same string form"
+            raise SchemaError("points %r and %r have the same string form"
                               % (by_str[str(p)], p))
-    return {by_str.get(k, k): ys for k, ys in assign.items()}
+    return {by_str.get(k, k): v for k, v in obj.items()}
 
 
 def map_from_json(d):
@@ -167,7 +167,7 @@ def map_from_json(d):
     tgt = space_from_json(_require(d, "target", "map"))
     points = (src.base.points if isinstance(src, FiniteMMSpace)
               else getattr(src, "vertices", getattr(src, "points", src)))
-    assign = _keys_to_points(_require(d, "assign", "map"), points)
+    assign = _keys_to_points(_require(d, "assign", "map"), points, "map 'assign'")
     if isinstance(src, FiniteMetricSpace) and isinstance(tgt, FiniteMetricSpace):
         fixed = {}
         for x, ys in assign.items():
@@ -185,6 +185,17 @@ def map_from_json(d):
         return _guard(FiniteFunction, src, tgt, single)
     raise SchemaError("map endpoints %r -> %r are not a supported pairing"
                       % (type(src).__name__, type(tgt).__name__))
+
+
+def cost_system_from_json(d, kind="cost_system"):
+    """The CostSystem of a cost_system or word instance."""
+    pts = tuple(_require(d, "points", kind))
+    cost = {}
+    rows = _keys_to_points(_require(d, "cost", kind), pts, "%s 'cost'" % (kind,))
+    for a, row in rows.items():
+        for b, c in _keys_to_points(row, pts, "%s cost row" % (kind,)).items():
+            cost[(a, b)] = json_to_ext(c)
+    return _guard(CostSystem, pts, cost)
 
 
 def instance_to_json(obj):
@@ -220,15 +231,12 @@ def instance_from_json(d):
         return map_from_json(d)
     if kind == "testfn":
         sp = space_from_json(_require(d, "space", kind))
-        vals = {p: float(v) for p, v in _require(d, "values", kind).items()}
-        return _guard(TestFunction, sp, vals)
+        if not isinstance(sp, FiniteMetricSpace):
+            raise SchemaError("testfn 'space' must be a metric_space")
+        vals = _keys_to_points(_require(d, "values", kind), sp.points, "testfn 'values'")
+        return _guard(TestFunction, sp, {p: float(v) for p, v in vals.items()})
     if kind == "cost_system":
-        pts = tuple(_require(d, "points", kind))
-        cost = {}
-        for a, row in _require(d, "cost", kind).items():
-            for b, c in row.items():
-                cost[(a, b)] = json_to_ext(c)
-        return _guard(CostSystem, pts, cost)
+        return cost_system_from_json(d)
     if kind == "linear_map":
         entries = _require(d, "entries", kind)
         if not entries or any(len(r) != len(entries[0]) for r in entries):

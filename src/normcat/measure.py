@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .extreal import INF
 from .capacity import SubobjectFamily, Capacity
+from .search import assignments, subsets
 
 
 class BaseMismatch(ValueError):
@@ -163,13 +164,8 @@ def prokhorov_seminorm(f):
     the threshold is exact; the result is their maximum.
     """
     src, tgt = f.source, f.target
-    pts = tgt.base.points
-    n = len(pts)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     best = 0.0
-    for mask in range(1, 1 << n):
-        a = [pts[i] for i in range(n) if mask >> i & 1]
+    for a in subsets(tgt.base.points):
         b = f.preimage(a)
         ss, vs = _steps(tgt, a)
         for s, v in zip(ss, vs):
@@ -182,13 +178,8 @@ def prokhorov_seminorm(f):
 def prokhorov_seminorm_capacity_form(f):
     """Oracle route: sup over subsets and value kinks of the capacity gap."""
     src, tgt = f.source, f.target
-    pts = tgt.base.points
-    n = len(pts)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     best = 0.0
-    for mask in range(1, 1 << n):
-        a = [pts[i] for i in range(n) if mask >> i & 1]
+    for a in subsets(tgt.base.points):
         b = f.preimage(a)
         kinks = set(capacity_value_kinks(tgt, a)) | set(capacity_value_kinks(src, b))
         kinks.add(max(kinks) + 1.0)
@@ -204,13 +195,8 @@ def prokhorov_distance(mu_sp, nu_sp, symmetrize=False):
     if (mu_sp.base.points != nu_sp.base.points
             or mu_sp.base.dist != nu_sp.base.dist):
         raise BaseMismatch("the two measures must share one base metric space")
-    pts = mu_sp.base.points
-    n = len(pts)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     best = 0.0
-    for mask in range(1, 1 << n):
-        a = [pts[i] for i in range(n) if mask >> i & 1]
+    for a in subsets(mu_sp.base.points):
         cand = prokhorov_capacity(mu_sp, a, nu_sp.measure(a))
         if cand > best:
             best = cand
@@ -226,13 +212,8 @@ def volume_norm(sp):
     over subsets and value kinks is exact and never exceeds the volume.
     """
     vol = sp.volume()
-    pts = sp.base.points
-    n = len(pts)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     best = 0.0
-    for mask in range(1 << n):
-        a = [pts[i] for i in range(n) if mask >> i & 1]
+    for a in subsets(sp.base.points, nonempty=False):
         kinks = set(capacity_value_kinks(sp, a))
         kinks.add(max(kinks) + vol + 1.0)
         for v in kinks:
@@ -250,19 +231,11 @@ def prokhorov_family(sp, v_values):
     c_P shrinks when A grows and grows with v, so this is the order that
     makes it a monotone capacity.  Returns (family, capacity).
     """
-    pts = sp.base.points
-    n = len(pts)
-    if n > 10:
-        raise ValueError("handle enumeration is limited to 10 points")
     vs = sorted(set(float(v) for v in v_values))
-    handles = []
-    for mask in range(1 << n):
-        a = frozenset(pts[i] for i in range(n) if mask >> i & 1)
-        for v in vs:
-            handles.append((a, v))
+    subs = map(frozenset, subsets(sp.base.points, nonempty=False, limit=10))
     fam = SubobjectFamily(
         carrier=sp,
-        handles=tuple(handles),
+        handles=tuple((a, v) for a in subs for v in vs),
         leq=lambda h1, h2: h2[0] <= h1[0] and h1[1] <= h2[1],
         is_empty=lambda h: len(h[0]) == 0)
     cap = Capacity(lambda h: prokhorov_capacity(sp, h[0], h[1]),
@@ -272,28 +245,15 @@ def prokhorov_family(sp, v_values):
 
 def measure_isometry_search(a, b, tol=1e-9):
     """A bijective isometry matching masses pointwise, or None."""
-    na, nb = len(a.base.points), len(b.base.points)
-    if na != nb:
+    n = len(a.base.points)
+    if n != len(b.base.points):
         return None
     da, db = a.base.dist, b.base.dist
     pa, pb = a.base.points, b.base.points
 
-    def rec(i, assign, used):
-        if i == na:
-            return dict(zip(pa, (pb[k] for k in assign)))
-        for v in range(nb):
-            if v in used:
-                continue
-            if abs(a.mass[pa[i]] - b.mass[pb[v]]) > tol:
-                continue
-            if all(abs(db[assign[j]][v] - da[j][i]) <= tol for j in range(i)):
-                assign.append(v)
-                used.add(v)
-                out = rec(i + 1, assign, used)
-                if out is not None:
-                    return out
-                assign.pop()
-                used.discard(v)
-        return None
+    def fits(i, v, prefix):
+        return (abs(a.mass[pa[i]] - b.mass[pb[v]]) <= tol
+                and all(abs(db[prefix[j]][v] - da[j][i]) <= tol for j in range(i)))
 
-    return rec(0, [], set())
+    out = next(assignments(n, n, fits, injective=True), None)
+    return None if out is None else dict(zip(pa, (pb[k] for k in out)))

@@ -18,6 +18,7 @@ import numpy as np
 from .extreal import INF, sup0
 from .category import FiniteCategory, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
+from .search import assignments, subsets
 
 
 class EmptySpace(ValueError):
@@ -170,8 +171,8 @@ def diameter(sp, subset):
     return sup0(d[i][j] for i in pts for j in pts)
 
 
-def dilatation_norm(f):
-    """sup0 over point pairs and selections of d(x,y) - d(y1,y2)."""
+def _selection_gap(f, sign):
+    """sup0 over point pairs and selections of sign * (d(x,y) - d(y1,y2))."""
     dx, dy = f.source.dist, f.target.dist
     six, tix = f.source.index, f.target.index
     best = 0.0
@@ -183,10 +184,15 @@ def dilatation_norm(f):
             dxy = dx[six[x]][six[y]]
             for i in fx:
                 for j in fy:
-                    v = dxy - dy[i][j]
+                    v = sign * (dxy - dy[i][j])
                     if v > best:
                         best = v
     return best
+
+
+def dilatation_norm(f):
+    """sup0 over point pairs and selections of d(x,y) - d(y1,y2)."""
+    return _selection_gap(f, 1.0)
 
 
 def dilatation_norm_capacity(f):
@@ -195,11 +201,8 @@ def dilatation_norm_capacity(f):
     Exponential in the target size; used as the oracle against the
     pointwise form.
     """
-    tgt = f.target.points
-    m = len(tgt)
     best = 0.0
-    for mask in range(1, 1 << m):
-        a = [tgt[i] for i in range(m) if mask >> i & 1]
+    for a in subsets(f.target.points):
         pre = f.hit_preimage(a)
         v = diameter(f.source, pre) - diameter(f.target, a)
         if v > best:
@@ -209,21 +212,7 @@ def dilatation_norm_capacity(f):
 
 def dilatation_left_dual(f):
     """Closed form of the left dual: sup0 of d(y1,y2) - d(x,y) over selections."""
-    dx, dy = f.source.dist, f.target.dist
-    six, tix = f.source.index, f.target.index
-    best = 0.0
-    pts = f.source.points
-    for x in pts:
-        fx = [tix[y] for y in f.assign[x]]
-        for y in pts:
-            fy = [tix[w] for w in f.assign[y]]
-            dxy = dx[six[x]][six[y]]
-            for i in fx:
-                for j in fy:
-                    v = dy[i][j] - dxy
-                    if v > best:
-                        best = v
-    return best
+    return _selection_gap(f, -1.0)
 
 
 def two_point_probe_dual(f):
@@ -262,11 +251,8 @@ def codiameter_seminorm(f):
     diam(A) - diam(preimage of A); subsets missing the image entirely
     are skipped.
     """
-    tgt = f.target.points
-    m = len(tgt)
     best = 0.0
-    for mask in range(1, 1 << m):
-        a = [tgt[i] for i in range(m) if mask >> i & 1]
+    for a in subsets(f.target.points):
         pre = f.hit_preimage(a)
         if not pre:
             continue
@@ -560,17 +546,13 @@ def gh_correspondence_oracle(x, y):
     """Brute-force minimum distortion over all correspondences (tiny spaces).
 
     Enumerates every relation with surjective projections; exponential
-    in |x| * |y|, capped at 16 bits.
+    in |x| * |y|, capped at 16 pairs.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
-    if n * m > 16:
-        raise ValueError("correspondence enumeration is limited to 16 pairs")
     dx, dy = x.dist, y.dist
-    pairs = [(i, a) for i in range(n) for a in range(m)]
     best = INF
-    for mask in range(1, 1 << len(pairs)):
-        rel = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+    for rel in subsets((i, a) for i in range(n) for a in range(m)):
         if len({i for i, _ in rel}) < n or len({a for _, a in rel}) < m:
             continue
         dis = 0.0
@@ -587,74 +569,29 @@ def gh_correspondence_oracle(x, y):
 
 def find_expansive_map(x, y, tol=1e-9):
     """A map x -> y that never shrinks distances (dilatation norm 0), or None."""
-    n, m = len(x.points), len(y.points)
     dx, dy = x.dist, y.dist
-
-    def rec(i, assign):
-        if i == n:
-            return list(assign)
-        for v in range(m):
-            if all(dy[assign[j]][v] >= dx[j][i] - tol for j in range(i)):
-                assign.append(v)
-                out = rec(i + 1, assign)
-                if out is not None:
-                    return out
-                assign.pop()
-        return None
-
-    out = rec(0, [])
-    if out is None:
-        return None
-    return {x.points[i]: y.points[out[i]] for i in range(n)}
+    fits = lambda i, v, a: all(dy[a[j]][v] >= dx[j][i] - tol for j in range(i))
+    out = next(assignments(len(x.points), len(y.points), fits), None)
+    return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
 def zero_dilatation_endos(sp, tol=1e-9):
     """All self-maps with dilatation norm zero (never shrinking a distance)."""
-    n = len(sp.points)
-    d = sp.dist
-    found = []
-
-    def rec(i, assign):
-        if i == n:
-            found.append({sp.points[k]: sp.points[assign[k]] for k in range(n)})
-            return
-        for v in range(n):
-            if all(d[assign[j]][v] >= d[j][i] - tol for j in range(i)):
-                assign.append(v)
-                rec(i + 1, assign)
-                assign.pop()
-
-    rec(0, [])
-    return found
+    n, d = len(sp.points), sp.dist
+    fits = lambda i, v, a: all(d[a[j]][v] >= d[j][i] - tol for j in range(i))
+    return [{p: sp.points[k] for p, k in zip(sp.points, out)}
+            for out in assignments(n, n, fits)]
 
 
 def isometry_search(x, y, tol=1e-9):
     """A distance-preserving bijection x -> y, or None (certified, finite)."""
-    n, m = len(x.points), len(y.points)
-    if n != m:
+    n = len(x.points)
+    if n != len(y.points):
         return None
     dx, dy = x.dist, y.dist
-
-    def rec(i, assign, used):
-        if i == n:
-            return list(assign)
-        for v in range(m):
-            if v in used:
-                continue
-            if all(abs(dy[assign[j]][v] - dx[j][i]) <= tol for j in range(i)):
-                assign.append(v)
-                used.add(v)
-                out = rec(i + 1, assign, used)
-                if out is not None:
-                    return out
-                assign.pop()
-                used.discard(v)
-        return None
-
-    out = rec(0, [], set())
-    if out is None:
-        return None
-    return {x.points[i]: y.points[out[i]] for i in range(n)}
+    fits = lambda i, v, a: all(abs(dy[a[j]][v] - dx[j][i]) <= tol for j in range(i))
+    out = next(assignments(n, n, fits, injective=True), None)
+    return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
 def is_isometry(f, tol=1e-9):
@@ -674,21 +611,20 @@ def is_isometry(f, tol=1e-9):
 # -- capacity instances over the diameter ----------------------------------
 
 def _tagged_subset_family(label, sp, preimage):
-    pts = sp.points
-    n = len(pts)
-    handles = []
-    for mask in range(1 << n):
-        handles.append((label, frozenset(pts[i] for i in range(n) if mask >> i & 1)))
     return SubobjectFamily(
         carrier=label,
-        handles=tuple(handles),
+        handles=tuple((label, frozenset(a)) for a in subsets(sp.points, nonempty=False)),
         leq=lambda a, b: a[0] == b[0] and a[1] <= b[1],
         preimage=preimage,
         is_empty=lambda h: len(h[1]) == 0)
 
 
+# bound on the composition closure of diameter_capacity_instance
+MAX_MORPHISMS = 400
+
+
 def diameter_capacity_instance(spaces, generators, annihilated=(),
-                               attach_pullbacks=(), max_morphisms=400):
+                               attach_pullbacks=()):
     """A finite category of metric spaces carrying the diameter capacity.
 
     spaces: {label: FiniteMetricSpace}; generators: {name: MultiMap}
@@ -769,8 +705,8 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
                 k = key_of(gf)
                 if k not in by_key:
                     rname = "%s.%s" % (gname, fname)
-                    if len(maps) >= max_morphisms:
-                        raise ValueError("composition closure exceeds %d morphisms" % (max_morphisms,))
+                    if len(maps) >= MAX_MORPHISMS:
+                        raise ValueError("composition closure exceeds %d morphisms" % (MAX_MORPHISMS,))
                     add_map(rname, gf)
                     by_key[k] = rname
                     work = True

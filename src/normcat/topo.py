@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .extreal import INF, ext_add, sup0
+from .search import subsets
 
 
 class IncompatibleCarriers(ValueError):
@@ -186,12 +187,8 @@ def component_seminorm(f):
     finite norm must hit every connected piece.
     """
     tgt = f.target
-    n = len(tgt.points)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     terms = []
-    for mask in range(1, 1 << n):
-        c = [tgt.points[i] for i in range(n) if mask >> i & 1]
+    for c in subsets(tgt.points):
         if not is_connected(tgt, c):
             continue
         t = _component_term(f, c)
@@ -208,12 +205,8 @@ def component_capacity_form(f):
     equal to component_seminorm, kept as its independent check.
     """
     tgt = f.target
-    n = len(tgt.points)
-    if n > 16:
-        raise ValueError("subset enumeration is limited to 16 points")
     terms = []
-    for mask in range(1, 1 << n):
-        c = [tgt.points[i] for i in range(n) if mask >> i & 1]
+    for c in subsets(tgt.points):
         pre = f.preimage(c)
         if not pre:
             return INF
@@ -247,11 +240,7 @@ def monotone_light_report(f):
             light = False
         defects.append(math.log(len(comps)))
     closed = True
-    n = len(src.points)
-    if n > 16:
-        raise ValueError("closed-set enumeration is limited to 16 points")
-    for mask in range(1 << n):
-        d = [src.points[i] for i in range(n) if mask >> i & 1]
+    for d in subsets(src.points, nonempty=False):
         if not src.is_closed(d):
             continue
         image = frozenset(f.assign[x] for x in d)
@@ -267,11 +256,8 @@ def monotone_light_report(f):
 def _subcomplexes(complex_):
     """All downward-closed simplex subsets, the empty one included."""
     simp = sorted(complex_.simplices, key=lambda s: (len(s), sorted(map(str, s))))
-    if len(simp) > 16:
-        raise ValueError("subcomplex enumeration is limited to 16 simplices")
     out = []
-    for mask in range(1 << len(simp)):
-        chosen = [simp[i] for i in range(len(simp)) if mask >> i & 1]
+    for chosen in subsets(simp, nonempty=False):
         pool = set(chosen)
         if all(not (s - {v}) or (s - {v}) in pool for s in chosen for v in s):
             out.append(frozenset(pool))
@@ -347,11 +333,10 @@ def all_posets(n, prefix="p"):
     strict_pairs = [(i, j) for i in idx for j in idx if i != j]
     seen = set()
     out = []
-    for bits in range(1 << len(strict_pairs)):
+    for chosen in subsets(strict_pairs, nonempty=False):
         leq = [[i == j for j in idx] for i in idx]
-        for k, (i, j) in enumerate(strict_pairs):
-            if bits >> k & 1:
-                leq[i][j] = True
+        for i, j in chosen:
+            leq[i][j] = True
         closed = transitive_closure(leq)
         if closed != tuple(tuple(row) for row in leq):
             continue

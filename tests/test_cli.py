@@ -289,6 +289,44 @@ def test_integer_point_labels_map_from_json(tmp_path, capsys):
     assert json.loads(out)["results"][0]["value"] == 0.0
 
 
+def test_integer_point_labels_in_testfn_values(tmp_path):
+    fn = parse_instance(write_json(tmp_path / "t.json", {
+        "kind": "testfn",
+        "space": {"kind": "metric_space", "points": [0, 1],
+                  "dist": [[0.0, 1.0], [1.0, 0.0]]},
+        "values": {"0": 0.0, "1": 1.0},
+    }))
+    assert fn.values == {0: 0.0, 1: 1.0}
+
+
+def test_integer_point_labels_in_cost_system_rows(tmp_path):
+    cs = parse_instance(write_json(tmp_path / "c.json", {
+        "kind": "cost_system", "points": [0, 1],
+        "cost": {"0": {"1": 1.0}, "1": {"0": "inf"}},
+    }))
+    assert cs.cost == {(0, 1): 1.0, (1, 0): math.inf}
+
+
+def test_integer_point_labels_in_word_cost_rows(tmp_path, capsys):
+    w = write_json(tmp_path / "w.json", {
+        "kind": "word", "points": [0, 1, 2],
+        "cost": {"0": {"1": 1.0, "2": 2.0}, "1": {"0": 1.0, "2": 0.5},
+                 "2": {"0": 2.0, "1": 0.5}},
+        "word": [0, 1, 2]})
+    code, out, _ = run(capsys, "norm", "--kind", "word", "--map", w)
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == 1.5
+
+
+def test_testfn_on_a_finite_set_exits_2(tmp_path, capsys):
+    f = write_json(tmp_path / "t.json", {
+        "kind": "testfn", "space": {"kind": "finite_set", "points": [0, 1]},
+        "values": {"0": 0.0, "1": 1.0}})
+    code, _, err = run(capsys, "norm", "--kind", "wasserstein", "--map", f)
+    assert code == 2
+    assert err.splitlines() == ["error: testfn 'space' must be a metric_space"]
+
+
 def test_points_with_one_string_form_exit_2(tmp_path, capsys):
     f = write_json(tmp_path / "f.json", {
         "kind": "map",

@@ -59,6 +59,16 @@ def test_set_norm_subadditive_exhaustively_small():
     assert rep.ok
 
 
+@pytest.mark.parametrize("sets", [{"a>b": (1,), "c": (2,)}, {"a:b": (1,), "c": (2, 3)}])
+def test_function_category_takes_labels_with_separators(sets):
+    cat, norms, funcs = function_category(sets)
+    assert len(funcs) == sum(len(t) ** len(s) for s in sets.values() for t in sets.values())
+    for fname, f in funcs.items():
+        for gname, g in funcs.items():
+            if cat.morphism(fname).tgt == cat.morphism(gname).src:
+                assert funcs[cat.compose(gname, fname)] == compose_functions(g, f)
+
+
 def test_zero_norm_iff_injective_exhaustive():
     for ns in range(0, 5):
         for nt in range(1, 5):
