@@ -3,6 +3,7 @@ simplicial complexes, normed monoids with the two-sided construction,
 and cost systems on square-free words.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -100,27 +101,19 @@ def function_category(sets):
     labels = list(sets)
     mors = []
     funcs = {}
+    by_key = {}
     for a in labels:
         for b in labels:
             src, tgt = sets[a], sets[b]
-            assignments = [()] if not src else None
-            if assignments is None:
-                # enumerate all |tgt|^|src| functions
-                assignments = [[]]
-                for _ in src:
-                    assignments = [xs + [y] for xs in assignments for y in tgt]
-            for values in assignments:
-                name = "%s>%s:%s" % (a, b, ",".join(str(v) for v in values))
+            for values in itertools.product(tgt, repeat=len(src)):
+                # the repr names each (a, b, values) once, whatever
+                # separators the labels and points contain
+                name = repr((a, b, values))
                 funcs[name] = FiniteFunction(src, tgt, dict(zip(src, values)))
                 mors.append((name, a, b))
-    ids = {}
-    for a in labels:
-        ids[a] = "%s>%s:%s" % (a, a, ",".join(str(v) for v in sets[a]))
+                by_key[(a, b, values)] = name
+    ids = {a: by_key[(a, a, tuple(sets[a]))] for a in labels}
     ends = {name: (a, b) for name, a, b in mors}
-    by_key = {}
-    for name, (a, b) in ends.items():
-        fn = funcs[name]
-        by_key[(a, b, tuple(fn.assign[x] for x in fn.source))] = name
     comp = {}
     for fname, f in funcs.items():
         fa, fb = ends[fname]

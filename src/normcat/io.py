@@ -173,6 +173,8 @@ def map_from_json(d):
         for x, ys in assign.items():
             fixed[x] = tuple(ys) if isinstance(ys, list) else (ys,)
         return _guard(MultiMap, src, tgt, fixed)
+    if any(isinstance(ys, list) and len(ys) != 1 for ys in assign.values()):
+        raise SchemaError("a single-valued map takes one point per source point")
     single = {x: (ys[0] if isinstance(ys, list) else ys)
               for x, ys in assign.items()}
     if isinstance(src, FiniteMMSpace) and isinstance(tgt, FiniteMMSpace):
@@ -254,7 +256,8 @@ def parse_instance(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
-    return instance_from_json(raw)
+    # a field of the wrong JSON type fails as a TypeError where it is read
+    return _guard(instance_from_json, raw)
 
 
 def serialize_instance(obj):

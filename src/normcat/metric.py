@@ -18,7 +18,7 @@ import numpy as np
 from .extreal import INF, sup0
 from .category import FiniteCategory, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
-from .search import assignments, subsets
+from .search import assignments, least_max, subsets
 
 
 class EmptySpace(ValueError):
@@ -367,74 +367,25 @@ def _check_nonempty(x, y):
 
 
 def min_dilatation_map(x, y):
-    """Smallest dilatation norm over single-valued maps x -> y.
-
-    Exhaustive (branch and bound) when |y| ** |x| <= 3125; beyond that a
-    greedy start plus local search gives an upper bound.  Returns
-    (value, assignment dict, exact flag).
+    """Smallest dilatation norm over single-valued maps x -> y, exactly,
+    and the first map in lexicographic order that attains it: (value,
+    assignment dict).  Raises ValueError past search.MAX_NODES nodes.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
     dx, dy = x.dist, y.dist
-    exact = m ** n <= 3125
 
-    def full_value(assign):
-        return max(max(dx[i][j] - dy[assign[i]][assign[j]]
-                       for j in range(n)) for i in range(n)) if n else 0.0
+    def grow(i, v, a, cur, bound):
+        for j in range(i):
+            t = dx[j][i] - dy[a[j]][v]
+            if t > cur:
+                if t >= bound:
+                    return t
+                cur = t
+        return cur
 
-    if exact:
-        best = [INF, None]
-
-        def rec(i, assign, cur):
-            if cur >= best[0]:
-                return
-            if i == n:
-                best[0] = cur
-                best[1] = list(assign)
-                return
-            for v in range(m):
-                nc = cur
-                ok = True
-                for j in range(i):
-                    t = dx[j][i] - dy[assign[j]][v]
-                    if t > nc:
-                        nc = t
-                    if nc >= best[0]:
-                        ok = False
-                        break
-                if ok:
-                    assign.append(v)
-                    rec(i + 1, assign, nc)
-                    assign.pop()
-
-        rec(0, [], 0.0)
-        val = max(0.0, best[0])
-        assign = best[1]
-    else:
-        # greedy insertion, then single-point moves to a local optimum
-        assign = []
-        for i in range(n):
-            cand = min(range(m), key=lambda v: max(
-                [dx[j][i] - dy[assign[j]][v] for j in range(i)] or [0.0]))
-            assign.append(cand)
-        improved = True
-        while improved:
-            improved = False
-            cur = full_value(assign)
-            for i in range(n):
-                old = assign[i]
-                for v in range(m):
-                    if v == old:
-                        continue
-                    assign[i] = v
-                    if full_value(assign) < cur:
-                        cur = full_value(assign)
-                        old = v
-                        improved = True
-                assign[i] = old
-        val = max(0.0, full_value(assign))
-    mapping = {x.points[i]: y.points[assign[i]] for i in range(n)}
-    return val, mapping, exact
+    val, assign = least_max([m] * n, grow)
+    return val, {x.points[i]: y.points[assign[i]] for i in range(n)}
 
 
 def dil_distance(x, y, symmetrize="none"):
@@ -456,90 +407,41 @@ def gh_distance(x, y):
 
     Every correspondence contains the graph of a map each way, and the
     union of two such graphs is again a correspondence, so the minimum
-    is attained on pairs (phi: x -> y, psi: y -> x); the search walks
-    those pairs with branch-and-bound pruning.  Exact at any size,
-    intended for desk-scale spaces.
+    is attained on pairs (phi: x -> y, psi: y -> x), searched exactly as
+    one assignment, phi first.  Raises ValueError past search.MAX_NODES
+    nodes.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
     dx, dy = x.dist, y.dist
 
-    def pair_value(phi, psi):
-        dis = 0.0
+    def grow(k, v, s, cur, bound):
+        if k < n:
+            # phi(k) = v against phi on the earlier points of x
+            for j in range(k):
+                t = abs(dx[j][k] - dy[s[j]][v])
+                if t > cur:
+                    if t >= bound:
+                        return t
+                    cur = t
+            return cur
+        a = k - n
+        # psi(a) = v against psi on the earlier points of y, then against phi
+        for b in range(a):
+            t = abs(dy[b][a] - dx[s[n + b]][v])
+            if t > cur:
+                if t >= bound:
+                    return t
+                cur = t
         for i in range(n):
-            for j in range(i + 1, n):
-                dis = max(dis, abs(dx[i][j] - dy[phi[i]][phi[j]]))
-        for a in range(m):
-            for b in range(a + 1, m):
-                dis = max(dis, abs(dy[a][b] - dx[psi[a]][psi[b]]))
-        for i in range(n):
-            for a in range(m):
-                dis = max(dis, abs(dx[i][psi[a]] - dy[phi[i]][a]))
-        return dis
+            t = abs(dx[i][v] - dy[s[i]][a])
+            if t > cur:
+                if t >= bound:
+                    return t
+                cur = t
+        return cur
 
-    # greedy incumbent
-    phi0 = []
-    for i in range(n):
-        phi0.append(min(range(m), key=lambda v: max(
-            [abs(dx[j][i] - dy[phi0[j]][v]) for j in range(i)] or [0.0])))
-    psi0 = []
-    for a in range(m):
-        psi0.append(min(range(n), key=lambda u: max(
-            [abs(dy[b][a] - dx[psi0[b]][u]) for b in range(a)] or [0.0])))
-    best = [pair_value(phi0, psi0)]
-
-    def rec_psi(a, psi, cur, phi):
-        if cur >= best[0]:
-            return
-        if a == m:
-            best[0] = cur
-            return
-        for u in range(n):
-            nc = cur
-            ok = True
-            for b in range(a):
-                t = abs(dy[b][a] - dx[psi[b]][u])
-                if t > nc:
-                    nc = t
-                if nc >= best[0]:
-                    ok = False
-                    break
-            if ok:
-                for i in range(n):
-                    t = abs(dx[i][u] - dy[phi[i]][a])
-                    if t > nc:
-                        nc = t
-                    if nc >= best[0]:
-                        ok = False
-                        break
-            if ok:
-                psi.append(u)
-                rec_psi(a + 1, psi, nc, phi)
-                psi.pop()
-
-    def rec_phi(i, phi, cur):
-        if cur >= best[0]:
-            return
-        if i == n:
-            rec_psi(0, [], cur, phi)
-            return
-        for v in range(m):
-            nc = cur
-            ok = True
-            for j in range(i):
-                t = abs(dx[j][i] - dy[phi[j]][v])
-                if t > nc:
-                    nc = t
-                if nc >= best[0]:
-                    ok = False
-                    break
-            if ok:
-                phi.append(v)
-                rec_phi(i + 1, phi, nc)
-                phi.pop()
-
-    rec_phi(0, [], 0.0)
-    return best[0] / 2.0
+    return least_max([m] * n + [n] * m, grow)[0] / 2.0
 
 
 def gh_correspondence_oracle(x, y):

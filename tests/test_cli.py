@@ -358,3 +358,56 @@ def test_computation_failures_exit_2_without_traceback(tmp_path, capsys, monkeyp
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % (exc,)
+
+
+def line_file(tmp_path, name, values):
+    return write_json(tmp_path / name, {
+        "kind": "metric_space",
+        "points": ["%s%d" % (name[0], i) for i in range(len(values))],
+        "dist": [[abs(a - b) for b in values] for a in values],
+    })
+
+
+def test_dist_dil_is_exact_beyond_3125_maps(tmp_path, capsys):
+    # 6 ** 5 maps; x -> 1.3 x never shrinks a distance
+    a = line_file(tmp_path, "a.json", [0.0, 1.0, 2.0, 3.0, 4.0])
+    b = line_file(tmp_path, "b.json", [1.3 * i for i in range(6)])
+    code, out, _ = run(capsys, "dist", "--kind", "dil", a, b, "--format", "text")
+    assert code == 0
+    assert out == "dil_distance = 0.0\n"
+
+
+def test_dist_dil_on_generated_ten_point_spaces(tmp_path, capsys):
+    paths = []
+    for seed in (1, 2):
+        paths.append(str(tmp_path / ("m%d.json" % seed)))
+        assert main(["generate", "--kind", "metric", "--size", "10",
+                     "--seed", str(seed), "--out", paths[-1]]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "dist", "--kind", "dil", *paths)
+    assert code == 0
+    assert json.loads(out)["results"] == [{"name": "dil_distance", "value": 0.296651436738971}]
+
+
+TOP_1 = {"kind": "top_space", "points": ["a"], "leq": [[True]]}
+SIMPLICIAL_1 = {"kind": "simplicial", "vertices": ["a"], "simplices": [["a"]]}
+MM_1 = {"kind": "mm_space", "points": ["a"], "dist": [[0.0]], "mass": [1.0]}
+
+
+@pytest.mark.parametrize("command, inst", [
+    ("comp", {"kind": "map", "source": TOP_1, "target": dict(TOP_1, leq=[5]),
+              "assign": {"a": "a"}}),
+    ("dim", {"kind": "map", "source": SIMPLICIAL_1,
+             "target": dict(SIMPLICIAL_1, simplices=[5]), "assign": {"a": "a"}}),
+    ("w1", dict(MM_1, mass=5)),
+    # a single-valued map takes one point per source point
+    ("prokhorov", {"kind": "map", "source": MM_1, "target": MM_1, "assign": {"a": []}}),
+    ("prokhorov", {"kind": "map", "source": MM_1, "target": MM_1, "assign": {"a": ["a", "a"]}}),
+])
+def test_wrong_json_shapes_exit_2(tmp_path, capsys, command, inst):
+    f = write_json(tmp_path / "f.json", inst)
+    argv = ("dist", "--kind", "w1", f, f) if command == "w1" else ("norm", "--kind", command, "--map", f)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -59,7 +59,14 @@ def test_set_norm_subadditive_exhaustively_small():
     assert rep.ok
 
 
-@pytest.mark.parametrize("sets", [{"a>b": (1,), "c": (2,)}, {"a:b": (1,), "c": (2, 3)}])
+@pytest.mark.parametrize("sets", [
+    {"a>b": (1,), "c": (2,)},
+    {"a:b": (1,), "c": (2, 3)},
+    # one "src>tgt:values" string would name two functions: p>q -> r and
+    # p -> q>r, and the values ("a", "b,a") and ("a,b", "a")
+    {"p>q": (1,), "r": (1,), "p": (1,), "q>r": (1,)},
+    {"s": (1, 2), "t": ("a", "a,b", "b,a")},
+])
 def test_function_category_takes_labels_with_separators(sets):
     cat, norms, funcs = function_category(sets)
     assert len(funcs) == sum(len(t) ** len(s) for s in sets.values() for t in sets.values())

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from normcat.extreal import INF
@@ -413,16 +414,23 @@ def test_min_dilatation_map_reports_its_witness():
     for _ in range(20):
         x = random_metric_space(rng, rng.randint(1, 4), "x")
         y = random_metric_space(rng, rng.randint(1, 4), "y")
-        val, mapping, exact = min_dilatation_map(x, y)
-        assert exact
+        val, mapping = min_dilatation_map(x, y)
         f = MultiMap.from_function(x, y, mapping)
         assert abs(dilatation_norm(f) - val) <= 1e-12
-    x = random_metric_space(rng, 6, "x")
-    y = random_metric_space(rng, 5, "y")
-    val, mapping, exact = min_dilatation_map(x, y)
-    assert not exact
-    f = MultiMap.from_function(x, y, mapping)
-    assert abs(dilatation_norm(f) - val) <= 1e-12
+    # 5 ** 6 maps: the value is the brute-force minimum, the witness the
+    # first map in itertools.product order that attains it
+    every = np.array(list(itertools.product(range(5), repeat=6)))
+    for _ in range(20):
+        x = random_metric_space(rng, 6, "x")
+        y = random_metric_space(rng, 5, "y")
+        val, mapping = min_dilatation_map(x, y)
+        dx, dy = np.array(x.dist), np.array(y.dist)
+        costs = np.maximum(0.0, (dx - dy[every[:, :, None], every[:, None, :]]).max(axis=(1, 2)))
+        assert val == costs.min()
+        first = every[np.argmin(costs)]
+        assert mapping == {p: y.points[k] for p, k in zip(x.points, first)}
+        f = MultiMap.from_function(x, y, mapping)
+        assert abs(dilatation_norm(f) - val) <= 1e-12
 
 
 def test_dil_plus_below_twice_gh():

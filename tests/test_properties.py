@@ -1,0 +1,77 @@
+"""Arbitrary JSON in one field of a valid instance: the CLI answers with
+exit 0, 1 or 2 and never raises."""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from normcat.cli import main
+
+POINTS = ["a", "b", "c"]
+DIST = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+METRIC = {"kind": "metric_space", "points": POINTS, "dist": DIST}
+MM = {"kind": "mm_space", "points": POINTS, "dist": DIST, "mass": [0.25, 0.25, 0.5]}
+TOP = {"kind": "top_space", "points": POINTS,
+       "leq": [[True, True, True], [False, True, True], [False, False, True]]}
+SIMPLICIAL = {"kind": "simplicial", "vertices": POINTS,
+              "simplices": [["a"], ["b"], ["c"], ["a", "b"]]}
+FINITE_SET = {"kind": "finite_set", "points": POINTS}
+
+
+def identity_map(space):
+    return {"kind": "map", "source": space, "target": space,
+            "assign": {p: p for p in POINTS}}
+
+
+# (argv before the instance files, the instance, how many files take it)
+CASES = [
+    (["dist", "--kind", "gh"], METRIC, 2),
+    (["dist", "--kind", "dil-plus"], METRIC, 2),
+    (["dist", "--kind", "w1"], MM, 2),
+    (["dist", "--kind", "prokhorov"], MM, 2),
+    (["norm", "--kind", "dil", "--map"], identity_map(METRIC), 1),
+    (["norm", "--kind", "codiam", "--map"], identity_map(METRIC), 1),
+    (["norm", "--kind", "wasserstein", "--map"], identity_map(MM), 1),
+    (["norm", "--kind", "prokhorov", "--map"], identity_map(MM), 1),
+    (["norm", "--kind", "comp", "--map"], identity_map(TOP), 1),
+    (["norm", "--kind", "dim", "--map"], identity_map(SIMPLICIAL), 1),
+    (["norm", "--kind", "top", "--map"], identity_map(SIMPLICIAL), 1),
+    (["norm", "--kind", "set", "--map"], identity_map(FINITE_SET), 1),
+]
+
+# labels that match the valid points, so replacements often get past the
+# first checks
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.sampled_from(POINTS + ["inf", "-inf"]) | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(POINTS) | st.text(max_size=2), kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_cases(draw):
+    argv, inst, copies = draw(st.sampled_from(CASES))
+    inst = json.loads(json.dumps(inst))
+    obj = inst
+    if inst["kind"] == "map" and draw(st.booleans()):
+        obj = inst[draw(st.sampled_from(["source", "target"]))]
+    obj[draw(st.sampled_from(sorted(obj)))] = draw(json_values)
+    return argv, inst, copies
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=mutated_cases())
+def test_one_bad_field_never_raises(workdir, case):
+    argv, inst, copies = case
+    path = workdir / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(argv + [str(path)] * copies) in (0, 1, 2)

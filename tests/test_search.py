@@ -1,5 +1,6 @@
-"""The shared subset walk and assignment search, the searches built on
-them, and the single size cap as the CLI reports it."""
+"""The shared subset walk, assignment search and least-max branch and
+bound, the searches built on them, and the size and node caps as the
+CLI reports them."""
 
 import itertools
 import json
@@ -10,6 +11,7 @@ import re
 import pytest
 
 import normcat
+from normcat import search
 from normcat.cli import main
 from normcat.discrete import find_injective_simplicial_map, find_simplicial_isomorphism
 from normcat.generate import random_simplicial
@@ -17,7 +19,7 @@ from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
     FiniteMetricSpace, find_expansive_map, isometry_search, zero_dilatation_endos,
 )
-from normcat.search import assignments, subsets
+from normcat.search import assignments, least_max, subsets
 
 TOL = 1e-9
 
@@ -72,6 +74,67 @@ def test_assignments_prune_failed_prefixes():
     # no prefix ending in a rejected entry is ever extended
     assert not any(len(p) == 3 and p[1] == 0 for p in seen)
     assert len(seen) == 2 + 4 + 4
+
+
+# -- least_max -----------------------------------------------------------------
+
+def test_least_max_returns_the_first_optimum():
+    rng = random.Random(4107)
+    for _ in range(60):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
+        # few distinct term values, so ties between lists are common
+        term = {(i, v, j, w): rng.choice((-1.0, 0.0, 1.0, 2.0))
+                for i in range(len(sizes)) for v in range(sizes[i])
+                for j in range(i) for w in range(sizes[j])}
+
+        def cost(a):
+            return max([0.0] + [term[i, a[i], j, a[j]] for i in range(len(a)) for j in range(i)])
+
+        def grow(i, v, a, cur, bound):
+            for j in range(i):
+                cur = max(cur, term[i, v, j, a[j]])
+            return cur
+
+        every = [list(a) for a in itertools.product(*map(range, sizes))]
+        low = min(map(cost, every))
+        assert least_max(sizes, grow) == (low, next(a for a in every if cost(a) == low))
+    assert least_max([2, 0, 3], grow) == (float("inf"), None)
+
+
+def test_least_max_counts_every_call_of_grow(monkeypatch):
+    calls = []
+
+    def grow(i, v, a, cur, bound):
+        calls.append((i, v))
+        return cur
+
+    monkeypatch.setattr(search, "MAX_NODES", 6)
+    assert least_max([2, 2], grow) == (0.0, [0, 0])
+    assert len(calls) == 6
+    monkeypatch.setattr(search, "MAX_NODES", 5)
+    with pytest.raises(ValueError, match="search is limited to 5 nodes"):
+        least_max([2, 2], grow)
+    calls.clear()
+    with pytest.raises(ValueError, match="search is limited to 5 nodes"):
+        least_max([3, 3], grow)
+    assert calls == []
+
+
+def equilateral(n, prefix):
+    return {"kind": "metric_space", "points": ["%s%d" % (prefix, i) for i in range(n)],
+            "dist": [[float(i != j) for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("kind", ["dil", "gh"])
+def test_distance_searches_exit_2_past_the_node_cap(tmp_path, capsys, monkeypatch, kind):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(equilateral(8, "x")))
+    b.write_text(json.dumps(equilateral(7, "y")))
+    monkeypatch.setattr(search, "MAX_NODES", 1000)
+    code = main(["dist", "--kind", kind, str(a), str(b)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: search is limited to 1000 nodes"]
 
 
 # -- the searches against first-hit loops ------------------------------------
