@@ -74,61 +74,32 @@ def check_capacity_monotone(fam, c, tol=1e-12, pairs=None):
     return True, None
 
 
-def capacity_seminorm(f, fam_src, fam_tgt, c):
-    """sup0 of c(preimage of C) - c(C) over target handles C with c(C) < inf."""
-    if fam_tgt.preimage is None:
-        raise ValueError("target family has no preimage operation")
-    terms = []
-    for C in fam_tgt.handles:
-        cC = c(C)
-        if cC == INF:
-            continue
-        cB = c(fam_tgt.preimage(f, C))
-        if cB == NEG_INF:
-            continue
-        if cB == INF:
-            terms.append(INF)
-        else:
-            terms.append(cB - cC)
-    return sup0(terms)
+def capacity_norms(f, fam_src, fam_tgt, c):
+    """(seminorm, coseminorm, filter_hits) of f from one walk over the target handles.
 
-
-def capacity_coseminorm(f, fam_src, fam_tgt, c):
-    """sup0 of c(C) - c(preimage of C), skipping C with empty preimage.
-
-    Handles whose preimage is empty are excluded: dropping to the empty
-    subobject is not read as capacity loss.  The filter is reported by
-    dual_inequality_report whenever it actually removed handles.
+    seminorm: sup0 of c(preimage of C) - c(C) over target handles C with
+    c(C) < inf, skipping preimages of capacity -inf.
+    coseminorm: sup0 of c(C) - c(preimage of C) over the same handles,
+    skipping preimages of capacity inf and empty preimages: dropping to
+    the empty subobject is not read as capacity loss.
+    filter_hits: the handles the empty-preimage filter skipped.
     """
     if fam_tgt.preimage is None:
         raise ValueError("target family has no preimage operation")
-    terms = []
+    sem, cosem, hits = [], [], []
     for C in fam_tgt.handles:
         cC = c(C)
         if cC == INF:
             continue
         B = fam_tgt.preimage(f, C)
-        if fam_src.is_empty(B):
-            continue
         cB = c(B)
-        if cB == INF:
-            continue
-        if cB == NEG_INF:
-            terms.append(INF)
-        else:
-            terms.append(cC - cB)
-    return sup0(terms)
-
-
-def coseminorm_filter_hits(f, fam_src, fam_tgt, c):
-    """Target handles skipped by the empty-preimage filter (for reporting)."""
-    hits = []
-    for C in fam_tgt.handles:
-        if c(C) == INF:
-            continue
-        if fam_src.is_empty(fam_tgt.preimage(f, C)):
+        if cB != NEG_INF:
+            sem.append(INF if cB == INF else cB - cC)
+        if fam_src.is_empty(B):
             hits.append(C)
-    return hits
+        elif cB != INF:
+            cosem.append(INF if cB == NEG_INF else cC - cB)
+    return sup0(sem), sup0(cosem), hits
 
 
 @dataclass
@@ -183,9 +154,8 @@ def dual_inequality_report(inst, tol=1e-9):
     hits = {}
     for m in cat.morphisms.values():
         fs, ft = fam_of(m.src), fam_of(m.tgt)
-        norms[m.name] = capacity_seminorm(m.name, fs, ft, c)
-        cosem[m.name] = capacity_coseminorm(m.name, fs, ft, c)
-        hits[m.name] = len(coseminorm_filter_hits(m.name, fs, ft, c))
+        norms[m.name], cosem[m.name], skipped = capacity_norms(m.name, fs, ft, c)
+        hits[m.name] = len(skipped)
     dual_l = cat_mod.dual_seminorm(cat, norms, "left")
     dual_r = cat_mod.dual_seminorm(cat, norms, "right")
     bidual_l = cat_mod.dual_seminorm(cat, dual_l, "left")

@@ -9,6 +9,10 @@ the wide subcategory of zero-norm morphisms.
 
 Composition is written compose(g, f) = "g after f", defined exactly
 when target(f) == source(g).
+
+The morphisms of every concrete category in this package are
+FiniteMaps: total assignments between the carriers of two finite
+spaces, each subclass adding its own structure check.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,46 @@ from .extreal import INF, is_norm_value, sup0
 
 class CategoryError(ValueError):
     """Construction data does not describe a category."""
+
+
+def carrier(space):
+    """The points of a finite space: a tuple is its own points."""
+    return space if isinstance(space, tuple) else space.points
+
+
+@dataclass(frozen=True)
+class FiniteMap:
+    """A total assignment from the source carrier into the target carrier.
+
+    Subclasses check their own structure in __post_init__ after calling
+    this one; MultiMap overrides values() to return a value set.
+    """
+    source: object
+    target: object
+    assign: dict
+
+    def __post_init__(self):
+        if set(self.assign) != set(carrier(self.source)):
+            raise ValueError("assignment keys must be exactly the source points")
+        tgt = set(carrier(self.target))
+        for x in self.assign:
+            for y in self.values(x):
+                if y not in tgt:
+                    raise ValueError("value %r at %r is not a target point" % (y, x))
+
+    def values(self, x):
+        return (self.assign[x],)
+
+    def __call__(self, x):
+        return self.assign[x]
+
+    def preimage(self, subset):
+        """The source points with a value in subset."""
+        s = set(subset)
+        return frozenset(x for x in self.assign if not s.isdisjoint(self.values(x)))
+
+    def fiber(self, y):
+        return self.preimage((y,))
 
 
 @dataclass(frozen=True)

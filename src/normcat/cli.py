@@ -20,7 +20,6 @@ from .io import (
     parse_instance,
     write_instance,
     serialize_instance,
-    cost_system_from_json,
     ext_to_json,
     json_to_ext,
     SchemaError,
@@ -98,12 +97,6 @@ def _expect(inst, cls, what):
     return inst
 
 
-def _field(d, key, kind):
-    if key not in d:
-        raise SchemaError("%s instance is missing %r" % (kind, key))
-    return d[key]
-
-
 def _norm_results(kind, inst, aux):
     """(results, details) for one norm computation."""
     if kind == "set":
@@ -157,18 +150,13 @@ def _norm_results(kind, inst, aux):
     if kind == "groth":
         if not (isinstance(inst, dict) and inst.get("kind") == "group_morphism"):
             raise SchemaError("norm --kind groth needs a group_morphism instance")
-        n = int(_field(inst, "n", "group_morphism"))
-        if n < 1:
-            raise SchemaError("group_morphism needs n >= 1")
-        m = cyclic_group(n)
-        args = [int(_field(inst, k, "group_morphism")) % n
-                for k in ("fplus", "fminus", "a", "b")]
-        return [("grothendieck_norm", grothendieck_norm(m, *args))], {}
+        n = inst["n"]
+        args = [inst[k] % n for k in ("fplus", "fminus", "a", "b")]
+        return [("grothendieck_norm", grothendieck_norm(cyclic_group(n), *args))], {}
     if kind == "word":
         if not (isinstance(inst, dict) and inst.get("kind") == "word"):
             raise SchemaError("norm --kind word needs a word instance")
-        cs = cost_system_from_json(inst, "word")
-        return [("word_cost", word_cost(cs, _field(inst, "word", "word")))], {}
+        return [("word_cost", word_cost(inst["cost_system"], inst["word"]))], {}
     raise SchemaError("unknown norm kind %r" % (kind,))
 
 

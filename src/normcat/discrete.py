@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .extreal import INF, ext_log, sup1
-from .category import FiniteCategory
+from .category import FiniteCategory, FiniteMap
 from .search import assignments, subsets
 
 
@@ -31,22 +31,8 @@ class NotSquareFree(ValueError):
 
 # -- finite functions ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteFunction:
-    source: tuple
-    target: tuple
-    assign: dict
-
-    def __post_init__(self):
-        src, tgt = set(self.source), set(self.target)
-        if set(self.assign) != src:
-            raise ValueError("assignment keys must be exactly the source points")
-        for x, y in self.assign.items():
-            if y not in tgt:
-                raise ValueError("value %r of %r is outside the target" % (y, x))
-
-    def __call__(self, x):
-        return self.assign[x]
+class FiniteFunction(FiniteMap):
+    """A total function between two finite sets, given as tuples."""
 
 
 def compose_functions(g, f):
@@ -167,6 +153,10 @@ class SimplicialComplex:
         return cls(vertices, simp)
 
     @property
+    def points(self):
+        return self.vertices
+
+    @property
     def dim(self):
         if not self.simplices:
             return -1
@@ -185,19 +175,11 @@ class SimplicialComplex:
         return "SimplicialComplex(%r, %d simplices)" % (list(self.vertices), len(self.simplices))
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
-    source: SimplicialComplex
-    target: SimplicialComplex
-    assign: dict
+class SimplicialMap(FiniteMap):
+    """Vertex map sending every simplex onto a simplex."""
 
     def __post_init__(self):
-        if set(self.assign) != set(self.source.vertices):
-            raise ValueError("assignment keys must be the source vertices")
-        tv = set(self.target.vertices)
-        for v, w in self.assign.items():
-            if w not in tv:
-                raise ValueError("vertex image %r is not in the target" % (w,))
+        super().__post_init__()
         for s in self.source.simplices:
             image = frozenset(self.assign[v] for v in s)
             if image not in self.target.simplices:

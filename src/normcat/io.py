@@ -7,6 +7,7 @@ byte-for-byte.  Infinite values travel as the strings "inf" and "-inf".
 
 import json
 
+from .category import FiniteMap, carrier
 from .extreal import INF, NEG_INF
 from .discrete import FiniteFunction, SimplicialComplex, SimplicialMap, CostSystem
 from .metric import FiniteMetricSpace, MultiMap
@@ -47,6 +48,13 @@ def _require(d, key, kind):
     if key not in d:
         raise SchemaError("%s instance is missing %r" % (kind, key))
     return d[key]
+
+
+def _integer(d, key, kind):
+    v = _require(d, key, kind)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError("%s %r must be an integer, got %r" % (kind, key, v))
+    return v
 
 
 def _guard(builder, *args):
@@ -119,35 +127,15 @@ def space_from_json(d):
 
 
 def map_to_json(m):
-    if isinstance(m, MultiMap):
-        return {
-            "kind": "map",
-            "source": space_to_json(m.source),
-            "target": space_to_json(m.target),
-            "assign": {x: list(ys) for x, ys in m.assign.items()},
-        }
-    if isinstance(m, (MMSpaceMap, ContinuousPosetMap)):
-        return {
-            "kind": "map",
-            "source": space_to_json(m.source),
-            "target": space_to_json(m.target),
-            "assign": dict(m.assign),
-        }
-    if isinstance(m, SimplicialMap):
-        return {
-            "kind": "map",
-            "source": space_to_json(m.source),
-            "target": space_to_json(m.target),
-            "assign": dict(m.assign),
-        }
-    if isinstance(m, FiniteFunction):
-        return {
-            "kind": "map",
-            "source": space_to_json(m.source),
-            "target": space_to_json(m.target),
-            "assign": dict(m.assign),
-        }
-    raise UnknownKind("no schema for %r" % type(m).__name__)
+    if not isinstance(m, FiniteMap):
+        raise UnknownKind("no schema for %r" % type(m).__name__)
+    # a MultiMap's value tuples serialize as JSON lists
+    return {
+        "kind": "map",
+        "source": space_to_json(m.source),
+        "target": space_to_json(m.target),
+        "assign": dict(m.assign),
+    }
 
 
 def _keys_to_points(obj, points, what):
@@ -162,31 +150,32 @@ def _keys_to_points(obj, points, what):
     return {by_str.get(k, k): v for k, v in obj.items()}
 
 
+# the map class of each endpoint type; both endpoints must share one type
+MAP_CLASSES = {
+    FiniteMetricSpace: MultiMap,
+    FiniteMMSpace: MMSpaceMap,
+    FiniteTopSpace: ContinuousPosetMap,
+    SimplicialComplex: SimplicialMap,
+    tuple: FiniteFunction,
+}
+
+
 def map_from_json(d):
     src = space_from_json(_require(d, "source", "map"))
     tgt = space_from_json(_require(d, "target", "map"))
-    points = (src.base.points if isinstance(src, FiniteMMSpace)
-              else getattr(src, "vertices", getattr(src, "points", src)))
-    assign = _keys_to_points(_require(d, "assign", "map"), points, "map 'assign'")
-    if isinstance(src, FiniteMetricSpace) and isinstance(tgt, FiniteMetricSpace):
-        fixed = {}
-        for x, ys in assign.items():
-            fixed[x] = tuple(ys) if isinstance(ys, list) else (ys,)
-        return _guard(MultiMap, src, tgt, fixed)
+    assign = _keys_to_points(_require(d, "assign", "map"), carrier(src), "map 'assign'")
+    cls = MAP_CLASSES.get(type(src)) if type(src) is type(tgt) else None
+    if cls is MultiMap:
+        return _guard(MultiMap, src, tgt, {x: tuple(ys) if isinstance(ys, list) else (ys,)
+                                           for x, ys in assign.items()})
     if any(isinstance(ys, list) and len(ys) != 1 for ys in assign.values()):
         raise SchemaError("a single-valued map takes one point per source point")
+    if cls is None:
+        raise SchemaError("map endpoints %r -> %r are not a supported pairing"
+                          % (type(src).__name__, type(tgt).__name__))
     single = {x: (ys[0] if isinstance(ys, list) else ys)
               for x, ys in assign.items()}
-    if isinstance(src, FiniteMMSpace) and isinstance(tgt, FiniteMMSpace):
-        return _guard(MMSpaceMap, src, tgt, single)
-    if isinstance(src, FiniteTopSpace) and isinstance(tgt, FiniteTopSpace):
-        return _guard(ContinuousPosetMap, src, tgt, single)
-    if isinstance(src, SimplicialComplex) and isinstance(tgt, SimplicialComplex):
-        return _guard(SimplicialMap, src, tgt, single)
-    if isinstance(src, tuple) and isinstance(tgt, tuple):
-        return _guard(FiniteFunction, src, tgt, single)
-    raise SchemaError("map endpoints %r -> %r are not a supported pairing"
-                      % (type(src).__name__, type(tgt).__name__))
+    return _guard(cls, src, tgt, single)
 
 
 def cost_system_from_json(d, kind="cost_system"):
@@ -201,10 +190,8 @@ def cost_system_from_json(d, kind="cost_system"):
 
 
 def instance_to_json(obj):
-    try:
+    if isinstance(obj, FiniteMap):
         return map_to_json(obj)
-    except UnknownKind:
-        pass
     if isinstance(obj, TestFunction):
         return {
             "kind": "testfn",
@@ -244,8 +231,20 @@ def instance_from_json(d):
         if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise InvariantError("entries must form a nonempty rectangle")
         return [[float(v) for v in row] for row in entries]
-    if kind in ("group_morphism", "word"):
-        return dict(d)
+    if kind == "group_morphism":
+        out = {k: _integer(d, k, kind) for k in ("n", "fplus", "fminus", "a", "b")}
+        if out["n"] < 1:
+            raise SchemaError("group_morphism needs n >= 1")
+        return dict(out, kind=kind)
+    if kind == "word":
+        cs = cost_system_from_json(d, kind)
+        word = _require(d, "word", kind)
+        if not isinstance(word, list):
+            raise SchemaError("word 'word' must be a list of points")
+        for w in word:
+            if w not in cs.points:
+                raise SchemaError("word 'word' names %r, which is not a point" % (w,))
+        return {"kind": kind, "cost_system": cs, "word": tuple(word)}
     return space_from_json(d)
 
 

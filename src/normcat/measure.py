@@ -8,6 +8,7 @@ without float tolerances beyond accumulation noise.
 
 from dataclasses import dataclass
 
+from .category import FiniteMap
 from .extreal import INF
 from .capacity import SubobjectFamily, Capacity
 from .search import assignments, subsets
@@ -39,25 +40,13 @@ class FiniteMMSpace:
     def volume(self):
         return sum(self.mass.values())
 
+    @property
+    def points(self):
+        return self.base.points
 
-@dataclass(frozen=True)
-class MMSpaceMap:
+
+class MMSpaceMap(FiniteMap):
     """Total point map between two mm-spaces (masses ride along, unchecked)."""
-    source: FiniteMMSpace
-    target: FiniteMMSpace
-    assign: dict
-
-    def __post_init__(self):
-        if set(self.assign) != set(self.source.base.points):
-            raise ValueError("assignment keys must be the source points")
-        tgt = set(self.target.base.points)
-        for v in self.assign.values():
-            if v not in tgt:
-                raise ValueError("value %r is not a target point" % (v,))
-
-    def preimage(self, subset):
-        s = set(subset)
-        return frozenset(x for x in self.assign if self.assign[x] in s)
 
 
 def compose_mm_maps(g, f):

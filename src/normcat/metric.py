@@ -11,12 +11,11 @@ search, expansive-map search).
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .extreal import INF, sup0
-from .category import FiniteCategory, first_triangle_violation, scale_tolerance
+from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
 from .search import assignments, least_max, subsets
 
@@ -105,27 +104,22 @@ def one_point_space(label="*"):
     return FiniteMetricSpace((label,), ((0.0,),))
 
 
-@dataclass(frozen=True)
-class MultiMap:
-    """Map assigning each source point a nonempty set of target points."""
-    source: FiniteMetricSpace
-    target: FiniteMetricSpace
-    assign: dict
+class MultiMap(FiniteMap):
+    """Map between metric spaces assigning each source point a nonempty
+    set of target points, kept in target order."""
 
     def __post_init__(self):
-        if set(self.assign) != set(self.source.points):
-            raise ValueError("assignment keys must be exactly the source points")
+        super().__post_init__()
         canon = {}
         tidx = self.target.index
         for x, ys in self.assign.items():
-            ys = tuple(ys)
             if not ys:
                 raise ValueError("empty value set at %r" % (x,))
-            for y in ys:
-                if y not in tidx:
-                    raise ValueError("value %r at %r is not a target point" % (y, x))
             canon[x] = tuple(sorted(set(ys), key=lambda y: tidx[y]))
         object.__setattr__(self, "assign", canon)
+
+    def values(self, x):
+        return self.assign[x]
 
     @classmethod
     def from_function(cls, source, target, assign):
@@ -141,12 +135,6 @@ class MultiMap:
         if len(ys) != 1:
             raise MultiValued("map is multi-valued at %r" % (x,))
         return ys[0]
-
-    def hit_preimage(self, subset):
-        """Points whose value set meets the subset."""
-        s = set(subset)
-        return frozenset(x for x, ys in self.assign.items()
-                         if any(y in s for y in ys))
 
 
 def compose_multimaps(g, f):
@@ -203,7 +191,7 @@ def dilatation_norm_capacity(f):
     """
     best = 0.0
     for a in subsets(f.target.points):
-        pre = f.hit_preimage(a)
+        pre = f.preimage(a)
         v = diameter(f.source, pre) - diameter(f.target, a)
         if v > best:
             best = v
@@ -253,7 +241,7 @@ def codiameter_seminorm(f):
     """
     best = 0.0
     for a in subsets(f.target.points):
-        pre = f.hit_preimage(a)
+        pre = f.preimage(a)
         if not pre:
             continue
         v = diameter(f.target, a) - diameter(f.source, pre)
@@ -620,7 +608,7 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     def preimage(name, handle):
         mm = maps[name]
         src_lab = endpoints[name][0]
-        return (src_lab, mm.hit_preimage(handle[1]))
+        return (src_lab, mm.preimage(handle[1]))
 
     families = {lab: _tagged_subset_family(lab, sp, preimage)
                 for lab, sp in spaces.items()}

@@ -11,8 +11,8 @@ for simplex dimension on finite simplicial complexes.
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from .category import FiniteMap
 from .extreal import INF, ext_add, sup0
 from .search import subsets
 
@@ -112,31 +112,16 @@ def sierpinski_space(closed_point="0", open_point="1"):
     return poset_space((closed_point, open_point), [(closed_point, open_point)])
 
 
-@dataclass(frozen=True)
-class ContinuousPosetMap:
+class ContinuousPosetMap(FiniteMap):
     """Total order-preserving assignment; continuity for finite spaces."""
-    source: FiniteTopSpace
-    target: FiniteTopSpace
-    assign: dict
 
     def __post_init__(self):
-        if set(self.assign) != set(self.source.points):
-            raise ValueError("assignment keys must be the source points")
-        for v in self.assign.values():
-            if v not in self.target.index:
-                raise ValueError("value %r is not a target point" % (v,))
+        super().__post_init__()
         for a in self.source.points:
             for b in self.source.points:
                 if self.source.below(a, b) and not self.target.below(self.assign[a], self.assign[b]):
                     raise ValueError(
                         "not order-preserving on (%r, %r)" % (a, b))
-
-    def preimage(self, subset):
-        s = set(subset)
-        return frozenset(x for x in self.source.points if self.assign[x] in s)
-
-    def fiber(self, y):
-        return self.preimage([y])
 
 
 def compose_poset_maps(g, f):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .extreal import INF, ext_sub, sup0, ConventionError
 from .metric import FiniteMetricSpace
-from .measure import FiniteMMSpace, MMSpaceMap
+from .measure import FiniteMMSpace
 
 
 class NonNormalizable(ValueError):
@@ -276,21 +276,7 @@ class Coupling:
                 raise ValueError("column sum at %r misses its marginal" % (y,))
 
 
-def _as_transport_data(f, mu_sp, nu_sp):
-    if isinstance(f, MMSpaceMap):
-        if mu_sp is None:
-            mu_sp = f.source
-        if nu_sp is None:
-            nu_sp = f.target
-        assign = f.assign
-    else:
-        assign = dict(f)
-        if mu_sp is None or nu_sp is None:
-            raise ValueError("plain assignments need explicit mm-spaces")
-    return assign, mu_sp, nu_sp
-
-
-def w1_transport(f, mu_sp=None, nu_sp=None, free_scalars=False):
+def w1_transport(f, free_scalars=False):
     """Cheapest coupling of the two masses against the cost d(f(x), y).
 
     Solved exactly by successive shortest augmenting paths; the final
@@ -300,26 +286,25 @@ def w1_transport(f, mu_sp=None, nu_sp=None, free_scalars=False):
     by rescaling the source mass onto the target total, with no
     optimality claim relative to other rescalings.
     """
-    assign, mu_sp, nu_sp = _as_transport_data(f, mu_sp, nu_sp)
-    if abs(mu_sp.volume() - nu_sp.volume()) > 1e-9:
+    mu, nu, assign = f.source, f.target, f.assign
+    if abs(mu.volume() - nu.volume()) > 1e-9:
         if not free_scalars:
             raise MassMismatch("total masses differ: %r vs %r"
-                               % (mu_sp.volume(), nu_sp.volume()))
-        if mu_sp.volume() <= 0.0 or nu_sp.volume() <= 0.0:
+                               % (mu.volume(), nu.volume()))
+        if mu.volume() <= 0.0 or nu.volume() <= 0.0:
             raise MassMismatch("free scaling needs positive totals")
-        r = nu_sp.volume() / mu_sp.volume()
+        r = nu.volume() / mu.volume()
         warnings.warn("free-scalar regime: source mass rescaled by %g, "
                       "no optimality claim" % r)
-        mu_sp = FiniteMMSpace(mu_sp.base,
-                              {p: r * m for p, m in mu_sp.mass.items()})
-    xs = [x for x in mu_sp.base.points if mu_sp.mass[x] > 0.0]
-    ys = [y for y in nu_sp.base.points if nu_sp.mass[y] > 0.0]
-    tb = nu_sp.base
+        mu = FiniteMMSpace(mu.base, {p: r * m for p, m in mu.mass.items()})
+    xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
+    ys = [y for y in nu.base.points if nu.mass[y] > 0.0]
+    tb = nu.base
     cost = [[tb.d(assign[x], y) for y in ys] for x in xs]
     nx, ny = len(xs), len(ys)
     flow = [[0.0] * ny for _ in range(nx)]
-    supply = [mu_sp.mass[x] for x in xs]
-    demand = [nu_sp.mass[y] for y in ys]
+    supply = [mu.mass[x] for x in xs]
+    demand = [nu.mass[y] for y in ys]
 
     def shortest_augmenting_path():
         # Bellman-Ford over nodes: 0..nx-1 sources, nx..nx+ny-1 sinks
@@ -389,8 +374,8 @@ def w1_transport(f, mu_sp=None, nu_sp=None, free_scalars=False):
     matrix = {(xs[i], ys[j]): flow[i][j]
               for i in range(nx) for j in range(ny) if flow[i][j] > 0.0}
     coupling = Coupling(tuple(xs), tuple(ys), matrix,
-                        {x: mu_sp.mass[x] for x in xs},
-                        {y: nu_sp.mass[y] for y in ys})
+                        {x: mu.mass[x] for x in xs},
+                        {y: nu.mass[y] for y in ys})
     return {"cost": total, "coupling": coupling}
 
 
@@ -430,19 +415,19 @@ def _certify_transport(cost, flow, nx, ny, tol=1e-7):
                                    "loaded edge not tight (%r)" % red)
 
 
-def w1_vertex_oracle(f, mu_sp=None, nu_sp=None):
+def w1_vertex_oracle(f):
     """Brute-force minimum over all spanning-tree vertices of the polytope."""
-    assign, mu_sp, nu_sp = _as_transport_data(f, mu_sp, nu_sp)
-    if abs(mu_sp.volume() - nu_sp.volume()) > 1e-9:
+    mu, nu, assign = f.source, f.target, f.assign
+    if abs(mu.volume() - nu.volume()) > 1e-9:
         raise MassMismatch("total masses differ")
-    xs = [x for x in mu_sp.base.points if mu_sp.mass[x] > 0.0]
-    ys = [y for y in nu_sp.base.points if nu_sp.mass[y] > 0.0]
+    xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
+    ys = [y for y in nu.base.points if nu.mass[y] > 0.0]
     nx, ny = len(xs), len(ys)
     if nx == 0:
         return 0.0
     if nx + ny > 8:
         raise ValueError("vertex enumeration is limited to small supports")
-    tb = nu_sp.base
+    tb = nu.base
     cost = {(i, j): tb.d(assign[xs[i]], ys[j])
             for i in range(nx) for j in range(ny)}
     edges = list(cost)
@@ -467,7 +452,7 @@ def w1_vertex_oracle(f, mu_sp=None, nu_sp=None):
         if not ok:
             continue
         # solve the tree by repeatedly settling a degree-one node
-        bal = [mu_sp.mass[x] for x in xs] + [-nu_sp.mass[y] for y in ys]
+        bal = [mu.mass[x] for x in xs] + [-nu.mass[y] for y in ys]
         alive = set(basis)
         val = {}
         while alive:

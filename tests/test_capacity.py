@@ -8,8 +8,7 @@ from normcat.extreal import INF, NEG_INF, ext_log, sup0
 from normcat.category import FiniteCategory
 from normcat.capacity import (
     SubobjectFamily, Capacity, CapacityInstance,
-    check_capacity_monotone, capacity_seminorm, capacity_coseminorm,
-    coseminorm_filter_hits, dual_inequality_report, subset_family,
+    check_capacity_monotone, capacity_norms, dual_inequality_report, subset_family,
 )
 from normcat.discrete import FiniteFunction, fibers, set_norm
 
@@ -69,7 +68,7 @@ def test_monotonicity_failure_produces_witness():
 def test_collapse_map_seminorm_is_dilatation_value():
     cat, fams = collapse_instance()
     c = numeric_diameter()
-    val = capacity_seminorm("f", fams["X"], fams["Y"], c)
+    val = capacity_norms("f", fams["X"], fams["Y"], c)[0]
     # A = {2} pulls back to {1,2} with diameter 1
     assert val == 1.0
 
@@ -79,7 +78,7 @@ def test_collapse_map_coseminorm_vanishes():
     # at least as wide, so the capacity never drops
     cat, fams = collapse_instance()
     c = numeric_diameter()
-    assert capacity_coseminorm("f", fams["X"], fams["Y"], c) == 0.0
+    assert capacity_norms("f", fams["X"], fams["Y"], c)[1] == 0.0
 
 
 def test_doubling_map_coseminorm():
@@ -88,16 +87,16 @@ def test_doubling_map_coseminorm():
     fam_x = subset_family("X", (0, 1), preimage=pre)
     fam_y = subset_family("Y", (0, 2), preimage=pre)
     c = numeric_diameter()
-    assert capacity_coseminorm("g", fam_x, fam_y, c) == 1.0
+    assert capacity_norms("g", fam_x, fam_y, c)[1] == 1.0
     # the doubling map expands, so the forward seminorm is zero
-    assert capacity_seminorm("g", fam_x, fam_y, c) == 0.0
+    assert capacity_norms("g", fam_x, fam_y, c)[0] == 0.0
 
 
 def test_identity_norms_vanish():
     cat, fams = collapse_instance()
     c = numeric_diameter()
-    assert capacity_seminorm("idX", fams["X"], fams["X"], c) == 0.0
-    assert capacity_coseminorm("idX", fams["X"], fams["X"], c) == 0.0
+    assert capacity_norms("idX", fams["X"], fams["X"], c)[0] == 0.0
+    assert capacity_norms("idX", fams["X"], fams["X"], c)[1] == 0.0
 
 
 def test_infinite_capacity_targets_are_skipped():
@@ -107,7 +106,7 @@ def test_infinite_capacity_targets_are_skipped():
     fam_x = SubobjectFamily("X", (frozenset([0]), frozenset([0, 1])),
                             leq=lambda a, b: a <= b, preimage=pre)
     c = Capacity(lambda A: INF if len(A) > 1 else 0.0)
-    assert capacity_seminorm("f", fam_x, fam_x, c) == INF
+    assert capacity_norms("f", fam_x, fam_x, c)[0] == INF
 
 
 def test_neg_inf_preimage_capacity_gives_infinite_coseminorm():
@@ -115,9 +114,9 @@ def test_neg_inf_preimage_capacity_gives_infinite_coseminorm():
     fam = SubobjectFamily("X", (frozenset([0]),), leq=lambda a, b: a <= b,
                           preimage=pre)
     c = Capacity(lambda A: NEG_INF)
-    assert capacity_coseminorm("f", fam, fam, c) == INF
+    assert capacity_norms("f", fam, fam, c)[1] == INF
     # in the forward seminorm the same handle is skipped as a preimage
-    assert capacity_seminorm("f", fam, fam, c) == 0.0
+    assert capacity_norms("f", fam, fam, c)[0] == 0.0
 
 
 def test_coseminorm_filters_empty_preimages():
@@ -127,10 +126,10 @@ def test_coseminorm_filters_empty_preimages():
     fam_x = subset_family("X", (0,), preimage=pre)
     fam_y = subset_family("Y", (0, 10), preimage=pre)
     c = numeric_diameter()
-    hits = coseminorm_filter_hits("j", fam_x, fam_y, c)
+    hits = capacity_norms("j", fam_x, fam_y, c)[2]
     assert frozenset([10]) in hits
     # with the filter the co-seminorm stays finite and comes from {0,10}
-    assert capacity_coseminorm("j", fam_x, fam_y, c) == 10.0
+    assert capacity_norms("j", fam_x, fam_y, c)[1] == 10.0
 
 
 def test_dual_inequality_report_on_collapse_instance():
@@ -189,5 +188,5 @@ def test_log_size_capacity_reproduces_set_norm():
 
         fam_s = subset_family("S", src, preimage=pre)
         fam_t = subset_family("T", tgt, preimage=pre)
-        val = capacity_seminorm("f", fam_s, fam_t, c)
+        val = capacity_norms("f", fam_s, fam_t, c)[0]
         assert abs(val - set_norm(f)) < 1e-12

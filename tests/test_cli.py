@@ -411,3 +411,67 @@ def test_wrong_json_shapes_exit_2(tmp_path, capsys, command, inst):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+GROUP = {"kind": "group_morphism", "n": 6, "fplus": 2, "fminus": 2, "a": 1, "b": 1}
+WORD = {"kind": "word", "points": ["a", "b"],
+        "cost": {"a": {"b": 1.0}, "b": {"a": 1.0}}, "word": ["a", "b"]}
+
+
+@pytest.mark.parametrize("kind, inst, message", [
+    ("groth", dict(GROUP, n=[1]), "group_morphism 'n' must be an integer, got [1]"),
+    ("groth", dict(GROUP, a=True), "group_morphism 'a' must be an integer, got True"),
+    ("groth", dict(GROUP, n=0), "group_morphism needs n >= 1"),
+    ("word", dict(WORD, word=5), "word 'word' must be a list of points"),
+    ("word", dict(WORD, word=["a", "c"]), "word 'word' names 'c', which is not a point"),
+])
+def test_malformed_group_and_word_fields_exit_2(tmp_path, capsys, kind, inst, message):
+    f = write_json(tmp_path / "f.json", inst)
+    code, out, err = run(capsys, "norm", "--kind", kind, "--map", f)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: " + message]
+
+
+METRIC_AB = {"kind": "metric_space", "points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]}
+MAP_ENDPOINTS = {
+    "dil": METRIC_AB,
+    "prokhorov": dict(METRIC_AB, kind="mm_space", mass=[0.5, 0.5]),
+    "comp": {"kind": "top_space", "points": ["a", "b"], "leq": [[True, True], [False, True]]},
+    "dim": {"kind": "simplicial", "vertices": ["a", "b"], "simplices": [["a"], ["b"]]},
+    "set": {"kind": "finite_set", "points": ["a", "b"]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MAP_ENDPOINTS))
+@pytest.mark.parametrize("assign, message", [
+    ({"a": "a"}, "assignment keys must be exactly the source points"),
+    ({"a": "a", "b": "z"}, "value 'z' at 'b' is not a target point"),
+])
+def test_every_map_kind_shares_one_validation(tmp_path, capsys, kind, assign, message):
+    space = MAP_ENDPOINTS[kind]
+    f = write_json(tmp_path / "f.json", {"kind": "map", "source": space,
+                                          "target": space, "assign": assign})
+    code, out, err = run(capsys, "norm", "--kind", kind, "--map", f)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: " + message]
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("metric", 3), ("mm", 3), ("poset", 3), ("simplicial", 3), (None, 3)])
+def test_map_parse_serialize_round_trip(tmp_path, capsys, kind, size):
+    if kind is None:
+        space = {"kind": "finite_set", "points": ["s0", "s1", "s2"]}
+    else:
+        assert main(["generate", "--kind", kind, "--size", str(size), "--seed", "4"]) == 0
+        space = json.loads(capsys.readouterr().out)
+    pts = space.get("points", space.get("vertices"))
+    # a constant map is valid in every category; the metric one is multi-valued
+    value = pts[:2] if kind == "metric" else pts[0]
+    payload = {"kind": "map", "source": space, "target": space,
+               "assign": {p: value for p in pts}}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert serialize_instance(parse_instance(str(path))) == text

@@ -19,6 +19,13 @@ TOP = {"kind": "top_space", "points": POINTS,
 SIMPLICIAL = {"kind": "simplicial", "vertices": POINTS,
               "simplices": [["a"], ["b"], ["c"], ["a", "b"]]}
 FINITE_SET = {"kind": "finite_set", "points": POINTS}
+COST_SYSTEM = {"kind": "cost_system", "points": POINTS,
+               "cost": {"a": {"b": 1.0, "c": 2.0}, "b": {"a": 1.0, "c": 0.5},
+                        "c": {"a": 2.0, "b": "inf"}}}
+WORD = dict(COST_SYSTEM, kind="word", word=["a", "b", "c"])
+GROUP_MORPHISM = {"kind": "group_morphism", "n": 6, "fplus": 2, "fminus": 2, "a": 1, "b": 1}
+TESTFN = {"kind": "testfn", "space": METRIC, "values": {"a": 0.0, "b": 0.5, "c": 1.0}}
+LINEAR_MAP = {"kind": "linear_map", "entries": [[3.0, 0.0], [0.0, 0.5]]}
 
 
 def identity_map(space):
@@ -40,6 +47,11 @@ CASES = [
     (["norm", "--kind", "dim", "--map"], identity_map(SIMPLICIAL), 1),
     (["norm", "--kind", "top", "--map"], identity_map(SIMPLICIAL), 1),
     (["norm", "--kind", "set", "--map"], identity_map(FINITE_SET), 1),
+    (["norm", "--kind", "word", "--map"], WORD, 1),
+    (["norm", "--kind", "groth", "--map"], GROUP_MORPHISM, 1),
+    (["norm", "--kind", "wasserstein", "--map"], TESTFN, 1),
+    (["norm", "--kind", "word", "--map"], COST_SYSTEM, 1),
+    (["norm", "--kind", "op", "--map"], LINEAR_MAP, 1),
 ]
 
 # labels that match the valid points, so replacements often get past the

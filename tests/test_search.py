@@ -2,9 +2,13 @@
 bound, the searches built on them, and the size and node caps as the
 CLI reports them."""
 
+import dataclasses
+import importlib
+import inspect
 import itertools
 import json
 import pathlib
+import pkgutil
 import random
 import re
 
@@ -303,3 +307,18 @@ def test_only_the_search_module_walks_bitmasks():
     walkers = sorted(p.name for p in src.glob("*.py")
                      if re.search(r"\b1\s*<<", p.read_text(encoding="utf-8")))
     assert walkers == ["search.py"]
+
+
+def test_every_class_with_an_assign_field_is_a_finite_map():
+    from normcat.category import FiniteMap
+    classes = []
+    for info in pkgutil.iter_modules(normcat.__path__):
+        if info.name != "__main__":
+            mod = importlib.import_module("normcat." + info.name)
+            classes += [c for c in vars(mod).values()
+                        if inspect.isclass(c) and c.__module__ == mod.__name__]
+    maps = [c for c in classes if dataclasses.is_dataclass(c)
+            and "assign" in {f.name for f in dataclasses.fields(c)}]
+    assert len(maps) >= 6
+    assert all(issubclass(c, FiniteMap) for c in maps)
+    assert [c for c in classes if "assign" in vars(c).get("__annotations__", {})] == [FiniteMap]
