@@ -11,6 +11,8 @@ measures how much it can drop.
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .extreal import INF, NEG_INF, sup0
 from . import category as cat_mod
 from .search import subsets
@@ -33,20 +35,17 @@ class SubobjectFamily:
     def validate_order(self):
         """Check reflexivity, antisymmetry and transitivity of leq on the handles."""
         hs = self.handles
-        for a in hs:
-            if not self.leq(a, a):
+        rel = np.array([[bool(self.leq(a, b)) for b in hs] for a in hs], dtype=bool)
+        for i, a in enumerate(hs):
+            if not rel[i, i]:
                 raise ValueError("leq not reflexive at %r" % (a,))
-        for a in hs:
-            for b in hs:
-                if a != b and self.leq(a, b) and self.leq(b, a):
-                    raise ValueError("leq not antisymmetric on (%r, %r)" % (a, b))
-        for a in hs:
-            for b in hs:
-                if not self.leq(a, b):
-                    continue
-                for c in hs:
-                    if self.leq(b, c) and not self.leq(a, c):
-                        raise ValueError("leq not transitive on (%r, %r, %r)" % (a, b, c))
+        for i, j in np.argwhere(rel & rel.T).tolist():
+            if hs[i] != hs[j]:
+                raise ValueError("leq not antisymmetric on (%r, %r)" % (hs[i], hs[j]))
+        bad = cat_mod.first_transitivity_violation(rel)
+        if bad is not None:
+            raise ValueError("leq not transitive on (%r, %r, %r)"
+                             % tuple(hs[i] for i in bad))
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,18 @@ class Capacity:
         return self.value(handle)
 
 
-def check_capacity_monotone(fam, c, tol=1e-12, pairs=None):
-    """True iff c respects fam's order on all comparable pairs (or the given pairs).
+def check_capacity_monotone(fam, c):
+    """True iff c respects fam's order on all comparable pairs, up to 1e-12.
 
     Returns (ok, witness) where witness is a violating (smaller, larger,
     c(smaller), c(larger)) tuple or None.
     """
-    if pairs is None:
-        pairs = [(a, b) for a in fam.handles for b in fam.handles if fam.leq(a, b)]
-    for a, b in pairs:
-        ca, cb = c(a), c(b)
-        if ca > cb + tol:
-            return False, (a, b, ca, cb)
+    for a in fam.handles:
+        for b in fam.handles:
+            if fam.leq(a, b):
+                ca, cb = c(a), c(b)
+                if ca > cb + 1e-12:
+                    return False, (a, b, ca, cb)
     return True, None
 
 
@@ -134,14 +133,14 @@ class DualInequalityReport:
     violations: list = field(default_factory=list)   # (morphism, check, lhs, rhs)
 
 
-def dual_inequality_report(inst, tol=1e-9):
+def dual_inequality_report(inst):
     """Per-morphism capacity norms, co-seminorms, duals and the inequality checks.
 
     Checks, for every morphism f of the instance:
       dual_right(f) <= coseminorm(f)
       bidual_left(f) <= norm(f) and bidual_right(f) <= norm(f)
     and for morphisms listed in inst.annihilated additionally
-      dual_left(f) >= coseminorm(f).
+      dual_left(f) >= coseminorm(f), each up to cat_mod.AXIOM_TOL.
     """
     cat = inst.category
     c = inst.capacity
@@ -161,6 +160,7 @@ def dual_inequality_report(inst, tol=1e-9):
     bidual_l = cat_mod.dual_seminorm(cat, dual_l, "left")
     bidual_r = cat_mod.dual_seminorm(cat, dual_r, "right")
 
+    tol = cat_mod.AXIOM_TOL
     rep = DualInequalityReport(ok=True)
     for name in cat.morphisms:
         rep.rows.append(DualInequalityRow(

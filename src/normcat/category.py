@@ -26,6 +26,10 @@ class CategoryError(ValueError):
     """Construction data does not describe a category."""
 
 
+# slack of the norm axioms: a value within AXIOM_TOL of its bound passes
+AXIOM_TOL = 1e-9
+
+
 def carrier(space):
     """The points of a finite space: a tuple is its own points."""
     return space if isinstance(space, tuple) else space.points
@@ -189,19 +193,19 @@ class AxiomReport:
     n2_violations: list = field(default_factory=list)   # (g, f, composite, excess)
 
 
-def check_seminorm_axioms(cat, norms, tol=1e-9):
+def check_seminorm_axioms(cat, norms):
     """N1: identities have norm 0.  N2: norm(g after f) <= norm(g) + norm(f)."""
     validate_norm_assignment(cat, norms)
     rep = AxiomReport(ok=True)
     for obj in cat.objects:
         e = cat.identity[obj]
-        if norms[e] > tol:
+        if norms[e] > AXIOM_TOL:
             rep.n1_violations.append((e, norms[e]))
     for f in cat.morphisms.values():
         for g in cat.outof(f.tgt):
             r = cat.compose(g, f.name)
             bound = norms[g] + norms[f.name]   # both >= 0, no inf - inf possible
-            if norms[r] > bound + tol:
+            if norms[r] > bound + AXIOM_TOL:
                 rep.n2_violations.append((g, f.name, r, norms[r] - bound))
     rep.ok = not rep.n1_violations and not rep.n2_violations
     return rep
@@ -216,7 +220,7 @@ class NormAxiomReport:
     n4_pairs: list = field(default_factory=list)           # (X, Y, witness) where the inf is 0 and attained
 
 
-def check_norm_axioms(cat, norms, tol=1e-9):
+def check_norm_axioms(cat, norms):
     """Seminorm axioms plus N3 (mutual modulators give a norm isomorphism) and N4.
 
     N4 asks that a vanishing infimum over a hom set is witnessed by an
@@ -224,11 +228,11 @@ def check_norm_axioms(cat, norms, tol=1e-9):
     minimum, so this passes vacuously and the report just lists the
     pairs where the minimum is zero together with a witness.
     """
-    sem = check_seminorm_axioms(cat, norms, tol)
+    sem = check_seminorm_axioms(cat, norms)
     rep = NormAxiomReport(ok=True, seminorm=sem)
     mods = {}   # (X, Y) -> list of zero-norm morphisms
     for m in cat.morphisms.values():
-        if norms[m.name] <= tol:
+        if norms[m.name] <= AXIOM_TOL:
             mods.setdefault((m.src, m.tgt), []).append(m.name)
     for x in cat.objects:
         for y in cat.objects:
@@ -249,7 +253,7 @@ def check_norm_axioms(cat, norms, tol=1e-9):
             if not hom:
                 continue
             best = min(hom, key=lambda n: norms[n])
-            if norms[best] <= tol:
+            if norms[best] <= AXIOM_TOL:
                 rep.n4_pairs.append((x, y, best))
     rep.ok = sem.ok and not rep.n3_violations
     return rep
@@ -313,6 +317,14 @@ def first_triangle_violation(dist, tol):
             i, j, k = np.argwhere(bad)[0].tolist()
             return lo + i, j, k
     return None
+
+
+def first_transitivity_violation(leq):
+    """The lexicographically first (i, j, k) with leq[i][j] and leq[j][k]
+    but not leq[i][k], or None: a 0/1 relation is transitive exactly when
+    its complement 1 - leq satisfies the triangle inequality."""
+    rel = np.asarray(leq, dtype=bool)
+    return first_triangle_violation(1.0 - rel.reshape(len(rel), len(rel)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -383,7 +395,7 @@ def induced_pqmetric(cat, norms, symmetrize="none"):
     return PqMetricMatrix(tuple(objs), tuple(tuple(row) for row in out))
 
 
-def modulator_subcategory(cat, norms, tol=1e-9):
+def modulator_subcategory(cat, norms):
     """The wide subcategory of zero-norm morphisms (modulators).
 
     Requires the seminorm axioms: N1 puts every identity inside, N2
@@ -391,7 +403,7 @@ def modulator_subcategory(cat, norms, tol=1e-9):
     as a CategoryError.
     """
     validate_norm_assignment(cat, norms)
-    keep = {n for n, v in norms.items() if v <= tol}
+    keep = {n for n, v in norms.items() if v <= AXIOM_TOL}
     for obj in cat.objects:
         if cat.identity[obj] not in keep:
             raise CategoryError("identity of %r has nonzero norm; N1 fails" % (obj,))
@@ -419,16 +431,23 @@ def identity_only_category(labels):
     return FiniteCategory(labels, mors, ids, comp)
 
 
-def monoid_category(elements, op, unit, label="*"):
-    """One-object category whose morphisms are the monoid elements.
+def monoid_category(elements, op, unit):
+    """One-object category "*" whose morphisms are the monoid elements.
 
     compose(g, f) = op(g, f), so the monoid product is read as
-    "g after f".
+    "g after f".  FiniteCategory checks the unit and associativity laws;
+    an op that returns None or leaves the elements, or a unit that is
+    not an element, raises CategoryError here.
     """
-    names = {e: "m_%s" % (e,) for e in elements}
-    mors = [(names[e], label, label) for e in elements]
+    names = {e: "m_%r" % (e,) for e in elements}
+    if unit not in names:
+        raise CategoryError("unit %r is not an element" % (unit,))
     comp = {}
     for f in elements:
         for g in elements:
-            comp[(names[g], names[f])] = names[op(g, f)]
-    return FiniteCategory([label], mors, {label: names[unit]}, comp)
+            r = op(g, f)
+            if r is None or r not in names:
+                raise CategoryError("operation leaves the elements at (%r, %r)" % (g, f))
+            comp[(names[g], names[f])] = names[r]
+    mors = [(names[e], "*", "*") for e in elements]
+    return FiniteCategory(["*"], mors, {"*": names[unit]}, comp)

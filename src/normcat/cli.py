@@ -4,8 +4,9 @@ run the property suites, generate random instances.
 Exit codes: 0 on a successful computation or a passing suite, 1 when a
 suite reports a failure, 2 on any input problem (bad schema, violated
 invariant, unknown kind, missing file, size out of bounds) or failed
-computation (an undefined extended-real operation, a failed transport
-optimality certificate or another broken runtime invariant).
+computation (an undefined extended-real operation, a value too large
+for a float, a failed transport optimality certificate or another
+broken runtime invariant).
 """
 
 import argparse
@@ -330,7 +331,7 @@ def main(argv=None):
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, OSError, ConventionError, RuntimeError) as exc:
+    except (ValueError, OSError, OverflowError, ConventionError, RuntimeError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

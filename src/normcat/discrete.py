@@ -6,10 +6,10 @@ and cost systems on square-free words.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .extreal import INF, ext_log, sup1
-from .category import FiniteCategory, FiniteMap
+from .category import FiniteCategory, FiniteMap, monoid_category
 from .search import assignments, subsets
 
 
@@ -256,35 +256,21 @@ class NormedMonoid:
     op: Callable
     unit: object
     norm: Callable
-    elements: Optional[tuple] = None
+    elements: Optional[Sequence] = None
     inv: Optional[Callable] = None
 
     @classmethod
     def from_table(cls, elements, table, unit, norm, inv=None, partial=False):
+        """A monoid from its table (a dict on pairs, or rows in element
+        order); unless partial, monoid_category checks the monoid laws."""
         elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
         if isinstance(table, dict):
-            tab = {k: v for k, v in table.items()}
+            tab = dict(table)
         else:
-            tab = {}
-            for a in elements:
-                for b in elements:
-                    tab[(a, b)] = table[idx[a]][idx[b]]
+            tab = {(a, b): table[i][j] for i, a in enumerate(elements)
+                   for j, b in enumerate(elements)}
         if not partial:
-            for a in elements:
-                for b in elements:
-                    v = tab.get((a, b))
-                    if v is None or v not in idx:
-                        raise ValueError("operation table not closed at (%r, %r)" % (a, b))
-            for a in elements:
-                if tab[(a, unit)] != a or tab[(unit, a)] != a:
-                    raise ValueError("unit law fails at %r" % (a,))
-            for a in elements:
-                for b in elements:
-                    ab = tab[(a, b)]
-                    for c in elements:
-                        if tab[(ab, c)] != tab[(a, tab[(b, c)])]:
-                            raise ValueError("associativity fails at (%r, %r, %r)" % (a, b, c))
+            monoid_category(elements, lambda g, f: tab.get((g, f)), unit)
             if norm[unit] > 1e-12:
                 raise ValueError("norm of the unit must be 0")
             for a in elements:
@@ -307,12 +293,14 @@ def integers_monoid():
 
 
 def cyclic_group(n):
-    """Z/n with the word-length norm for the generators +-1."""
-    elements = list(range(n))
-    table = [[(a + b) % n for b in elements] for a in elements]
-    norm = {a: float(min(a, n - a)) for a in elements}
-    inv = {a: (-a) % n for a in elements}
-    return NormedMonoid.from_table(elements, table, 0, norm, inv=inv)
+    """Z/n with the word-length norm for the generators +-1.
+
+    Built from its formulas, so any order n >= 1 costs the same; the
+    elements are range(n), and any integer stands for its residue.
+    """
+    return NormedMonoid(op=lambda a, b: (a + b) % n, unit=0,
+                        norm=lambda a: float(min(a % n, -a % n)),
+                        elements=range(n), inv=lambda a: -a % n)
 
 
 def grothendieck_norm(m, fplus, fminus, a, b):
@@ -390,13 +378,14 @@ def word_norm(m, generators, g, radius=12):
     return INF
 
 
-def group_norm_category(n, elem_norm=None):
+def group_norm_category(n):
     """The two-sided-norm category of Z/n: objects are group elements,
-    hom(a, b) carries one morphism per fplus.  Returns (category, norms).
+    hom(a, b) carries one morphism (fplus, fminus) per fplus, with
+    fminus = -b + fplus + a and the norm of grothendieck_norm.
+    Returns (category, norms).
     """
-    if elem_norm is None:
-        elem_norm = lambda k: float(min(k, n - k))
-    objs = list(range(n))
+    m = cyclic_group(n)
+    objs = list(m.elements)
     mors = []
     norms = {}
 
@@ -405,19 +394,19 @@ def group_norm_category(n, elem_norm=None):
 
     for a in objs:
         for b in objs:
-            for fp in range(n):
-                fm = (fp + a - b) % n
+            for fp in objs:
+                fm = m.op(m.op(m.inv(b), fp), a)
                 nm = name(fp, a, b)
                 mors.append((nm, a, b))
-                norms[nm] = elem_norm(fp) + elem_norm(fm)
-    ids = {a: name(0, a, a) for a in objs}
+                norms[nm] = grothendieck_norm(m, fp, fm, a, b)
+    ids = {a: name(m.unit, a, a) for a in objs}
     comp = {}
     for a in objs:
         for b in objs:
             for c in objs:
-                for fp in range(n):
-                    for gp in range(n):
-                        comp[(name(gp, b, c), name(fp, a, b))] = name((gp + fp) % n, a, c)
+                for fp in objs:
+                    for gp in objs:
+                        comp[(name(gp, b, c), name(fp, a, b))] = name(m.op(gp, fp), a, c)
     cat = FiniteCategory(objs, mors, ids, comp)
     return cat, norms
 
@@ -484,19 +473,20 @@ def cost_pseudometric(cs):
     return PqMetricMatrix(tuple(pts), tuple(tuple(row) for row in d))
 
 
-def cost_category(cs, order=None):
+def cost_category(cs):
     """A finite composition-closed piece of the word category of a cost system.
 
-    Morphisms are the strictly increasing words with respect to `order`
-    (default: the point order as given); composition concatenates at the
-    shared endpoint.  Returns (category, norms).
+    Morphisms are the words that are strictly increasing in the point
+    order; composition concatenates at the shared endpoint.  Returns
+    (category, norms).
     """
-    pts = list(order if order is not None else cs.points)
+    pts = list(cs.points)
     idx = {p: i for i, p in enumerate(pts)}
     words = [tuple(w) for w in subsets(pts)]
 
     def name(w):
-        return "w:" + ">".join(str(p) for p in w)
+        # the reprs keep ("a>b",) and ("a", "b") apart
+        return "w:" + ">".join(map(repr, w))
 
     mors = [(name(w), w[0], w[-1]) for w in words]
     ids = {p: name((p,)) for p in pts}

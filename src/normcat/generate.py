@@ -6,7 +6,7 @@ reproduces the same instance everywhere.
 
 import math
 
-from .discrete import CostSystem, SimplicialComplex, cost_pseudometric
+from .discrete import SimplicialComplex
 from .measure import FiniteMMSpace, MMSpaceMap
 from .metric import FiniteMetricSpace, MultiMap
 from .topo import FiniteTopSpace, transitive_closure
@@ -16,41 +16,25 @@ def default_labels(n, prefix="x"):
     return tuple("%s%d" % (prefix, i) for i in range(n))
 
 
-def random_metric_space(rng, n, prefix="x", method="points"):
-    """A random n-point metric space.
-
-    method "points": vertices drawn in the unit cube with the Euclidean
-    distance.  method "repair": a random positive cost matrix pushed
-    down to its shortest-path closure.
-    """
+def random_metric_space(rng, n, prefix="x"):
+    """A random n-point metric space: vertices drawn in the unit cube
+    with the Euclidean distance."""
     if n < 1:
         raise ValueError("need at least one point")
     labels = default_labels(n, prefix)
-    if method == "points":
-        while True:
-            coords = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
-            dist = [[math.dist(a, b) for b in coords] for a in coords]
-            if all(dist[i][j] > 0 for i in range(n) for j in range(n) if i != j):
-                return FiniteMetricSpace(labels, dist)
-    if method == "repair":
-        cost = {}
-        for a in labels:
-            for b in labels:
-                if a != b:
-                    cost[(a, b)] = rng.uniform(0.1, 1.0)
-        repaired = cost_pseudometric(CostSystem(labels, cost))
-        return FiniteMetricSpace(labels, repaired.dist)
-    raise ValueError("method must be 'points' or 'repair'")
+    while True:
+        coords = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+        dist = [[math.dist(a, b) for b in coords] for a in coords]
+        if all(dist[i][j] > 0 for i in range(n) for j in range(n) if i != j):
+            return FiniteMetricSpace(labels, dist)
 
 
-def random_multimap(rng, source, target, max_values=None):
+def random_multimap(rng, source, target):
     """A random multi-valued map; every point gets a nonempty value set."""
     pts = list(target.points)
-    if max_values is None:
-        max_values = len(pts)
     assign = {}
     for x in source.points:
-        k = rng.randint(1, min(max_values, len(pts)))
+        k = rng.randint(1, len(pts))
         assign[x] = tuple(rng.sample(pts, k))
     return MultiMap(source, target, assign)
 
@@ -95,8 +79,9 @@ def random_testfn_values(rng, labels, grid=None):
     return {p: rng.random() for p in labels}
 
 
-def random_poset(rng, n, prefix="p", edge_prob=0.4):
-    """A random poset: acyclic edges along a shuffled order, closed up."""
+def random_poset(rng, n, prefix="p"):
+    """A random poset: acyclic edges along a shuffled order, each with
+    probability 0.4, closed up."""
     if n < 1:
         raise ValueError("need at least one point")
     labels = default_labels(n, prefix)
@@ -105,20 +90,18 @@ def random_poset(rng, n, prefix="p", edge_prob=0.4):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.4:
                 leq[order[a]][order[b]] = True
     return FiniteTopSpace(labels, transitive_closure(leq))
 
 
-def random_simplicial(rng, n, prefix="v", max_facets=None):
-    """A random simplicial complex from a handful of random facets."""
+def random_simplicial(rng, n, prefix="v"):
+    """A random simplicial complex from at most n random facets."""
     if n < 1:
         raise ValueError("need at least one vertex")
     labels = default_labels(n, prefix)
-    if max_facets is None:
-        max_facets = n
     facets = []
-    for _ in range(rng.randint(0, max_facets)):
+    for _ in range(rng.randint(0, n)):
         k = rng.randint(1, n)
         facets.append(rng.sample(list(labels), k))
     return SimplicialComplex.from_facets(labels, facets)

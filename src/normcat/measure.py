@@ -232,8 +232,8 @@ def prokhorov_family(sp, v_values):
     return fam, cap
 
 
-def measure_isometry_search(a, b, tol=1e-9):
-    """A bijective isometry matching masses pointwise, or None."""
+def measure_isometry_search(a, b):
+    """A bijective isometry matching masses pointwise, both up to 1e-9, or None."""
     n = len(a.base.points)
     if n != len(b.base.points):
         return None
@@ -241,8 +241,8 @@ def measure_isometry_search(a, b, tol=1e-9):
     pa, pb = a.base.points, b.base.points
 
     def fits(i, v, prefix):
-        return (abs(a.mass[pa[i]] - b.mass[pb[v]]) <= tol
-                and all(abs(db[prefix[j]][v] - da[j][i]) <= tol for j in range(i)))
+        return (abs(a.mass[pa[i]] - b.mass[pb[v]]) <= 1e-9
+                and all(abs(db[prefix[j]][v] - da[j][i]) <= 1e-9 for j in range(i)))
 
     out = next(assignments(n, n, fits, injective=True), None)
     return None if out is None else dict(zip(pa, (pb[k] for k in out)))

@@ -457,34 +457,38 @@ def gh_correspondence_oracle(x, y):
 
 # -- searches used by the norm axioms ---------------------------------------
 
-def find_expansive_map(x, y, tol=1e-9):
+# slack of the distance comparisons in the searches below
+SEARCH_TOL = 1e-9
+
+
+def find_expansive_map(x, y):
     """A map x -> y that never shrinks distances (dilatation norm 0), or None."""
     dx, dy = x.dist, y.dist
-    fits = lambda i, v, a: all(dy[a[j]][v] >= dx[j][i] - tol for j in range(i))
+    fits = lambda i, v, a: all(dy[a[j]][v] >= dx[j][i] - SEARCH_TOL for j in range(i))
     out = next(assignments(len(x.points), len(y.points), fits), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
-def zero_dilatation_endos(sp, tol=1e-9):
+def zero_dilatation_endos(sp):
     """All self-maps with dilatation norm zero (never shrinking a distance)."""
     n, d = len(sp.points), sp.dist
-    fits = lambda i, v, a: all(d[a[j]][v] >= d[j][i] - tol for j in range(i))
+    fits = lambda i, v, a: all(d[a[j]][v] >= d[j][i] - SEARCH_TOL for j in range(i))
     return [{p: sp.points[k] for p, k in zip(sp.points, out)}
             for out in assignments(n, n, fits)]
 
 
-def isometry_search(x, y, tol=1e-9):
+def isometry_search(x, y):
     """A distance-preserving bijection x -> y, or None (certified, finite)."""
     n = len(x.points)
     if n != len(y.points):
         return None
     dx, dy = x.dist, y.dist
-    fits = lambda i, v, a: all(abs(dy[a[j]][v] - dx[j][i]) <= tol for j in range(i))
+    fits = lambda i, v, a: all(abs(dy[a[j]][v] - dx[j][i]) <= SEARCH_TOL for j in range(i))
     out = next(assignments(n, n, fits, injective=True), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
-def is_isometry(f, tol=1e-9):
+def is_isometry(f):
     """True when a single-valued map preserves every distance (and is bijective)."""
     if not f.single_valued:
         return False
@@ -493,7 +497,7 @@ def is_isometry(f, tol=1e-9):
         return False
     for a in f.source.points:
         for b in f.source.points:
-            if abs(f.source.d(a, b) - f.target.d(f.value(a), f.value(b))) > tol:
+            if abs(f.source.d(a, b) - f.target.d(f.value(a), f.value(b))) > SEARCH_TOL:
                 return False
     return True
 
@@ -522,9 +526,11 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     the labels.  The category is closed under composition; morphisms
     named in attach_pullbacks (single-valued) additionally get their
     pullback space and the identity-assignment probe attached, which
-    realizes the left-dual lower bound for surjective maps.  Returns
-    (CapacityInstance, {morphism name: MultiMap}) with the instance
-    ready for dual_inequality_report.
+    realizes the left-dual lower bound for surjective maps.  Generators
+    keep their names; an identity, probe or composite ("g.f") whose name
+    is taken gets primes appended.  Returns (CapacityInstance,
+    {morphism name: MultiMap}) with the instance ready for
+    dual_inequality_report.
     """
     spaces = dict(spaces)
     label_of = {sp: lab for lab, sp in spaces.items()}
@@ -534,6 +540,7 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     maps = {}        # name -> MultiMap
     endpoints = {}   # name -> (src label, tgt label)
     by_key = {}      # (src, tgt, assign) -> canonical name
+    reserved = set(generators)   # names only their own generator may take
 
     def key_of(mm):
         return (label_of[mm.source], label_of[mm.target],
@@ -544,6 +551,8 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
         k = key_of(mm)
         if k in by_key:
             return by_key[k]
+        while name in maps or name in reserved:
+            name += "'"
         maps[name] = mm
         endpoints[name] = (label_of[mm.source], label_of[mm.target])
         by_key[k] = name
@@ -558,6 +567,7 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     for name, mm in generators.items():
         if mm.source not in label_of or mm.target not in label_of:
             raise ValueError("generator %r runs between unlabeled spaces" % (name,))
+        reserved.discard(name)
         gen_names[name] = add_map(name, mm)
 
     for name in attach_pullbacks:
@@ -594,11 +604,9 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
                 gf = compose_multimaps(maps[gname], maps[fname])
                 k = key_of(gf)
                 if k not in by_key:
-                    rname = "%s.%s" % (gname, fname)
                     if len(maps) >= MAX_MORPHISMS:
                         raise ValueError("composition closure exceeds %d morphisms" % (MAX_MORPHISMS,))
-                    add_map(rname, gf)
-                    by_key[k] = rname
+                    add_map("%s.%s" % (gname, fname), gf)
                     work = True
                 comp[(gname, fname)] = by_key[k]
 

@@ -77,23 +77,20 @@ def suite_core(seed, cases):
     rng = random.Random(seed)
     rows = []
 
-    bad = []
+    bad_axioms, bad_duals = [], []
     for n in range(2, 7):
         cat, norms = group_norm_category(n)
         rep = check_seminorm_axioms(cat, norms)
         if not rep.ok:
-            bad.append("n=%d: %s %s" % (n, rep.n1_violations[:2], rep.n2_violations[:2]))
-    rows.append(_row("cyclic-categories-satisfy-axioms", not bad, "; ".join(bad) or "n=2..6"))
-
-    bad = []
-    for n in range(2, 7):
-        cat, norms = group_norm_category(n)
+            bad_axioms.append("n=%d: %s %s" % (n, rep.n1_violations[:2], rep.n2_violations[:2]))
         for side in ("left", "right"):
             dual = dual_seminorm(cat, norms, side)
             gap = max(abs(dual[m] - norms[m]) for m in norms)
             if gap > 0.0:
-                bad.append("n=%d %s gap %g" % (n, side, gap))
-    rows.append(_row("cyclic-duals-equal-norm", not bad, "; ".join(bad) or "exact"))
+                bad_duals.append("n=%d %s gap %g" % (n, side, gap))
+    rows.append(_row("cyclic-categories-satisfy-axioms", not bad_axioms,
+                     "; ".join(bad_axioms) or "n=2..6"))
+    rows.append(_row("cyclic-duals-equal-norm", not bad_duals, "; ".join(bad_duals) or "exact"))
 
     bad = []
     runs = max(1, cases // 10)

@@ -12,7 +12,7 @@ for simplex dimension on finite simplicial complexes.
 import itertools
 import math
 
-from .category import FiniteMap
+from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
 from .search import subsets
 
@@ -36,15 +36,10 @@ class FiniteTopSpace:
         for i in range(n):
             if not self.leq[i][i]:
                 raise ValueError("leq not reflexive at %r" % (self.points[i],))
-        for i in range(n):
-            for j in range(n):
-                if not self.leq[i][j]:
-                    continue
-                for k in range(n):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        raise ValueError(
-                            "leq not transitive on (%r, %r, %r)"
-                            % (self.points[i], self.points[j], self.points[k]))
+        bad = first_transitivity_violation(self.leq)
+        if bad is not None:
+            raise ValueError("leq not transitive on (%r, %r, %r)"
+                             % tuple(self.points[i] for i in bad))
 
     def below(self, a, b):
         return self.leq[self.index[a]][self.index[b]]
@@ -61,9 +56,9 @@ class FiniteTopSpace:
         return all(q in s for p in s for q in self.points if self.below(q, p))
 
     def down_closure(self, subset):
-        s = set(subset)
-        return frozenset(q for q in self.points
-                         if any(self.below(q, p) for p in s))
+        cols = [self.index[p] for p in set(subset)]
+        return frozenset(q for q, row in zip(self.points, self.leq)
+                         if any(row[j] for j in cols))
 
     def is_t1(self):
         """On finite spaces T1 collapses to discreteness (trivial order)."""
@@ -207,6 +202,10 @@ def monotone_light_report(f):
     components are singletons; closed: images of closed sets are closed;
     mon_defect: sup0 over points of log #components(fiber), infinite on
     empty fibers.
+
+    The closed sets are the unions of the down-sets of points, so an
+    order-preserving f is closed exactly when f(down x) = down f(x) for
+    every x (Barmak, Algebraic Topology of Finite Topological Spaces).
     """
     src, tgt = f.source, f.target
     monotone = True
@@ -224,14 +223,8 @@ def monotone_light_report(f):
         if any(len(b) > 1 for b in comps):
             light = False
         defects.append(math.log(len(comps)))
-    closed = True
-    for d in subsets(src.points, nonempty=False):
-        if not src.is_closed(d):
-            continue
-        image = frozenset(f.assign[x] for x in d)
-        if not tgt.is_closed(image):
-            closed = False
-            break
+    closed = all(frozenset(f.assign[q] for q in src.down_closure((x,)))
+                 == tgt.down_closure((f.assign[x],)) for x in src.points)
     return {"monotone": monotone, "light": light, "closed": closed,
             "mon_defect": sup0(defects)}
 
@@ -322,8 +315,7 @@ def all_posets(n, prefix="p"):
         leq = [[i == j for j in idx] for i in idx]
         for i, j in chosen:
             leq[i][j] = True
-        closed = transitive_closure(leq)
-        if closed != tuple(tuple(row) for row in leq):
+        if first_transitivity_violation(leq) is not None:
             continue
         if any(leq[i][j] and leq[j][i] for i, j in strict_pairs):
             continue

@@ -141,29 +141,23 @@ def _default_lambda_grid():
     return _DEFAULT_GRID
 
 
-def wasserstein_capacity_oracle(sp, phi, lam_grid=None, divergence=1e6):
+def wasserstein_capacity_oracle(sp, phi, lam_grid=None):
     """Grid search over rescaled representatives (X, d/lam, lam*nu).
 
     Admissible rescalings keep the Lipschitz seminorm of phi at most 1
     on the rescaled distance; the value of each is the integral of phi
     against the rescaled mass.  Both the admissibility margin and the
     value grow monotonically with lam, so the grid supremum sits at the
-    largest admissible grid point; values past the divergence threshold
-    report infinity.
+    largest admissible grid point; values of 1e6 and above report
+    infinity.  lam_grid is a list of rescalings (default: 80001 points
+    spaced evenly in log from 1e-9 to 1e9).
     """
     rep = sp.representative if isinstance(sp, ProjectiveMMSpace) else sp
     if isinstance(phi, TestFunction):
         vals = phi.values
     else:
         vals = dict(phi)
-    if lam_grid is None:
-        grid = _default_lambda_grid()
-    elif isinstance(lam_grid, dict):
-        lo, hi, count = lam_grid["lo"], lam_grid["hi"], lam_grid["count"]
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        grid = [lo * ratio ** i for i in range(count)]
-    else:
-        grid = sorted(lam_grid)
+    grid = _default_lambda_grid() if lam_grid is None else sorted(lam_grid)
     lip = lipschitz_seminorm(vals, rep.base)
     integral = sum(vals[p] * rep.mass[p] for p in rep.base.points)
     if lip == INF:
@@ -177,7 +171,7 @@ def wasserstein_capacity_oracle(sp, phi, lam_grid=None, divergence=1e6):
             return 0.0
         best = grid[k]
     value = best * integral
-    if value >= divergence:
+    if value >= 1e6:
         return INF
     return value
 
@@ -305,6 +299,8 @@ def w1_transport(f, free_scalars=False):
     flow = [[0.0] * ny for _ in range(nx)]
     supply = [mu.mass[x] for x in xs]
     demand = [nu.mass[y] for y in ys]
+    # path-length margin relative to the costs, so rounding passes for no shorter path
+    eps = 1e-15 * max([1.0] + [v for row in cost for v in row])
 
     def shortest_augmenting_path():
         # Bellman-Ford over nodes: 0..nx-1 sources, nx..nx+ny-1 sinks
@@ -320,7 +316,7 @@ def w1_transport(f, free_scalars=False):
                     continue
                 for j in range(ny):
                     nd = dist[i] + cost[i][j]
-                    if nd < dist[nx + j] - 1e-15:
+                    if nd < dist[nx + j] - eps:
                         dist[nx + j] = nd
                         prev[nx + j] = i
                         changed = True
@@ -330,7 +326,7 @@ def w1_transport(f, free_scalars=False):
                 for i in range(nx):
                     if flow[i][j] > 1e-15:
                         nd = dist[nx + j] - cost[i][j]
-                        if nd < dist[i] - 1e-15:
+                        if nd < dist[i] - eps:
                             dist[i] = nd
                             prev[i] = nx + j
                             changed = True
@@ -355,6 +351,8 @@ def w1_transport(f, free_scalars=False):
         node = nx + j
         bottleneck = demand[j]
         while prev[node] is not None:
+            if len(path) == nx + ny:
+                raise RuntimeError("augmenting path walk-back does not end")
             p = prev[node]
             if node >= nx:
                 path.append((p, node - nx, +1))
@@ -379,24 +377,27 @@ def w1_transport(f, free_scalars=False):
     return {"cost": total, "coupling": coupling}
 
 
-def _certify_transport(cost, flow, nx, ny, tol=1e-7):
+def _certify_transport(cost, flow, nx, ny):
     """Potentials making loaded edges tight and all edges nonnegative.
 
     Shortest distances over the residual graph stabilize only when no
     negative cycle remains; the stabilized distances are the potentials
-    of the complementary-slackness certificate.
+    of the complementary-slackness certificate.  Both margins are
+    multiples of max(1, largest cost).
     """
     if nx == 0 or ny == 0:
         return
+    scale = max([1.0] + [v for row in cost for v in row])
+    eps, tol = 1e-12 * scale, 1e-7 * scale
     dist = [0.0] * (nx + ny)
     for _ in range(nx + ny + 1):
         changed = False
         for i in range(nx):
             for j in range(ny):
-                if dist[i] + cost[i][j] < dist[nx + j] - 1e-12:
+                if dist[i] + cost[i][j] < dist[nx + j] - eps:
                     dist[nx + j] = dist[i] + cost[i][j]
                     changed = True
-                if flow[i][j] > 1e-12 and dist[nx + j] - cost[i][j] < dist[i] - 1e-12:
+                if flow[i][j] > 1e-12 and dist[nx + j] - cost[i][j] < dist[i] - eps:
                     dist[i] = dist[nx + j] - cost[i][j]
                     changed = True
         if not changed:

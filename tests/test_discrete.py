@@ -396,12 +396,22 @@ def test_cost_category_duals_vanish():
         assert all(v == 0.0 for v in dual.values())
 
 
+def test_cost_category_names_words_apart_from_points():
+    # the one-letter word ("a>b",) and the word ("a", "b") get two names
+    pts = ("a", "b", "a>b")
+    cost = {(x, y): 1.0 for x in pts for y in pts if x != y}
+    cat, norms = cost_category(CostSystem(pts, cost))
+    assert len(cat.morphisms) == 7
+    assert norms["w:'a'>'b'"] == 1.0
+    assert norms["w:'a>b'"] == 0.0
+
+
 def test_cost_category_shape():
     pts = ("a", "b", "c")
     cost = {(x, y): 1.0 for x in pts for y in pts if x != y}
     cat, norms = cost_category(CostSystem(pts, cost))
     # one word per nonempty subset of the ordered alphabet
     assert len(cat.morphisms) == 7
-    assert norms["w:a>b>c"] == 2.0
-    assert norms["w:a"] == 0.0
-    assert cat.compose("w:b>c", "w:a>b") == "w:a>b>c"
+    assert norms["w:'a'>'b'>'c'"] == 2.0
+    assert norms["w:'a'"] == 0.0
+    assert cat.compose("w:'b'>'c'", "w:'a'>'b'") == "w:'a'>'b'>'c'"

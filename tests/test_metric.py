@@ -540,6 +540,23 @@ def test_capacity_rows_match_direct_formulas():
             assert abs(row.coseminorm - codiameter_seminorm(mm)) <= 1e-9
 
 
+def test_generator_names_survive_derived_names():
+    x = line_space([0.0, 1.0, 3.0], labels=("a", "b", "c"))
+    f = MultiMap.from_function(x, x, {"a": "b", "b": "c", "c": "c"})
+    g = MultiMap.from_function(x, x, {"a": "a", "b": "a", "c": "b"})
+    h = MultiMap.from_function(x, x, {"a": "c", "b": "a", "c": "a"})
+    k = MultiMap.from_function(x, x, {"a": "c", "b": "c", "c": "a"})
+    fg = compose_multimaps(f, g)
+    assert fg.assign != h.assign
+    inst, maps = diameter_capacity_instance({"X": x}, {"f": f, "g": g, "f.g": h, "id_X": k})
+    cat = inst.category
+    assert maps["f.g"] is h and maps["id_X"] is k
+    assert maps[cat.compose("f", "g")].assign == fg.assign
+    assert cat.compose("f", "g") == "f.g'"
+    assert cat.identity["X"] == "id_X'"
+    assert dual_inequality_report(inst).ok
+
+
 def test_surjective_functions_with_probes_dominate_the_coseminorm():
     rng = random.Random(60619)
     for _ in range(12):

@@ -2,6 +2,7 @@
 bound, the searches built on them, and the size and node caps as the
 CLI reports them."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -307,6 +308,42 @@ def test_only_the_search_module_walks_bitmasks():
     walkers = sorted(p.name for p in src.glob("*.py")
                      if re.search(r"\b1\s*<<", p.read_text(encoding="utf-8")))
     assert walkers == ["search.py"]
+
+
+def _loop_depth(node):
+    """How deeply for loops and comprehension clauses nest inside node."""
+    inner = max((_loop_depth(c) for c in ast.iter_child_nodes(node)), default=0)
+    if isinstance(node, ast.For):
+        return inner + 1
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return inner + len(node.generators)
+    return inner
+
+
+def test_each_law_is_checked_once():
+    src = pathlib.Path(normcat.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    checkers = {("topo.py", "FiniteTopSpace", "__init__"),
+                ("capacity.py", "SubobjectFamily", "validate_order"),
+                ("discrete.py", "NormedMonoid", "from_table"),
+                ("topo.py", None, "monotone_light_report")}
+    found = set()
+    for module, cls, name in checkers:
+        tree = trees[module]
+        if cls is not None:
+            tree = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert _loop_depth(fn) < 3, (cls, name)
+        calls = {n.func.id for n in ast.walk(fn)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "subsets" not in calls, (cls, name)
+        found.add((module, cls, name))
+    assert found == checkers
+    raisers = sorted(name for name, tree in trees.items()
+                     for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                     and "associativity fails" in n.value)
+    assert raisers == ["category.py"]
 
 
 def test_every_class_with_an_assign_field_is_a_finite_map():

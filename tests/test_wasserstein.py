@@ -1,5 +1,6 @@
 """Test-function capacity, its grid oracle, the seminorm search, and W1."""
 
+import json
 import math
 import random
 
@@ -172,7 +173,7 @@ def test_oracle_degenerate_cases():
         sp, {"p": 0.0, "q": 0.0}, lam_grid=[0.1, 1.0, 10.0]) == 0.0
     # constant positive: the grid value blows past the divergence threshold
     assert wasserstein_capacity_oracle(sp, {"p": 0.5, "q": 0.5}) == INF
-    grid = {"lo": 1e-2, "hi": 1e2, "count": 9}
+    grid = [1e-2 * 10 ** (i / 2) for i in range(9)]
     got = wasserstein_capacity_oracle(sp, {"p": 0.0, "q": 1.0}, lam_grid=grid)
     assert 0.0 < got <= 1.0
 
@@ -379,3 +380,56 @@ def test_w1_free_scalar_regime_warns_and_runs():
     with pytest.warns(UserWarning):
         out = w1_transport(f, free_scalars=True)
     assert abs(out["cost"] - 1.0) <= 1e-12
+
+
+def grid_pair(rng, lam):
+    """Two measures with small integer weights on 2 to 4 points of the
+    integer grid 0..9 x 0..9, the grid scaled by lam."""
+    n = rng.randint(2, 4)
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randint(0, 9), rng.randint(0, 9)))
+    pts = sorted(pts)
+    rng.shuffle(pts)
+    pts = [(lam * x, lam * y) for x, y in pts]
+    dist = [[math.dist(p, q) for q in pts] for p in pts]
+    base = FiniteMetricSpace(tuple("p%d" % i for i in range(n)), dist)
+
+    def measure():
+        den = rng.randint(2, 16)
+        w = [rng.randint(1, den) for _ in pts]
+        return FiniteMMSpace(base, {p: v / sum(w) for p, v in zip(base.points, w)})
+
+    mu, nu = measure(), measure()
+    return MMSpaceMap(mu, nu, {p: p for p in base.points})
+
+
+def test_w1_margins_follow_the_cost_scale():
+    # with absolute margins, rounding in path lengths near 1e6 and 1e9
+    # sent the augmenting-path walk-back round a cycle for ever, or
+    # failed the optimality certificate
+    rng = random.Random(38)
+    for lam in (1e6, 1e9):
+        for _ in range(15):
+            f = grid_pair(rng, lam)
+            got, want = w1_transport(f)["cost"], w1_vertex_oracle(f)
+            assert abs(got - want) <= 1e-9 * want, (lam, got, want)
+
+
+def test_cli_w1_at_scale_1e8(tmp_path, capsys):
+    from normcat import cli
+    coords = [(2, 4), (1, 5), (9, 2)]
+    costs = {}
+    for lam in (1.0, 1e8):
+        pts = [(lam * x, lam * y) for x, y in coords]
+        dist = [[math.dist(p, q) for q in pts] for p in pts]
+        paths = []
+        for name, mass in (("mu", [1 / 15, 7 / 15, 7 / 15]), ("nu", [2 / 7, 2 / 7, 3 / 7])):
+            path = tmp_path / ("%s-%g.json" % (name, lam))
+            path.write_text(json.dumps({"kind": "mm_space", "points": ["p0", "p1", "p2"],
+                                        "dist": dist, "mass": mass}))
+            paths.append(str(path))
+        assert cli.main(["dist", "--kind", "w1"] + paths) == 0
+        costs[lam] = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert costs[1.0] == 0.5332428308781987
+    assert abs(costs[1e8] - 1e8 * costs[1.0]) <= 1e-9 * 1e8 * costs[1.0]
