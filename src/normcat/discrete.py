@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 from .extreal import INF, ext_log, sup1
 from .category import FiniteCategory, FiniteMap, monoid_category
-from .search import assignments, subsets
+from .search import solve, subsets
 
 
 class NonInjective(ValueError):
@@ -122,6 +122,8 @@ class SimplicialComplex:
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
         vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
+            raise ValueError("duplicate point ids")
         simp = set(frozenset(s) for s in simplices)
         for s in simp:
             if not s:
@@ -196,23 +198,15 @@ def simplicial_set_norm(m):
 
 
 def _injective_simplicial_maps(x, y):
-    """Every injective simplicial map x -> y, lexicographic in the vertex orders.
-
-    A simplex is checked as soon as its last vertex (in x's order) is
-    placed, which prunes every extension of a failing prefix.
-    """
+    """Every injective simplicial map x -> y, lexicographic in the vertex
+    orders: the search keeps edges on edges, then checks every simplex."""
     xs, ys = x.vertices, y.vertices
-    pos = {v: i for i, v in enumerate(xs)}
-    closing = [[] for _ in xs]
-    for s in x.simplices:
-        closing[max(pos[v] for v in s)].append([pos[v] for v in s])
-
-    def fits(i, w, a):
-        return all(frozenset(ys[w] if k == i else ys[a[k]] for k in s) in y.simplices
-                   for s in closing[i])
-
-    for a in assignments(len(xs), len(ys), fits, injective=True):
-        yield {v: ys[k] for v, k in zip(xs, a)}
+    ok = lambda j, v, i, w: v != w and (frozenset((xs[j], xs[i])) not in x.simplices
+                                        or frozenset((v, w)) in y.simplices)
+    for a in solve([ys] * len(xs), ok):
+        assign = dict(zip(xs, a))
+        if all(frozenset(assign[u] for u in s) in y.simplices for s in x.simplices):
+            yield assign
 
 
 def find_simplicial_isomorphism(x, y):

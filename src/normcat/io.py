@@ -67,6 +67,12 @@ def _guard(builder, *args):
         raise InvariantError(str(exc)) from exc
 
 
+def _distinct(points):
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate point ids")
+    return points
+
+
 def space_to_json(obj):
     if isinstance(obj, FiniteMMSpace):
         return {
@@ -122,7 +128,7 @@ def space_from_json(d):
         simps = [frozenset(s) for s in _require(d, "simplices", kind)]
         return _guard(SimplicialComplex, verts, frozenset(simps))
     if kind == "finite_set":
-        return tuple(_require(d, "points", kind))
+        return _guard(_distinct, tuple(_require(d, "points", kind)))
     raise UnknownKind("unknown space kind %r" % (kind,))
 
 

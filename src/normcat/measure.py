@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .category import FiniteMap
 from .extreal import INF
 from .capacity import SubobjectFamily, Capacity
-from .search import assignments, subsets
+from .search import solve, subsets
 
 
 class BaseMismatch(ValueError):
@@ -239,10 +239,9 @@ def measure_isometry_search(a, b):
         return None
     da, db = a.base.dist, b.base.dist
     pa, pb = a.base.points, b.base.points
-
-    def fits(i, v, prefix):
-        return (abs(a.mass[pa[i]] - b.mass[pb[v]]) <= 1e-9
-                and all(abs(db[prefix[j]][v] - da[j][i]) <= 1e-9 for j in range(i)))
-
-    out = next(assignments(n, n, fits, injective=True), None)
+    masses = [[v for v in range(n) if abs(a.mass[pa[i]] - b.mass[pb[v]]) <= 1e-9]
+              for i in range(n)]
+    ok = lambda j, v, i, w: (v != w and abs(db[v][w] - da[j][i]) <= 1e-9
+                             and abs(db[w][v] - da[i][j]) <= 1e-9)
+    out = next(solve(masses, ok), None)
     return None if out is None else dict(zip(pa, (pb[k] for k in out)))

@@ -17,7 +17,7 @@ import numpy as np
 from .extreal import INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
-from .search import assignments, least_max, subsets
+from .search import least_max, solve, subsets
 
 
 class EmptySpace(ValueError):
@@ -357,23 +357,26 @@ def _check_nonempty(x, y):
 def min_dilatation_map(x, y):
     """Smallest dilatation norm over single-valued maps x -> y, exactly,
     and the first map in lexicographic order that attains it: (value,
-    assignment dict).  Raises ValueError past search.MAX_NODES nodes.
+    assignment dict), by search.least_max.  When |x| > |y| every map
+    collapses two points, so the least distance in x is a lower bound.
+    Raises ValueError past search.MAX_NODES compatibility checks.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
     dx, dy = x.dist, y.dist
 
-    def grow(i, v, a, cur, bound):
-        for j in range(i):
-            t = dx[j][i] - dy[a[j]][v]
-            if t > cur:
-                if t >= bound:
-                    return t
-                cur = t
-        return cur
+    def term(j, v, i, w):
+        # both ordered pairs, so that a quasi-metric is read in full
+        t, u = dx[j][i] - dy[v][w], dx[i][j] - dy[w][v]
+        return t if t >= u else u
 
-    val, assign = least_max([m] * n, grow)
+    floor = _least_distance(x) if n > m else 0.0
+    val, assign = least_max([range(m)] * n, term, floor)
     return val, {x.points[i]: y.points[assign[i]] for i in range(n)}
+
+
+def _least_distance(sp):
+    return min(v for i, row in enumerate(sp.dist) for j, v in enumerate(row) if i != j)
 
 
 def dil_distance(x, y, symmetrize="none"):
@@ -395,41 +398,25 @@ def gh_distance(x, y):
 
     Every correspondence contains the graph of a map each way, and the
     union of two such graphs is again a correspondence, so the minimum
-    is attained on pairs (phi: x -> y, psi: y -> x), searched exactly as
-    one assignment, phi first.  Raises ValueError past search.MAX_NODES
-    nodes.
+    is attained on pairs (phi: x -> y, psi: y -> x), searched exactly by
+    search.least_max as one assignment, phi first.  When the sizes
+    differ, the least distance in the larger space is a lower bound.
+    Raises ValueError past search.MAX_NODES compatibility checks.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
     dx, dy = x.dist, y.dist
 
-    def grow(k, v, s, cur, bound):
+    def term(j, v, k, w):
+        # slots below n are phi, the rest psi; j < k
         if k < n:
-            # phi(k) = v against phi on the earlier points of x
-            for j in range(k):
-                t = abs(dx[j][k] - dy[s[j]][v])
-                if t > cur:
-                    if t >= bound:
-                        return t
-                    cur = t
-            return cur
-        a = k - n
-        # psi(a) = v against psi on the earlier points of y, then against phi
-        for b in range(a):
-            t = abs(dy[b][a] - dx[s[n + b]][v])
-            if t > cur:
-                if t >= bound:
-                    return t
-                cur = t
-        for i in range(n):
-            t = abs(dx[i][v] - dy[s[i]][a])
-            if t > cur:
-                if t >= bound:
-                    return t
-                cur = t
-        return cur
+            return abs(dx[j][k] - dy[v][w])
+        if j < n:
+            return abs(dx[j][w] - dy[v][k - n])
+        return abs(dy[j - n][k - n] - dx[v][w])
 
-    return least_max([m] * n + [n] * m, grow)[0] / 2.0
+    floor = 0.0 if n == m else _least_distance(x if n > m else y)
+    return least_max([range(m)] * n + [range(n)] * m, term, floor)[0] / 2.0
 
 
 def gh_correspondence_oracle(x, y):
@@ -461,20 +448,22 @@ def gh_correspondence_oracle(x, y):
 SEARCH_TOL = 1e-9
 
 
+def _expansive(dx, dy):
+    return lambda j, v, i, w: (dy[v][w] >= dx[j][i] - SEARCH_TOL
+                               and dy[w][v] >= dx[i][j] - SEARCH_TOL)
+
+
 def find_expansive_map(x, y):
     """A map x -> y that never shrinks distances (dilatation norm 0), or None."""
-    dx, dy = x.dist, y.dist
-    fits = lambda i, v, a: all(dy[a[j]][v] >= dx[j][i] - SEARCH_TOL for j in range(i))
-    out = next(assignments(len(x.points), len(y.points), fits), None)
+    out = next(solve([range(len(y.points))] * len(x.points), _expansive(x.dist, y.dist)), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
 def zero_dilatation_endos(sp):
     """All self-maps with dilatation norm zero (never shrinking a distance)."""
-    n, d = len(sp.points), sp.dist
-    fits = lambda i, v, a: all(d[a[j]][v] >= d[j][i] - SEARCH_TOL for j in range(i))
+    n = len(sp.points)
     return [{p: sp.points[k] for p, k in zip(sp.points, out)}
-            for out in assignments(n, n, fits)]
+            for out in solve([range(n)] * n, _expansive(sp.dist, sp.dist))]
 
 
 def isometry_search(x, y):
@@ -483,8 +472,9 @@ def isometry_search(x, y):
     if n != len(y.points):
         return None
     dx, dy = x.dist, y.dist
-    fits = lambda i, v, a: all(abs(dy[a[j]][v] - dx[j][i]) <= SEARCH_TOL for j in range(i))
-    out = next(assignments(n, n, fits, injective=True), None)
+    ok = lambda j, v, i, w: (v != w and abs(dy[v][w] - dx[j][i]) <= SEARCH_TOL
+                             and abs(dy[w][v] - dx[i][j]) <= SEARCH_TOL)
+    out = next(solve([range(n)] * n, ok), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
@@ -527,8 +517,9 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     named in attach_pullbacks (single-valued) additionally get their
     pullback space and the identity-assignment probe attached, which
     realizes the left-dual lower bound for surjective maps.  Generators
-    keep their names; an identity, probe or composite ("g.f") whose name
-    is taken gets primes appended.  Returns (CapacityInstance,
+    keep their names unless equal to an earlier map, whose name they
+    take (in annihilated too); an identity, probe or composite ("g.f")
+    whose name is taken gets primes appended.  Returns (CapacityInstance,
     {morphism name: MultiMap}) with the instance ready for
     dual_inequality_report.
     """
@@ -570,8 +561,13 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
         reserved.discard(name)
         gen_names[name] = add_map(name, mm)
 
+    def kept(name):
+        if name not in gen_names:
+            raise ValueError("%r is not a generator" % (name,))
+        return gen_names[name]
+
     for name in attach_pullbacks:
-        mm = maps[gen_names[name]]
+        mm = maps[kept(name)]
         pull = pullback_metric(mm)
         if pull in label_of:
             # the map already preserves its pullback distances; the
@@ -622,5 +618,5 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
                 for lab, sp in spaces.items()}
     cap = Capacity(lambda h: diameter(spaces[h[0]], h[1]), direction="monotone")
     inst = CapacityInstance(category=cat, families=families,
-                            capacity=cap, annihilated=tuple(annihilated))
+                            capacity=cap, annihilated=tuple(map(kept, annihilated)))
     return inst, dict(maps)

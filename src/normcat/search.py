@@ -8,10 +8,11 @@ distance is a least worst case over maps.  Every walk has a fixed
 order, so every value and every first witness is reproducible.
 """
 
+import bisect
 import math
 
-# bound on the nodes least_max visits before it gives up
-MAX_NODES = 2_000_000
+# bound on the compatibility checks of one search before it gives up
+MAX_NODES = 5_000_000
 
 
 def subsets(items, nonempty=True, limit=16):
@@ -30,72 +31,76 @@ def subsets(items, nonempty=True, limit=16):
             for mask in range(1 if nonempty else 0, 1 << n))
 
 
-def assignments(n, m, fits, injective=False):
-    """Every list a of length n over range(m) in lexicographic order
-    whose entries pass fits(i, a[i], a[:i]); with injective, the entries
-    are distinct.
-
-    The prefix is checked as it grows, so an entry that fails prunes
-    every extension of it.  fits receives the live prefix list and must
-    not keep or change it.
-    """
-    a = []
-
-    def extend(i):
-        if i == n:
-            yield list(a)
-            return
-        for v in range(m):
-            if (injective and v in a) or not fits(i, v, a):
-                continue
-            a.append(v)
-            yield from extend(i + 1)
-            a.pop()
-
-    return extend(0)
-
-
-def least_max(sizes, grow):
-    """The least cost over lists a with a[i] in range(sizes[i]), and the
-    first list in lexicographic order that attains it; (inf, None) when
-    no list costs less than inf.
-
-    The cost of a list is the larger of 0 and every term its prefixes
-    add: grow(i, v, a, cur, bound) returns the cost of a + [v] given
-    that a costs cur, and may stop early at any value >= bound.  grow
-    receives the live prefix list and must not keep or change it.  Each
-    call of grow visits one node; past MAX_NODES it raises ValueError.
-    """
-    if 0 in sizes:
-        return math.inf, None
-    n, nodes = len(sizes), sum(sizes)
-    if nodes > MAX_NODES:
+def _charge(nodes, k):
+    nodes[0] += k
+    if nodes[0] > MAX_NODES:
         raise ValueError("search is limited to %d nodes" % (MAX_NODES,))
-    # a greedy dive gives one list; starting just above its cost, the walk
-    # prunes at once and still reaches the first list of least cost
-    a, cur = [], 0.0
-    for i in range(n):
-        cur, v = min((grow(i, v, a, cur, math.inf), v) for v in range(sizes[i]))
-        a.append(v)
-    best, best_a = math.nextafter(cur, math.inf), None
-    a = []
 
-    def extend(i, cur):
-        nonlocal best, best_a, nodes
-        if i == n:
-            best, best_a = cur, list(a)
+
+def solve(domains, compatible, nodes=None):
+    """Every list a with a[i] in domains[i] and compatible(j, a[j], i, a[i])
+    for all j < i, in lexicographic order of the domains.
+
+    Forward checking: placing a[i] removes the values that clash with it
+    from every later domain, and a prefix that empties one is not
+    extended.  Each call of compatible is one node, counted in the
+    one-item list nodes (shared by the searches handed it); past
+    MAX_NODES the search raises ValueError.
+    """
+    nodes = [0] if nodes is None else nodes
+
+    def extend(a, doms):
+        if not doms:
+            yield a
             return
-        for v in range(sizes[i]):
-            nodes += 1
-            if nodes > MAX_NODES:
-                raise ValueError("search is limited to %d nodes" % (MAX_NODES,))
-            c = grow(i, v, a, cur, best)
-            if c < best:
-                a.append(v)
-                extend(i + 1, c)
-                a.pop()
-                if cur >= best:  # every extension of a costs at least cur
-                    return
+        i, later = len(a), doms[1:]
+        for v in doms[0]:
+            rest = []
+            for k, dom in enumerate(later, i + 1):
+                _charge(nodes, len(dom))
+                dom = [w for w in dom if compatible(i, v, k, w)]
+                if not dom:
+                    break
+                rest.append(dom)
+            else:
+                yield from extend(a + [v], rest)
 
-    extend(0, 0.0)
-    return best, best_a
+    return extend([], [list(d) for d in domains])
+
+
+def least_max(domains, term, floor):
+    """The least cost over lists a with a[i] in domains[i], and the first
+    list in lexicographic order that attains it; (inf, None) when a
+    domain is empty.
+
+    A list costs max(floor, term(j, a[j], i, a[i]) for j < i), and floor
+    must bound every cost from below.  A greedy dive gives the bound ub
+    from above; unless ub is floor, bisecting the distinct terms between
+    them finds the least r at which solve finds a list with every term
+    at most r.  The scan of the terms and the decisions share one count.
+    """
+    if not all(domains):
+        return math.inf, None
+    n = len(domains)
+    a, ub = [], floor
+    for i in range(n):
+        costs = [max([ub] + [term(j, a[j], i, w) for j in range(i)]) for w in domains[i]]
+        ub = min(costs)
+        a.append(domains[i][costs.index(ub)])
+    if ub == floor:
+        # the dive took the first value of cost floor at every slot, so it
+        # is the first list of cost floor
+        return ub, a
+    nodes = [0]
+    _charge(nodes, sum(len(domains[j]) * len(domains[i]) for i in range(n) for j in range(i)))
+    cands = sorted({floor, ub} | {t for i in range(n) for j in range(i) for v in domains[j]
+                                  for w in domains[i] if floor < (t := term(j, v, i, w)) < ub})
+    first = {}
+
+    def feasible(r):
+        first[r] = next(solve(domains, lambda j, v, i, w: term(j, v, i, w) <= r, nodes), None)
+        return first[r] is not None
+
+    # ub is feasible, so bisect ends on a candidate it tested
+    best = cands[bisect.bisect_left(cands, True, key=feasible)]
+    return best, first[best]

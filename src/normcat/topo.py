@@ -14,7 +14,7 @@ import math
 
 from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
-from .search import subsets
+from .search import solve, subsets
 
 
 class IncompatibleCarriers(ValueError):
@@ -329,12 +329,9 @@ def all_posets(n, prefix="p"):
 
 
 def all_order_preserving_maps(x, y):
-    """Every continuous map between two finite spaces (exhaustive)."""
-    out = []
-    for values in itertools.product(y.points, repeat=len(x.points)):
-        assign = dict(zip(x.points, values))
-        ok = all(y.below(assign[a], assign[b])
-                 for a in x.points for b in x.points if x.below(a, b))
-        if ok:
-            out.append(ContinuousPosetMap(x, y, assign))
-    return out
+    """Every continuous map between two finite spaces (exhaustive), in
+    lexicographic order of y's points."""
+    lx, ly = x.leq, y.leq
+    ok = lambda j, v, i, w: (ly[v][w] or not lx[j][i]) and (ly[w][v] or not lx[i][j])
+    return [ContinuousPosetMap(x, y, {p: y.points[k] for p, k in zip(x.points, a)})
+            for a in solve([range(len(y.points))] * len(x.points), ok)]

@@ -115,6 +115,20 @@ def test_invalid_diagonal_exits_2_and_names_invariant(tmp_path, capsys):
     assert "diagonal" in err
 
 
+@pytest.mark.parametrize("kind, space", [
+    ("set", {"kind": "finite_set", "points": ["a", "a"]}),
+    ("dim", {"kind": "simplicial", "vertices": ["a", "a"], "simplices": [["a"]]}),
+])
+def test_duplicate_points_exit_2(tmp_path, capsys, kind, space):
+    target = ({"kind": "finite_set", "points": ["b", "c"]} if kind == "set"
+              else {"kind": "simplicial", "vertices": ["b"], "simplices": [["b"]]})
+    f = write_json(tmp_path / "f.json", {
+        "kind": "map", "source": space, "target": target, "assign": {"a": "b"}})
+    code, out, err = run(capsys, "norm", "--kind", kind, "--map", f)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: duplicate point ids"]
+
+
 def test_empty_value_set_exits_2(tmp_path, capsys):
     f = write_json(tmp_path / "f.json", {
         "kind": "map",

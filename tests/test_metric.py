@@ -557,6 +557,24 @@ def test_generator_names_survive_derived_names():
     assert dual_inequality_report(inst).ok
 
 
+def test_annihilated_names_follow_a_merged_generator():
+    x = line_space([0.0, 1.0, 3.0], labels=("a", "b", "c"))
+    y = line_space([0.0, 5.0], labels=("p", "q"))
+    f = MultiMap.from_function(x, y, {"a": "p", "b": "p", "c": "p"})
+    g = MultiMap.from_function(x, y, {"a": "p", "b": "p", "c": "p"})
+    inst, maps = diameter_capacity_instance({"X": x, "Y": y}, {"f": f, "g": g},
+                                            annihilated=("g",))
+    assert sorted(maps) == ["f", "id_X", "id_Y"]
+    assert inst.annihilated == ("f",)
+    # the constant map does not annihilate, so the check that now runs fails
+    assert dual_inequality_report(inst).violations == [
+        ("f", "dual_left>=coseminorm", 0.0, 2.0)]
+    with pytest.raises(ValueError, match="'h' is not a generator"):
+        diameter_capacity_instance({"X": x, "Y": y}, {"f": f}, annihilated=("h",))
+    with pytest.raises(ValueError, match="'h' is not a generator"):
+        diameter_capacity_instance({"X": x, "Y": y}, {"f": f}, attach_pullbacks=("h",))
+
+
 def test_surjective_functions_with_probes_dominate_the_coseminorm():
     rng = random.Random(60619)
     for _ in range(12):

@@ -1,6 +1,6 @@
-"""The shared subset walk, assignment search and least-max branch and
-bound, the searches built on them, and the size and node caps as the
-CLI reports them."""
+"""The shared subset walk, the forward-checking assignment search and
+the least-max threshold search, the searches built on them, and the
+size and node caps as the CLI reports them."""
 
 import ast
 import dataclasses
@@ -8,6 +8,7 @@ import importlib
 import inspect
 import itertools
 import json
+import math
 import pathlib
 import pkgutil
 import random
@@ -22,9 +23,11 @@ from normcat.discrete import find_injective_simplicial_map, find_simplicial_isom
 from normcat.generate import random_simplicial
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
-    FiniteMetricSpace, find_expansive_map, isometry_search, zero_dilatation_endos,
+    FiniteMetricSpace, MultiMap, dilatation_norm, find_expansive_map, is_isometry,
+    isometry_search, min_dilatation_map, zero_dilatation_endos,
 )
-from normcat.search import assignments, least_max, subsets
+from normcat.search import least_max, solve, subsets
+from normcat.topo import all_order_preserving_maps, all_posets
 
 TOL = 1e-9
 
@@ -54,75 +57,107 @@ def test_subsets_cap():
         subsets(range(11), nonempty=False, limit=10)
 
 
-# -- assignments -------------------------------------------------------------
+# -- solve -----------------------------------------------------------------
 
-def test_assignments_are_lexicographic():
-    every = lambda i, v, a: True
-    assert list(assignments(3, 2, every)) == [list(t) for t in itertools.product(range(2), repeat=3)]
-    assert (list(assignments(3, 4, every, injective=True))
-            == [list(t) for t in itertools.permutations(range(4), 3)])
-    assert list(assignments(0, 3, every)) == [[]]
-    assert list(assignments(2, 0, every)) == []
-    assert list(assignments(3, 2, every, injective=True)) == []
+def random_table(rng):
+    """Random domains, some of them empty, and a random compatibility table."""
+    domains = [rng.sample(range(4), rng.choice((0, 1, 2, 3, 3, 4)))
+               for _ in range(rng.randint(0, 4))]
+    ok = {(j, v, i, w): rng.random() < 0.7
+          for i in range(len(domains)) for j in range(i) for v in range(4) for w in range(4)}
+    return domains, lambda j, v, i, w: ok[j, v, i, w]
 
 
-def test_assignments_prune_failed_prefixes():
+def test_solve_matches_a_filtered_product():
+    rng = random.Random(4107)
+    for _ in range(200):
+        domains, ok = random_table(rng)
+        ref = [list(a) for a in itertools.product(*domains)
+               if all(ok(j, a[j], i, a[i]) for i in range(len(a)) for j in range(i))]
+        assert list(solve(domains, ok)) == ref
+    every = lambda j, v, i, w: True
+    assert list(solve([], every)) == [[]]
+    assert list(solve([[1, 0], [], [2]], every)) == []
+    assert list(solve([[1, 0]] * 2, every)) == [[1, 1], [1, 0], [0, 1], [0, 0]]
+
+
+def test_solve_removes_a_clashing_value_from_every_later_domain():
     seen = []
 
-    def fits(i, v, a):
-        assert len(a) == i
-        seen.append(tuple(a) + (v,))
-        return not (i == 1 and v == 0)
+    def ok(j, v, i, w):
+        seen.append((j, v, i, w))
+        return not (j == 0 and v == 0 and w == 0)
 
-    out = list(assignments(3, 2, fits))
-    assert out == [[0, 1, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1]]
-    # no prefix ending in a rejected entry is ever extended
-    assert not any(len(p) == 3 and p[1] == 0 for p in seen)
-    assert len(seen) == 2 + 4 + 4
+    assert list(solve([[0, 1]] * 3, ok)) == [
+        [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    # a[0] = 0 removes 0 from both later domains: a[1] = 0 is never
+    # placed, and a[1] = 1 is checked against the one value left for a[2]
+    assert seen[:5] == [(0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 2, 0), (0, 0, 2, 1), (1, 1, 2, 1)]
+    # a prefix that empties a domain is not extended
+    assert list(solve([[0], [0], [0, 1]], lambda j, v, i, w: i < 2)) == []
+
+
+def test_solve_counts_every_check(monkeypatch):
+    calls = []
+
+    def ok(j, v, i, w):
+        calls.append((j, v, i, w))
+        return True
+
+    # 2 values of a[0] against 2 + 2 later values, then 2 x 2 of a[1] against 2
+    monkeypatch.setattr(search, "MAX_NODES", 16)
+    assert len(list(solve([range(2)] * 3, ok))) == 8
+    assert len(calls) == 16
+    calls.clear()
+    nodes = [0]
+    assert next(solve([range(2)] * 2, ok, nodes)) == [0, 0]
+    assert nodes == [2] and len(calls) == 2
+    monkeypatch.setattr(search, "MAX_NODES", 15)
+    with pytest.raises(ValueError, match="^search is limited to 15 nodes$"):
+        list(solve([range(2)] * 3, ok))
+    monkeypatch.setattr(search, "MAX_NODES", 5)
+    # the count is shared by every search that is handed it
+    nodes = [4]
+    with pytest.raises(ValueError, match="^search is limited to 5 nodes$"):
+        next(solve([range(2)] * 2, ok, nodes))
 
 
 # -- least_max -----------------------------------------------------------------
 
 def test_least_max_returns_the_first_optimum():
-    rng = random.Random(4107)
+    rng = random.Random(4108)
     for _ in range(60):
-        sizes = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
+        domains = [rng.sample(range(3), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
         # few distinct term values, so ties between lists are common
-        term = {(i, v, j, w): rng.choice((-1.0, 0.0, 1.0, 2.0))
-                for i in range(len(sizes)) for v in range(sizes[i])
-                for j in range(i) for w in range(sizes[j])}
+        table = {(j, v, i, w): rng.choice((-1.0, 0.0, 1.0, 2.0))
+                 for i in range(len(domains)) for j in range(i) for v in range(3) for w in range(3)}
+        term = lambda j, v, i, w: table[j, v, i, w]
+        floor = rng.choice((-1.0, 0.0))
 
         def cost(a):
-            return max([0.0] + [term[i, a[i], j, a[j]] for i in range(len(a)) for j in range(i)])
+            return max([floor] + [term(j, a[j], i, a[i]) for i in range(len(a)) for j in range(i)])
 
-        def grow(i, v, a, cur, bound):
-            for j in range(i):
-                cur = max(cur, term[i, v, j, a[j]])
-            return cur
-
-        every = [list(a) for a in itertools.product(*map(range, sizes))]
+        every = [list(a) for a in itertools.product(*domains)]
         low = min(map(cost, every))
-        assert least_max(sizes, grow) == (low, next(a for a in every if cost(a) == low))
-    assert least_max([2, 0, 3], grow) == (float("inf"), None)
+        assert least_max(domains, term, floor) == (low, next(a for a in every if cost(a) == low))
+    assert least_max([[0, 1], [], [0]], term, 0.0) == (float("inf"), None)
 
 
-def test_least_max_counts_every_call_of_grow(monkeypatch):
+def test_least_max_stops_at_the_floor(monkeypatch):
     calls = []
 
-    def grow(i, v, a, cur, bound):
-        calls.append((i, v))
-        return cur
+    def term(j, v, i, w):
+        calls.append((j, v, i, w))
+        return float(v == w)
 
-    monkeypatch.setattr(search, "MAX_NODES", 6)
-    assert least_max([2, 2], grow) == (0.0, [0, 0])
-    assert len(calls) == 6
-    monkeypatch.setattr(search, "MAX_NODES", 5)
-    with pytest.raises(ValueError, match="search is limited to 5 nodes"):
-        least_max([2, 2], grow)
-    calls.clear()
-    with pytest.raises(ValueError, match="search is limited to 5 nodes"):
-        least_max([3, 3], grow)
-    assert calls == []
+    monkeypatch.setattr(search, "MAX_NODES", 0)
+    # three slots over two values always repeat a value, so 1.0 is a lower bound
+    assert least_max([range(2)] * 3, term, 1.0) == (1.0, [0, 0, 0])
+    # the greedy dive alone: one term per earlier slot and value
+    assert len(calls) == 2 * (0 + 1 + 2)
+    # without the floor the dive's 1.0 must be proved by a search
+    with pytest.raises(ValueError, match="^search is limited to 0 nodes$"):
+        least_max([range(2)] * 3, term, 0.0)
 
 
 def equilateral(n, prefix):
@@ -130,16 +165,77 @@ def equilateral(n, prefix):
             "dist": [[float(i != j) for j in range(n)] for i in range(n)]}
 
 
-@pytest.mark.parametrize("kind", ["dil", "gh"])
+@pytest.mark.parametrize("kind", ["dil", "dil-plus", "gh"])
 def test_distance_searches_exit_2_past_the_node_cap(tmp_path, capsys, monkeypatch, kind):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(equilateral(8, "x")))
-    b.write_text(json.dumps(equilateral(7, "y")))
+    paths = [str(tmp_path / ("%d.json" % seed)) for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        assert main(["generate", "--kind", "metric", "--size", "10", "--seed", str(seed),
+                     "--out", path]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(search, "MAX_NODES", 1000)
-    code = main(["dist", "--kind", kind, str(a), str(b)])
+    code = main(["dist", "--kind", kind, *paths])
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == ["error: search is limited to 1000 nodes"]
+
+
+def put(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def dist_value(capsys, kind, a, b):
+    code = main(["dist", "--kind", kind, a, b])
+    out = capsys.readouterr().out
+    assert code == 0
+    return json.loads(out)["results"][0]["value"]
+
+
+def metric_json(pts, prefix):
+    return {"kind": "metric_space", "points": ["%s%d" % (prefix, i) for i in range(len(pts))],
+            "dist": [[math.dist(p, q) for q in pts] for p in pts]}
+
+
+def test_line_pair_gh_reaches_the_diameter_bound(tmp_path, capsys):
+    xs, ys = [0, 1.3, 2.6, 3.0, 2.8], [0, 1, 1.4, 3, 2.8, 6.5]
+    a = put(tmp_path, "a.json", metric_json([(v,) for v in xs], "x"))
+    b = put(tmp_path, "b.json", metric_json([(v,) for v in ys], "y"))
+    # |diam x - diam y| / 2, the diameter lower bound, attained
+    assert dist_value(capsys, "gh", a, b) == 1.75
+
+
+def test_equilateral_12_against_11_is_answered_by_the_floor(tmp_path, capsys):
+    a = put(tmp_path, "a.json", equilateral(12, "x"))
+    b = put(tmp_path, "b.json", equilateral(11, "y"))
+    assert dist_value(capsys, "gh", a, b) == 0.5
+    assert dist_value(capsys, "dil", a, b) == 1.0
+    assert dist_value(capsys, "dil", b, a) == 0.0
+
+
+def test_planar_10_point_gh_pairs_finish(tmp_path, capsys):
+    rng = random.Random(2024)
+    pairs = [[[(rng.random(), rng.random()) for _ in range(10)] for _ in "xy"] for _ in range(4)]
+    for xs, ys in pairs[2:]:
+        a = put(tmp_path, "a.json", metric_json(xs, "x"))
+        b = put(tmp_path, "b.json", metric_json(ys, "y"))
+        diam = lambda pts: max(math.dist(p, q) for p in pts for q in pts)
+        value = dist_value(capsys, "gh", a, b)
+        assert abs(diam(xs) - diam(ys)) / 2 <= value <= max(diam(xs), diam(ys)) / 2
+
+
+def test_order_preserving_maps_match_a_filtered_product():
+    posets = [p for n in range(1, 5) for p in all_posets(n)]
+    total = 0
+    for x in posets:
+        for y in posets:
+            ref = [dict(zip(x.points, values))
+                   for values in itertools.product(y.points, repeat=len(x.points))
+                   if all(y.below(values[i], values[j]) for i, a in enumerate(x.points)
+                          for j, b in enumerate(x.points) if x.below(a, b))]
+            assert [f.assign for f in all_order_preserving_maps(x, y)] == ref
+            total += len(ref)
+    assert total == 19702
 
 
 # -- the searches against first-hit loops ------------------------------------
@@ -258,6 +354,80 @@ def test_simplicial_isomorphism_search_returns_the_first_hit():
         assert find_simplicial_isomorphism(x, y) == ref
         found += ref is not None
     assert 0 < found < 80
+
+
+# -- quasi-metrics: every search reads both ordered pairs ------------------------
+
+def quasi_metric(rng, n, prefix):
+    """The shortest-path closure of random directed weights in {1, 2, 3}."""
+    d = [[0.0 if i == j else float(rng.randint(1, 3)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)], d, allow_quasi=True)
+
+
+def copy_of(rng, x, prefix):
+    """x with its points permuted and, half the time, every distance reversed."""
+    n = len(x.points)
+    p = rng.sample(range(n), n)
+    flip = rng.random() < 0.5
+    d = [[x.dist[p[j]][p[i]] if flip else x.dist[p[i]][p[j]] for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)], d, allow_quasi=True)
+
+
+def dil_of(x, y, values):
+    return dilatation_norm(MultiMap.from_function(x, y, dict(zip(x.points, values))))
+
+
+def test_quasi_metric_issue_examples():
+    q = FiniteMetricSpace("pqr", [[0, 1, 1], [3, 0, 1], [3, 3, 0]], allow_quasi=True)
+    y = FiniteMetricSpace("ab", [[0, 2], [2, 0]])
+    assert min_dilatation_map(q, y)[0] == 3.0
+    assert min_dilatation_map(y, q)[0] == 1.0
+    e3 = FiniteMetricSpace("uvw", [[float(i != j) for j in range(3)] for i in range(3)])
+    f = find_expansive_map(q, e3)
+    assert f is None or dil_of(q, e3, [f[p] for p in q.points]) == 0.0
+    assert all(dil_of(q, q, [h[p] for p in q.points]) == 0.0 for h in zero_dilatation_endos(q))
+
+
+def test_dilatation_searches_on_quasi_metrics_match_brute_force():
+    rng = random.Random(4109)
+    for _ in range(40):
+        x = quasi_metric(rng, rng.randint(1, 4), "x")
+        y = quasi_metric(rng, rng.randint(1, 4), "y")
+        maps = list(itertools.product(y.points, repeat=len(x.points)))
+        dils = [dil_of(x, y, values) for values in maps]
+        low = min(dils)
+        value, witness = min_dilatation_map(x, y)
+        assert value == low
+        assert witness == dict(zip(x.points, maps[dils.index(low)]))
+        hit = next((values for values, d in zip(maps, dils) if d == 0.0), None)
+        assert find_expansive_map(x, y) == (None if hit is None else dict(zip(x.points, hit)))
+        endos = [dict(zip(x.points, values))
+                 for values in itertools.product(x.points, repeat=len(x.points))
+                 if dil_of(x, x, values) == 0.0]
+        assert zero_dilatation_endos(x) == endos
+
+
+def test_isometry_searches_on_quasi_metrics_match_brute_force():
+    rng = random.Random(4110)
+    found = 0
+    for _ in range(60):
+        x = quasi_metric(rng, rng.randint(1, 4), "x")
+        y = copy_of(rng, x, "y")
+        ref = next((dict(zip(x.points, p)) for p in itertools.permutations(y.points)
+                    if is_isometry(MultiMap.from_function(x, y, dict(zip(x.points, p))))), None)
+        assert isometry_search(x, y) == ref
+        mx = FiniteMMSpace(x, {p: rng.choice((0.5, 1.0)) for p in x.points})
+        my = FiniteMMSpace(y, {p: rng.choice((0.5, 1.0)) for p in y.points})
+        ref = next((dict(zip(x.points, p)) for p in itertools.permutations(y.points)
+                    if is_isometry(MultiMap.from_function(x, y, dict(zip(x.points, p))))
+                    and all(mx.mass[a] == my.mass[b] for a, b in zip(x.points, p))), None)
+        assert measure_isometry_search(mx, my) == ref
+        found += ref is not None
+    assert 0 < found < 60
 
 
 # -- one cap, exit 2 on the CLI ------------------------------------------------
