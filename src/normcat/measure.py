@@ -6,12 +6,14 @@ min/max over finitely many candidates and the headline identities hold
 without float tolerances beyond accumulation noise.
 """
 
+import bisect
 from dataclasses import dataclass
 
 from .category import FiniteMap
 from .extreal import INF
 from .capacity import SubobjectFamily, Capacity
-from .search import solve, subsets
+from .metric import isometry_search
+from .search import MAX_ITEMS, level_sums, subset_rows, subset_sums, subsets
 
 
 class BaseMismatch(ValueError):
@@ -84,64 +86,78 @@ def _steps(sp, subset):
     return ts, ms
 
 
-def prokhorov_capacity(sp, subset, v):
-    """Least delta > 0 with mass(open delta-thickening) + delta >= v.
+def _capacity(ts, ms, v):
+    """prokhorov_capacity from the steps (ts, ms) of the thickening.
 
-    Exact: the mass term is a left-continuous step function of delta,
-    so the infimum is a min over breakpoint intervals.  v <= 0 gives 0.
+    Each interval's candidate is at least the one before, so the first
+    candidate inside its interval is the least; the last interval never
+    ends.
     """
     if v <= 0:
         return 0.0
-    ts, ms = _steps(sp, subset)
-    best = INF
     for i, t in enumerate(ts):
         nxt = ts[i + 1] if i + 1 < len(ts) else INF
         req = v - ms[i]
         if req <= t:
-            cand = t
-        elif req <= nxt:
-            cand = req
-        else:
-            continue
-        if cand < best:
-            best = cand
-    return best
+            return t
+        if req <= nxt:
+            return req
 
 
-def capacity_value_kinks(sp, subset):
-    """All v where v -> prokhorov_capacity(sp, subset, v) can change slope."""
-    ts, ms = _steps(sp, subset)
-    out = set()
-    for m in ms:
-        for t in ts:
-            if t < INF:
-                out.add(m + t)
+def prokhorov_capacity(sp, subset, v):
+    """Least delta > 0 with mass(open delta-thickening) + delta >= v.
+
+    Exact: the mass term is a left-continuous step function of delta,
+    so the infimum is a min over breakpoint intervals, met first at the
+    interval holding it.  v <= 0 gives 0.
+    """
+    return _capacity(*_steps(sp, subset), v)
+
+
+def _kinks(ts, ms):
+    out = {m + t for m in ms for t in ts if t < INF}
     out.add(0.0)
     return sorted(out)
 
 
-def _threshold_closed(sp, subset, shift, v):
-    """Least delta > 0 with mass(closed (shift+delta)-thickening) + delta >= v."""
-    if v <= 0:
-        return 0.0
-    dists = {}
-    for x in sp.base.points:
-        d = _dist_to_subset(sp.base, x, subset)
-        if d < INF:
-            dists[x] = d
-    # mass jumps happen at the original distance values; deciding ball
-    # membership there (rather than at shift + (d - shift), which can
-    # round below d) keeps the branch structure exact
-    ts = sorted({d for d in dists.values() if d > shift} | {shift})
-    best = INF
-    for i, t in enumerate(ts):
-        u = max(t - shift, 0.0)
-        nxt = ts[i + 1] - shift if i + 1 < len(ts) else INF
-        m = sum(sp.mass[x] for x, d in dists.items() if d <= t)
-        cand = max(u, v - m)
-        if cand < nxt and cand < best:
-            best = cand
-    return best
+def capacity_value_kinks(sp, subset):
+    """All v where v -> prokhorov_capacity(sp, subset, v) can change slope."""
+    return _kinks(*_steps(sp, subset))
+
+
+def _threshold(ts, ms, shift, v, floor):
+    """max(floor, least delta > 0 with mass(closed (shift+delta)-thickening)
+    + delta >= v), from the steps (ts, ms) of the thickening.
+
+    The least delta is at most v minus the mass within shift, so floor
+    is returned at once when that bound does not exceed it.  Mass jumps
+    happen at the original distance values; deciding ball membership
+    there (rather than at shift + (t - shift), which can round below t)
+    keeps the branch structure exact.  Each interval's candidate is at
+    least the end of the interval before, so the first that fits its
+    interval is the least; the last interval never ends.
+    """
+    j = bisect.bisect_right(ts, shift)
+    m = ms[j - 1] if j else 0
+    if v - m <= floor:
+        return floor
+    for t, nxt in zip([shift] + ts[j:], ts[j:] + [INF]):
+        cand = max(max(t - shift, 0.0), v - m)
+        if cand < nxt - shift:
+            return max(floor, cand)
+        m = ms[j]
+        j += 1
+
+
+def _masses(sp):
+    """The masses in point order and, within the subset cap, their
+    subset_sums table."""
+    w = [sp.mass[p] for p in sp.points]
+    return w, (subset_sums(w) if len(w) <= MAX_ITEMS else None)
+
+
+def _column(sp, subset):
+    return [_dist_to_subset(sp.base, x, subset) for x in sp.points]
 
 
 def prokhorov_seminorm(f):
@@ -151,16 +167,20 @@ def prokhorov_seminorm(f):
     r >= 0: source mass of the (r+delta)-thickened preimage plus delta
     dominates the target mass of the r-thickened A.  Per (A, r-interval)
     the threshold is exact; the result is their maximum.
+
+    One subset walk carries, for each A, the target's distances to A and
+    the source's distances to f^-1(A) in one row (min over the points
+    of A); masses come from exact point-order sums.
     """
     src, tgt = f.source, f.target
+    n = len(tgt.points)
+    walk = subset_rows([_column(tgt, [q]) + _column(src, f.fiber(q)) for q in tgt.points])
+    tmass, smass = _masses(tgt), _masses(src)
     best = 0.0
-    for a in subsets(tgt.base.points):
-        b = f.preimage(a)
-        ss, vs = _steps(tgt, a)
-        for s, v in zip(ss, vs):
-            cand = _threshold_closed(src, b, s, v)
-            if cand > best:
-                best = cand
+    for _, row in walk:
+        ts, ms = level_sums(row[n:], *smass)
+        for s, v in zip(*level_sums(row[:n], *tmass)):
+            best = _threshold(ts, ms, s, v, best)
     return best
 
 
@@ -169,26 +189,33 @@ def prokhorov_seminorm_capacity_form(f):
     src, tgt = f.source, f.target
     best = 0.0
     for a in subsets(tgt.base.points):
-        b = f.preimage(a)
-        kinks = set(capacity_value_kinks(tgt, a)) | set(capacity_value_kinks(src, b))
+        src_steps, tgt_steps = _steps(src, f.preimage(a)), _steps(tgt, a)
+        kinks = set(_kinks(*src_steps)) | set(_kinks(*tgt_steps))
         kinks.add(max(kinks) + 1.0)
         for v in kinks:
-            term = prokhorov_capacity(src, b, v) - prokhorov_capacity(tgt, a, v)
+            term = _capacity(*src_steps, v) - _capacity(*tgt_steps, v)
             if term > best:
                 best = term
     return best
 
 
 def prokhorov_distance(mu_sp, nu_sp, symmetrize=False):
-    """inf over delta > 0 with mu(open delta-thickening of A) + delta >= nu(A) for all A."""
+    """inf over delta > 0 with mu(open delta-thickening of A) + delta >= nu(A) for all A.
+
+    One subset walk carries each A's distances; nu(A) and the masses of
+    the thickenings come from exact point-order sums.
+    """
     if (mu_sp.base.points != nu_sp.base.points
             or mu_sp.base.dist != nu_sp.base.dist):
         raise BaseMismatch("the two measures must share one base metric space")
+    walk = subset_rows([_column(mu_sp, [p]) for p in mu_sp.points])
+    (mu_w, mu_sums), (_, nu_sums) = _masses(mu_sp), _masses(nu_sp)
     best = 0.0
-    for a in subsets(mu_sp.base.points):
-        cand = prokhorov_capacity(mu_sp, a, nu_sp.measure(a))
-        if cand > best:
-            best = cand
+    for mask, row in walk:
+        v = nu_sums[mask]
+        # the capacity is at most nu(A) - mu(A), the mass outside A it needs
+        if v - mu_sums[mask] > best:
+            best = max(best, _capacity(*level_sums(row, mu_w, mu_sums), v))
     if symmetrize:
         return (best + prokhorov_distance(nu_sp, mu_sp, symmetrize=False)) / 2.0
     return best
@@ -203,10 +230,11 @@ def volume_norm(sp):
     vol = sp.volume()
     best = 0.0
     for a in subsets(sp.base.points, nonempty=False):
-        kinks = set(capacity_value_kinks(sp, a))
+        steps = _steps(sp, a)
+        kinks = set(_kinks(*steps))
         kinks.add(max(kinks) + vol + 1.0)
         for v in kinks:
-            term = v - prokhorov_capacity(sp, a, v)
+            term = v - _capacity(*steps, v)
             if term > best:
                 best = term
     if best > vol + 1e-9:
@@ -233,15 +261,12 @@ def prokhorov_family(sp, v_values):
 
 
 def measure_isometry_search(a, b):
-    """A bijective isometry matching masses pointwise, both up to 1e-9, or None."""
-    n = len(a.base.points)
-    if n != len(b.base.points):
-        return None
-    da, db = a.base.dist, b.base.dist
+    """A bijective isometry matching masses pointwise, or None.
+
+    Distances match up to metric.search_slack and masses up to 1e-9
+    times the larger total mass.
+    """
+    tol = 1e-9 * max(a.volume(), b.volume())
     pa, pb = a.base.points, b.base.points
-    masses = [[v for v in range(n) if abs(a.mass[pa[i]] - b.mass[pb[v]]) <= 1e-9]
-              for i in range(n)]
-    ok = lambda j, v, i, w: (v != w and abs(db[v][w] - da[j][i]) <= 1e-9
-                             and abs(db[w][v] - da[i][j]) <= 1e-9)
-    out = next(solve(masses, ok), None)
-    return None if out is None else dict(zip(pa, (pb[k] for k in out)))
+    return isometry_search(a.base, b.base,
+                           lambda i, v: abs(a.mass[pa[i]] - b.mass[pb[v]]) <= tol)

@@ -444,18 +444,20 @@ def gh_correspondence_oracle(x, y):
 
 # -- searches used by the norm axioms ---------------------------------------
 
-# slack of the distance comparisons in the searches below
-SEARCH_TOL = 1e-9
+def search_slack(*spaces):
+    """The slack of the distance comparisons in the searches below:
+    1e-9 times the largest distance in the given spaces."""
+    return 1e-9 * max((v for sp in spaces for row in sp.dist for v in row), default=0.0)
 
 
-def _expansive(dx, dy):
-    return lambda j, v, i, w: (dy[v][w] >= dx[j][i] - SEARCH_TOL
-                               and dy[w][v] >= dx[i][j] - SEARCH_TOL)
+def _expansive(x, y):
+    dx, dy, tol = x.dist, y.dist, search_slack(x, y)
+    return lambda j, v, i, w: dy[v][w] >= dx[j][i] - tol and dy[w][v] >= dx[i][j] - tol
 
 
 def find_expansive_map(x, y):
     """A map x -> y that never shrinks distances (dilatation norm 0), or None."""
-    out = next(solve([range(len(y.points))] * len(x.points), _expansive(x.dist, y.dist)), None)
+    out = next(solve([range(len(y.points))] * len(x.points), _expansive(x, y)), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
@@ -463,18 +465,22 @@ def zero_dilatation_endos(sp):
     """All self-maps with dilatation norm zero (never shrinking a distance)."""
     n = len(sp.points)
     return [{p: sp.points[k] for p, k in zip(sp.points, out)}
-            for out in solve([range(n)] * n, _expansive(sp.dist, sp.dist))]
+            for out in solve([range(n)] * n, _expansive(sp, sp))]
 
 
-def isometry_search(x, y):
-    """A distance-preserving bijection x -> y, or None (certified, finite)."""
+def isometry_search(x, y, ok=None):
+    """A distance-preserving bijection x -> y, or None (certified, finite).
+
+    ok(i, v), when given, must also hold for each point i sent to v.
+    """
     n = len(x.points)
     if n != len(y.points):
         return None
-    dx, dy = x.dist, y.dist
-    ok = lambda j, v, i, w: (v != w and abs(dy[v][w] - dx[j][i]) <= SEARCH_TOL
-                             and abs(dy[w][v] - dx[i][j]) <= SEARCH_TOL)
-    out = next(solve([range(n)] * n, ok), None)
+    dx, dy, tol = x.dist, y.dist, search_slack(x, y)
+    fits = lambda j, v, i, w: (v != w and abs(dy[v][w] - dx[j][i]) <= tol
+                               and abs(dy[w][v] - dx[i][j]) <= tol)
+    domains = [[v for v in range(n) if ok is None or ok(i, v)] for i in range(n)]
+    out = next(solve(domains, fits), None)
     return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
 
 
@@ -485,9 +491,10 @@ def is_isometry(f):
     vals = [f.value(x) for x in f.source.points]
     if len(set(vals)) != len(f.target.points):
         return False
+    tol = search_slack(f.source, f.target)
     for a in f.source.points:
         for b in f.source.points:
-            if abs(f.source.d(a, b) - f.target.d(f.value(a), f.value(b))) > SEARCH_TOL:
+            if abs(f.source.d(a, b) - f.target.d(f.value(a), f.value(b))) > tol:
                 return False
     return True
 

@@ -8,14 +8,18 @@ distance is a least worst case over maps.  Every walk has a fixed
 order, so every value and every first witness is reproducible.
 """
 
+import array
 import bisect
 import math
 
 # bound on the compatibility checks of one search before it gives up
 MAX_NODES = 5_000_000
 
+# bound on the items of one subset walk
+MAX_ITEMS = 16
 
-def subsets(items, nonempty=True, limit=16):
+
+def subsets(items, nonempty=True, limit=MAX_ITEMS):
     """Every subset of items as a list, in bitmask order.
 
     Subset k holds items[i] for each bit i set in k, in item order, so
@@ -25,10 +29,79 @@ def subsets(items, nonempty=True, limit=16):
     """
     items = tuple(items)
     n = len(items)
-    if n > limit:
-        raise ValueError("subset enumeration is limited to %d elements, got %d" % (limit, n))
+    _cap(n, limit)
     return ([items[i] for i in range(n) if mask >> i & 1]
             for mask in range(1 if nonempty else 0, 1 << n))
+
+
+def _cap(n, limit=MAX_ITEMS):
+    if n > limit:
+        raise ValueError("subset enumeration is limited to %d elements, got %d" % (limit, n))
+
+
+def subset_rows(cols):
+    """(mask, row) for every nonempty subset S of the columns, where bit i
+    of mask is set for each i in S and row[x] = min(cols[i][x] for i in S).
+
+    Depth first: S + [j] follows S for every j above the largest item of
+    S, and its row is one elementwise min of the row of S with cols[j],
+    so at most len(cols) + 1 rows are alive at once.  Same cap and error
+    as subsets, raised before anything is yielded.
+    """
+    _cap(len(cols))
+
+    def walk():
+        # (item, mask, row) per level of the branch; the root is the empty set
+        branch, i = [(-1, 0, [math.inf] * (len(cols[0]) if cols else 0))], 0
+        while True:
+            if i < len(cols):
+                _, mask, row = branch[-1]
+                mask, row = mask | 1 << i, [b if b < a else a for a, b in zip(row, cols[i])]
+                branch.append((i, mask, row))
+                yield mask, row
+                i += 1
+            elif len(branch) > 1:
+                i = branch.pop()[0] + 1
+            else:
+                return
+
+    return walk()
+
+
+def subset_sums(weights):
+    """sums[mask]: the weights at the bits of mask added left to right in
+    index order, bit-identical to sum() over those weights in order.
+
+    Entry mask is the entry without its highest bit plus that bit's
+    weight, so the table costs one addition per entry.
+    """
+    _cap(len(weights))
+    sums = array.array("d", [0.0])
+    for w in weights:
+        sums.extend(array.array("d", (s + w for s in sums)))
+    return sums
+
+
+def level_sums(row, weights, sums=None):
+    """(levels, totals): the distinct finite values of row, increasing, and
+    for each level t the weights[x] with row[x] <= t added left to right
+    in index order, bit-identical to sum() over them.  With sums, the
+    subset_sums table of weights, each total is one lookup."""
+    if sums is None:
+        levels = sorted({t for t in row if t < math.inf})
+        return levels, [sum([w for w, d in zip(weights, row) if d <= t]) for t in levels]
+    levels, totals, mask = [], [], 0
+    for x in sorted(range(len(row)), key=row.__getitem__):
+        t = row[x]
+        if t == math.inf:
+            break
+        mask |= 1 << x
+        if levels and levels[-1] == t:
+            totals[-1] = sums[mask]
+        else:
+            levels.append(t)
+            totals.append(sums[mask])
+    return levels, totals
 
 
 def _charge(nodes, k):

@@ -22,7 +22,8 @@ from normcat.measure import (
     prokhorov_family,
     measure_isometry_search,
 )
-from normcat.generate import random_mm_space, random_mm_map, random_subset
+from normcat.generate import random_metric_space, random_mm_space, random_mm_map, random_subset
+from normcat.search import subsets
 
 
 def dirac(base, point):
@@ -191,12 +192,136 @@ def test_seminorm_point_into_two_points():
 def test_seminorm_matches_capacity_form():
     rng = random.Random(37)
     for _ in range(50):
-        src = random_mm_space(rng, rng.randint(1, 4))
-        tgt = random_mm_space(rng, rng.randint(1, 4))
+        src = random_mm_space(rng, rng.randint(1, 8))
+        tgt = random_mm_space(rng, rng.randint(1, 8))
         f = random_mm_map(rng, src, tgt)
         a = prokhorov_seminorm(f)
         b = prokhorov_seminorm_capacity_form(f)
         assert abs(a - b) <= 1e-12, (a, b, f.assign)
+
+
+# -- the per-subset route that the subset walk replaced ----------------------
+# Copies of the earlier loops: every point-to-subset distance and every
+# mass recomputed per subset and per radius.  The walk must give the very
+# same floats, so these are compared with ==.
+
+def _old_steps(sp, subset):
+    idx = sp.base.index
+    dists = {}
+    for x in sp.base.points:
+        d = min((sp.base.dist[idx[x]][idx[p]] for p in subset), default=INF)
+        if d < INF:
+            dists[x] = d
+    ts = sorted(set(dists.values()) | {0.0})
+    return dists, ts, [sum(sp.mass[x] for x, d in dists.items() if d <= t) for t in ts]
+
+
+def _old_capacity(sp, subset, v):
+    if v <= 0:
+        return 0.0
+    _, ts, ms = _old_steps(sp, subset)
+    best = INF
+    for i, t in enumerate(ts):
+        nxt = ts[i + 1] if i + 1 < len(ts) else INF
+        req = v - ms[i]
+        if req <= t:
+            cand = t
+        elif req <= nxt:
+            cand = req
+        else:
+            continue
+        if cand < best:
+            best = cand
+    return best
+
+
+def _old_threshold_closed(sp, subset, shift, v):
+    if v <= 0:
+        return 0.0
+    dists = _old_steps(sp, subset)[0]
+    ts = sorted({d for d in dists.values() if d > shift} | {shift})
+    best = INF
+    for i, t in enumerate(ts):
+        u = max(t - shift, 0.0)
+        nxt = ts[i + 1] - shift if i + 1 < len(ts) else INF
+        m = sum(sp.mass[x] for x, d in dists.items() if d <= t)
+        cand = max(u, v - m)
+        if cand < nxt and cand < best:
+            best = cand
+    return best
+
+
+def _old_seminorm(f):
+    best = 0.0
+    for a in subsets(f.target.base.points):
+        b = f.preimage(a)
+        _, ss, vs = _old_steps(f.target, a)
+        for s, v in zip(ss, vs):
+            cand = _old_threshold_closed(f.source, b, s, v)
+            if cand > best:
+                best = cand
+    return best
+
+
+def _old_distance(mu, nu):
+    best = 0.0
+    for a in subsets(mu.base.points):
+        cand = _old_capacity(mu, a, nu.measure(a))
+        if cand > best:
+            best = cand
+    return best
+
+
+def _pin_base(rng, n, kind):
+    """n points on a line with integer coordinates (tied distances), a
+    random metric, or the quasi-metric d(x, y) = y - x, or 2 (x - y) when
+    y < x, on integer coordinates."""
+    if kind == "random":
+        return random_metric_space(rng, n)
+    xs = rng.sample(range(2 * n + 1), n)
+    if kind == "line":
+        return line_space(xs, labels=["x%d" % i for i in range(n)])
+    gauge = lambda t: float(t if t >= 0 else -2 * t)
+    return FiniteMetricSpace(["x%d" % i for i in range(n)],
+                             [[gauge(b - a) for b in xs] for a in xs], allow_quasi=True)
+
+
+def _pin_masses(rng, base):
+    return FiniteMMSpace(base, {p: rng.choice((0.0, 0.0, 0.25, 0.5, 0.1, rng.random()))
+                                for p in base.points})
+
+
+@pytest.mark.parametrize("kind", ["line", "random", "quasi"])
+def test_walk_matches_the_per_subset_route(kind):
+    rng = random.Random({"line": 71, "random": 72, "quasi": 73}[kind])
+    empty_fibres = 0
+    for n in range(1, 10):
+        tgt = _pin_masses(rng, _pin_base(rng, n, kind))
+        src = _pin_masses(rng, _pin_base(rng, rng.randint(1, 9), kind))
+        hit = rng.sample(tgt.points, rng.randint(1, n))
+        f = MMSpaceMap(src, tgt, {x: rng.choice(hit) for x in src.points})
+        empty_fibres += len(set(tgt.points) - set(f.assign.values()))
+        assert prokhorov_seminorm(f) == _old_seminorm(f)
+        mu, nu = tgt, _pin_masses(rng, tgt.base)
+        fwd, bwd = _old_distance(mu, nu), _old_distance(nu, mu)
+        assert prokhorov_distance(mu, nu) == fwd
+        assert prokhorov_distance(mu, nu, symmetrize=True) == (fwd + bwd) / 2.0
+    assert empty_fibres > 0
+
+
+def test_walk_matches_the_per_subset_route_at_12_points():
+    rng = random.Random(74)
+    base = _pin_base(rng, 12, "line")
+    mu, nu = _pin_masses(rng, base), _pin_masses(rng, base)
+    fwd, bwd = _old_distance(mu, nu), _old_distance(nu, mu)
+    assert prokhorov_distance(mu, nu) == fwd
+    assert prokhorov_distance(mu, nu, symmetrize=True) == (fwd + bwd) / 2.0
+    # a 17-point source is past the 16-point mass table, so its masses
+    # are summed level by level
+    src = _pin_masses(rng, _pin_base(rng, 17, "random"))
+    tgt = _pin_masses(rng, _pin_base(rng, 6, "line"))
+    f = MMSpaceMap(src, tgt, {x: rng.choice(tgt.points[:4]) for x in src.points})
+    assert prokhorov_seminorm(f) == _old_seminorm(f)
 
 
 def test_seminorm_triangle_under_composition():

@@ -13,6 +13,8 @@ import pathlib
 import pkgutil
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,7 @@ from normcat.generate import random_simplicial
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
     FiniteMetricSpace, MultiMap, dilatation_norm, find_expansive_map, is_isometry,
-    isometry_search, min_dilatation_map, zero_dilatation_endos,
+    isometry_search, min_dilatation_map, two_point_space, zero_dilatation_endos,
 )
 from normcat.search import least_max, solve, subsets
 from normcat.topo import all_order_preserving_maps, all_posets
@@ -55,6 +57,78 @@ def test_subsets_cap():
     assert sum(1 for _ in subsets(range(10), nonempty=False, limit=10)) == 2 ** 10
     with pytest.raises(ValueError, match="limited to 10"):
         subsets(range(11), nonempty=False, limit=10)
+
+
+# -- subset_rows, subset_sums, level_sums ---------------------------------
+
+def mask_of(items):
+    return sum(2 ** i for i in items)
+
+
+def test_subset_rows_match_min_over_subsets():
+    rng = random.Random(4201)
+    for _ in range(40):
+        n, m = rng.randint(0, 7), rng.randint(0, 5)
+        cols = [[rng.choice((0.0, 1.0, 2.5, math.inf, rng.random())) for _ in range(m)]
+                for _ in range(n)]
+        rows = list(search.subset_rows(cols))
+        assert sorted(mask for mask, _ in rows) == list(range(1, 2 ** n))
+        got = dict(rows)
+        for s in subsets(range(n)):
+            assert got[mask_of(s)] == [min(cols[i][x] for i in s) for x in range(m)]
+
+
+def test_subset_rows_walk_depth_first():
+    masks = [mask for mask, _ in search.subset_rows([[0.0]] * 3)]
+    assert masks == [mask_of(s) for s in ([0], [0, 1], [0, 1, 2], [0, 2], [1], [1, 2], [2])]
+
+
+def test_subset_rows_cap_before_the_first_row():
+    with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
+        search.subset_rows([[0.0]] * 17)
+    with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
+        search.subset_sums([1.0] * 17)
+
+
+def test_subset_rows_keep_at_most_one_row_per_item():
+    n, m = 10, 300
+    rng = random.Random(4202)
+    cols = [[rng.random() for _ in range(m)] for _ in range(n)]
+    row_bytes = sys.getsizeof([0.0] * m)
+    tracemalloc.start()
+    try:
+        walk = search.subset_rows(cols)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in walk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 2 ** n - 1
+    # the root's row, n rows along the branch and the list growth slack
+    assert peak <= 1.5 * (n + 1) * row_bytes, (peak, row_bytes)
+
+
+def test_subset_sums_add_left_to_right():
+    rng = random.Random(4203)
+    for n in range(9):
+        weights = [rng.choice((0.0, 0.1, 0.2, 0.3, 1e16, rng.random())) for _ in range(n)]
+        sums = search.subset_sums(weights)
+        assert len(sums) == 2 ** n
+        for s in subsets(range(n), nonempty=False):
+            assert sums[mask_of(s)] == sum(weights[i] for i in s)
+
+
+def test_level_sums_match_a_sum_per_level():
+    rng = random.Random(4204)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        row = [rng.choice((0.0, 1.0, 2.0, math.inf, rng.random())) for _ in range(n)]
+        weights = [rng.choice((0.0, 0.1, 0.2, 0.7, rng.random())) for _ in range(n)]
+        levels = sorted({t for t in row if t < math.inf})
+        totals = [sum(w for w, d in zip(weights, row) if d <= t) for t in levels]
+        assert search.level_sums(row, weights) == (levels, totals)
+        assert search.level_sums(row, weights, search.subset_sums(weights)) == (levels, totals)
 
 
 # -- solve -----------------------------------------------------------------
@@ -428,6 +502,26 @@ def test_isometry_searches_on_quasi_metrics_match_brute_force():
         assert measure_isometry_search(mx, my) == ref
         found += ref is not None
     assert 0 < found < 60
+
+
+def test_search_slack_follows_the_scale():
+    tiny, small = two_point_space(1e-12), two_point_space(5e-12)
+    assert isometry_search(tiny, small) is None
+    assert find_expansive_map(small, tiny) is None
+    assert find_expansive_map(tiny, small) == {"p": "p", "q": "q"}
+    light = FiniteMMSpace(tiny, {"p": 1e-12, "q": 1e-12})
+    heavy = FiniteMMSpace(tiny, {"p": 3e-12, "q": 3e-12})
+    assert measure_isometry_search(light, heavy) is None
+    assert measure_isometry_search(light, light) == {"p": "p", "q": "q"}
+    # (0.1 + 0.2) * 1e9 and 0.3 * 1e9 differ by 6e-8, far below their scale
+    a, b = two_point_space((0.1 + 0.2) * 1e9), two_point_space(0.3 * 1e9)
+    assert isometry_search(a, b) == {"p": "p", "q": "q"}
+    assert find_expansive_map(a, b) == {"p": "p", "q": "q"}
+    assert find_expansive_map(b, a) == {"p": "p", "q": "q"}
+    assert is_isometry(MultiMap.from_function(a, b, {"p": "p", "q": "q"}))
+    ma = FiniteMMSpace(a, {"p": (0.1 + 0.2) * 1e9, "q": 1.0})
+    mb = FiniteMMSpace(b, {"p": 0.3 * 1e9, "q": 1.0})
+    assert measure_isometry_search(ma, mb) == {"p": "p", "q": "q"}
 
 
 # -- one cap, exit 2 on the CLI ------------------------------------------------
