@@ -134,17 +134,48 @@ class FiniteCategory:
                 raise CategoryError("left identity law fails at %r" % (m.name,))
             if comp[(m.name, self.identity[m.src])] != m.name:
                 raise CategoryError("right identity law fails at %r" % (m.name,))
-        # associativity on all composable triples
-        outof = self._outof
-        for f in mor.values():
-            fname = f.name
-            for g in outof[f.tgt]:
-                gf = comp[(g, fname)]
-                gtgt = mor[g].tgt
-                for h in outof[gtgt]:
-                    if comp[(h, gf)] != comp[(comp[(h, g)], fname)]:
-                        raise CategoryError(
-                            "associativity fails on (%r, %r, %r)" % (h, g, fname))
+        bad = self._first_associativity_failure()
+        if bad is not None:
+            raise CategoryError("associativity fails on (%r, %r, %r)" % bad)
+
+    def _first_associativity_failure(self):
+        """The first composable (h, g, f) with h(gf) != (hg)f, or None.
+
+        First in the triple loop's order: f, then g, then h, each in
+        morphism order.  The table holds composites as morphism indices
+        (-1 off the composable pairs).  Pairs (g, f) are grouped by
+        tgt(g), so h runs over one outof list per group, and taken in
+        blocks whose int32 temporaries hold at most 2**14 elements,
+        which keeps peak memory flat.
+        """
+        index = {name: i for i, name in enumerate(self._mor)}
+        table = np.full((len(index), len(index)), -1, dtype=np.int32)
+        for (g, f), r in self._comp.items():
+            table[index[g], index[f]] = index[r]
+        obj = {x: i for i, x in enumerate(self.objects)}
+        ends = np.array([(obj[m.src], obj[m.tgt]) for m in self._mor.values()],
+                        dtype=np.int32)
+        firsts = []   # (f, g, h) indices, the first failure of each group
+        for x in self.objects:
+            into = np.array([index[g] for g in self._into[x]], dtype=np.int32)
+            hs = np.array([index[h] for h in self._outof[x]], dtype=np.int32)
+            # composable (f, g) with tgt(g) = x, f-major as in the loop
+            fs, gi = np.nonzero(ends[:, 1, None] == ends[into, 0][None, :])
+            gs = into[gi]
+            step = max(1, 2 ** 14 // len(hs))
+            for lo in range(0, len(fs), step):
+                f = fs[lo:lo + step, None]
+                g = gs[lo:lo + step, None]
+                bad = table[table[hs, g], f] != table[hs, table[g, f]]
+                if bad.any():
+                    i, j = np.argwhere(bad)[0].tolist()
+                    firsts.append((fs[lo + i], gs[lo + i], hs[j]))
+                    break
+        if not firsts:
+            return None
+        names = list(self._mor)
+        f, g, h = min(firsts)
+        return names[h], names[g], names[f]
 
     # -- queries ---------------------------------------------------------
 

@@ -260,9 +260,10 @@ def dimension_seminorm(vmap):
     """
     src, tgt = vmap.source, vmap.target
 
+    images = [(s, frozenset(vmap.assign[v] for v in s)) for s in src.simplices]
+
     def preimage_simplices(simplex_set):
-        return frozenset(s for s in src.simplices
-                         if frozenset(vmap.assign[v] for v in s) in simplex_set)
+        return frozenset(s for s, image in images if image in simplex_set)
 
     fiber_terms = []
     for y in tgt.vertices:

@@ -1,7 +1,9 @@
 """Finite categories, axiom checkers, duals, induced distances."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +15,7 @@ from normcat.category import (
     identity_only_category, monoid_category, PqMetricMatrix,
     first_triangle_violation,
 )
-from normcat.discrete import function_category
+from normcat.discrete import CostSystem, cost_category, function_category, group_norm_category
 
 
 def two_object_iso_category():
@@ -81,10 +83,111 @@ def test_broken_associativity_is_rejected():
     table = {(a, b): (a * b + a) % 3 for a in elements for b in elements}
     def op(g, f):
         return table[(g, f)]
-    # find the unit failing or associativity failing; op(0, f) = 0*f+0 = 0,
-    # so 0 is not a unit either; expect CategoryError
-    with pytest.raises(CategoryError):
+    # op(0, f) = 0*f+0 = 0, so 0 is not a unit and the unit law fires
+    # before associativity is checked
+    with pytest.raises(CategoryError, match=r"^left identity law fails at 'm_1'$"):
         monoid_category(elements, op, 0)
+    # 0 is a unit here, but (1*1)*1 = 2*1 = 1 while 1*(1*1) = 1*2 = 2
+    unital = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2,
+              (1, 1): 2, (1, 2): 2, (2, 1): 1, (2, 2): 1}
+    with pytest.raises(CategoryError,
+                       match=r"^associativity fails on \('m_1', 'm_1', 'm_1'\)$"):
+        monoid_category(elements, lambda g, f: unital[(g, f)], 0)
+
+
+def looped_law_failure(morphisms, identities, comp):
+    """The unit and associativity laws checked by the plain triple loop:
+    the message of the first failure, or None.  Associativity runs f in
+    morphism order, then g, then h, each in morphism order."""
+    ends = {name: (src, tgt) for name, src, tgt in morphisms}
+    outof = {}
+    for name, src, _ in morphisms:
+        outof.setdefault(src, []).append(name)
+    for name, (src, tgt) in ends.items():
+        if comp[(identities[tgt], name)] != name:
+            return "left identity law fails at %r" % (name,)
+        if comp[(name, identities[src])] != name:
+            return "right identity law fails at %r" % (name,)
+    for f, (_, ftgt) in ends.items():
+        for g in outof[ftgt]:
+            gf = comp[(g, f)]
+            for h in outof[ends[g][1]]:
+                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                    return "associativity fails on (%r, %r, %r)" % (h, g, f)
+    return None
+
+
+def category_data(cat):
+    mors = [(m.name, m.src, m.tgt) for m in cat.morphisms.values()]
+    comp = {(g, f.name): cat.compose(g, f.name)
+            for f in cat.morphisms.values() for g in cat.outof(f.tgt)}
+    return list(cat.objects), mors, dict(cat.identity), comp
+
+
+def transformation_monoid(n):
+    """All maps of range(n) into itself, composed as functions."""
+    maps = list(itertools.product(range(n), repeat=n))
+    return monoid_category(maps, lambda g, f: tuple(g[x] for x in f), tuple(range(n)))
+
+
+def test_associativity_check_finds_the_loops_first_triple():
+    cost = {(i, j): float(1 + (i * 7 + j * 3) % 5) for i in range(4) for j in range(4) if i != j}
+    bases = [group_norm_category(n)[0] for n in (2, 3, 4)]
+    bases += [function_category({"A": (0, 1), "B": (0, 1, 2)})[0],
+              cost_category(CostSystem((0, 1, 2, 3), cost))[0],
+              transformation_monoid(3)]
+    data = [category_data(cat) for cat in bases]
+    for objects, mors, ids, comp in data:
+        assert looped_law_failure(mors, ids, comp) is None
+        FiniteCategory(objects, mors, ids, comp)
+    rng = random.Random(4410)
+    kinds = []
+    for trial in range(150):
+        objects, mors, ids, comp = data[trial % len(data)]
+        ends = {name: (src, tgt) for name, src, tgt in mors}
+        hom = {}
+        for name, src, tgt in mors:
+            hom.setdefault((src, tgt), []).append(name)
+        comp = dict(comp)
+        # swap 1-3 composites for other morphisms with the same endpoints;
+        # two trials in three keep the unit laws by sparing identity pairs
+        units = set(ids.values()) if trial % 3 else set()
+        pairs = [p for p, r in comp.items() if len(hom[ends[r]]) > 1 and not units & set(p)]
+        for pair in rng.sample(pairs, rng.randint(1, 3)):
+            comp[pair] = rng.choice([m for m in hom[ends[comp[pair]]] if m != comp[pair]])
+        want = looped_law_failure(mors, ids, comp)
+        if want is None:
+            FiniteCategory(objects, mors, ids, comp)
+        else:
+            with pytest.raises(CategoryError) as err:
+                FiniteCategory(objects, mors, ids, comp)
+            assert str(err.value) == want
+        kinds.append(want and want.split()[0])
+    assert kinds.count("associativity") >= 100, kinds
+
+
+def test_degenerate_categories_build():
+    assert FiniteCategory([], [], {}, {}).objects == ()
+    assert len(identity_only_category(["X", "Y", "Z"]).morphisms) == 3
+    assert len(group_norm_category(1)[0].morphisms) == 1
+    assert len(monoid_category([0], lambda g, f: 0, 0).morphisms) == 1
+
+
+def test_associativity_check_memory_stays_within_a_few_blocks():
+    cat, _ = group_norm_category(8)
+    m = len(cat.morphisms)
+    block = 4 * 2 ** 14   # bytes of one 2**14-element int32 block
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cat._check_table()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # beyond the m x m int32 table: the (block, |h|) temporaries, the
+    # intp copy numpy makes of an int32 index array, and one group's pairs
+    assert peak - 4 * m * m <= 8 * block, (peak, m)
 
 
 def test_identity_endpoints_checked():

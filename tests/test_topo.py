@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from normcat.extreal import INF
-from normcat.discrete import SimplicialComplex, SimplicialMap
+from normcat.extreal import INF, sup0
+from normcat.discrete import NotSimplicial, SimplicialComplex, SimplicialMap
 from normcat.generate import random_poset, random_simplicial
 from normcat.topo import (
     ContinuousPosetMap,
@@ -23,6 +24,8 @@ from normcat.topo import (
     poset_space,
     sierpinski_space,
     topological_norm,
+    _dim_value,
+    _subcomplexes,
 )
 
 LOG2 = math.log(2.0)
@@ -265,6 +268,65 @@ def test_fiber_form_below_capacity_form():
                 continue
             out = dimension_seminorm(f)
             assert out["fiber_form"] <= out["capacity_form"] + 1e-12
+
+
+def looped_dimension_seminorm(vmap):
+    """dimension_seminorm with each source simplex's image rebuilt for
+    every target subcomplex, as it was computed before."""
+    src, tgt = vmap.source, vmap.target
+
+    def preimage_simplices(simplex_set):
+        return frozenset(s for s in src.simplices
+                         if frozenset(vmap.assign[v] for v in s) in simplex_set)
+
+    fiber_form = sup0([_dim_value(preimage_simplices(frozenset([frozenset([y])])))
+                       for y in tgt.vertices])
+    capacity_form = sup0([_dim_value(preimage_simplices(sub)) - _dim_value(sub)
+                          for sub in _subcomplexes(tgt) if sub])
+    return {"fiber_form": fiber_form, "capacity_form": capacity_form}
+
+
+def surjective_simplicial_map(rng, n_src, n_tgt, n_edges, n_triangles):
+    """A simplicial surjection onto a complex with exactly n_tgt vertices,
+    n_edges edges and n_triangles triangles; every source facet lies in
+    the preimage of one target simplex."""
+    ws = ["w%d" % i for i in range(n_tgt)]
+    tris = rng.sample(list(itertools.combinations(ws, 3)), n_triangles)
+    edges = {e for t in tris for e in itertools.combinations(t, 2)}
+    others = [e for e in itertools.combinations(ws, 2) if e not in edges]
+    edges |= set(rng.sample(others, n_edges - len(edges)))
+    tgt = SimplicialComplex.from_facets(ws, sorted(edges) + tris)
+    vs = ["v%d" % i for i in range(n_src)]
+    images = ws + [rng.choice(ws) for _ in range(n_src - n_tgt)]
+    rng.shuffle(images)
+    assign = dict(zip(vs, images))
+    simplices = sorted(tgt.simplices, key=lambda s: (len(s), sorted(s)))
+    facets = []
+    for _ in range(n_src):
+        t = rng.choice(simplices)
+        pool = [v for v in vs if assign[v] in t]
+        facets.append(rng.sample(pool, rng.randint(1, min(len(pool), len(t) + 1))))
+    return SimplicialMap(SimplicialComplex.from_facets(vs, facets), tgt, assign)
+
+
+def test_dimension_seminorm_matches_the_looped_preimages():
+    rng = random.Random(70706)
+    # the benchmark's size: 10 vertices onto 6 vertices, 7 edges, 2 triangles
+    maps = [surjective_simplicial_map(rng, 10, 6, 7, 2)]
+    for _ in range(20):
+        triangles = rng.randint(0, 1)
+        maps.append(surjective_simplicial_map(rng, rng.randint(3, 7), 3,
+                                              rng.randint(3 * triangles, 3), triangles))
+    for _ in range(30):
+        x = random_simplicial(rng, rng.randint(1, 5), "x")
+        y = random_simplicial(rng, rng.randint(1, 3), "y")
+        try:
+            maps.append(SimplicialMap(x, y, {v: rng.choice(y.vertices) for v in x.vertices}))
+        except NotSimplicial:
+            pass
+    assert len(maps) > 30
+    for f in maps:
+        assert dimension_seminorm(f) == looped_dimension_seminorm(f)
 
 
 def test_topological_norm():
