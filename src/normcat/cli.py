@@ -251,6 +251,8 @@ def _cmd_dist(args):
 
 
 def _cmd_check(args):
+    if args.cases < 1:
+        raise SizeOutOfBounds("--cases must be at least 1, got %d" % args.cases)
     t0 = time.time()
     rows = run_suite(args.suite, args.seed, args.cases)
     ok = all(r["ok"] for r in rows)

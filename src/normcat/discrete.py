@@ -4,7 +4,6 @@ and cost systems on square-free words.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -188,14 +187,6 @@ class SimplicialMap(FiniteMap):
                 raise NotSimplicial(
                     "image %r of simplex %r is not a simplex" % (sorted(image), sorted(s)))
 
-    def vertex_function(self):
-        return FiniteFunction(self.source.vertices, self.target.vertices, dict(self.assign))
-
-
-def simplicial_set_norm(m):
-    """Set norm of the underlying vertex function."""
-    return set_norm(m.vertex_function())
-
 
 def _injective_simplicial_maps(x, y):
     """Every injective simplicial map x -> y, lexicographic in the vertex
@@ -242,15 +233,11 @@ def simplicial_mutual_embedding(x, y):
 
 @dataclass(frozen=True)
 class NormedMonoid:
-    """A monoid with a subadditive norm vanishing at the unit.
-
-    elements may be None for an infinite monoid given by callables; the
-    exhaustive operations then need explicit candidate sets.
-    """
+    """A finite monoid with a subadditive norm vanishing at the unit."""
     op: Callable
     unit: object
     norm: Callable
-    elements: Optional[Sequence] = None
+    elements: Sequence
     inv: Optional[Callable] = None
 
     @classmethod
@@ -280,12 +267,6 @@ class NormedMonoid:
                    elements=elements, inv=inv_fn)
 
 
-def integers_monoid():
-    """(Z, +) with the absolute-value norm."""
-    return NormedMonoid(op=lambda a, b: a + b, unit=0, norm=abs,
-                        elements=None, inv=lambda a: -a)
-
-
 def cyclic_group(n):
     """Z/n with the word-length norm for the generators +-1.
 
@@ -311,67 +292,6 @@ def grothendieck_norm(m, fplus, fminus, a, b):
     return m.norm(fplus) + m.norm(fminus)
 
 
-def group_distance(m, a, b, candidates=None):
-    """Smallest two-sided norm over all morphisms a -> b.
-
-    For a group each fplus determines fminus = inv(b) * fplus * a; the
-    search runs over `candidates` for fplus (default: all elements).
-    Without inverses the search enumerates pairs of elements.
-    """
-    if candidates is None:
-        if m.elements is None:
-            raise ValueError("infinite monoid: pass explicit candidates")
-        candidates = m.elements
-    best = INF
-    if m.inv is not None:
-        for fplus in candidates:
-            fminus = m.op(m.op(m.inv(b), fplus), a)
-            if fminus is None:
-                continue
-            v = m.norm(fplus) + m.norm(fminus)
-            if v < best:
-                best = v
-    else:
-        for fplus in candidates:
-            for fminus in candidates:
-                if m.op(fplus, a) == m.op(b, fminus):
-                    v = m.norm(fplus) + m.norm(fminus)
-                    if v < best:
-                        best = v
-    return best
-
-
-def word_norm(m, generators, g, radius=12):
-    """Word length of g over the generators, by breadth-first search.
-
-    Generators must be closed under inversion (so word length is a
-    genuine norm); beyond `radius` multiplications the result is inf.
-    """
-    gens = list(generators)
-    for a in gens:
-        if not any(m.op(a, b) == m.unit for b in gens):
-            raise ValueError("generator %r has no inverse among the generators" % (a,))
-    if g == m.unit:
-        return 0.0
-    frontier = {m.unit}
-    seen = {m.unit}
-    for depth in range(1, radius + 1):
-        nxt = set()
-        for x in frontier:
-            for a in gens:
-                y = m.op(x, a)
-                if y is None or y in seen:
-                    continue
-                if y == g:
-                    return float(depth)
-                seen.add(y)
-                nxt.add(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return INF
-
-
 def group_norm_category(n):
     """The two-sided-norm category of Z/n: objects are group elements,
     hom(a, b) carries one morphism (fplus, fminus) per fplus, with
@@ -380,27 +300,15 @@ def group_norm_category(n):
     """
     m = cyclic_group(n)
     objs = list(m.elements)
-    mors = []
-    norms = {}
-
-    def name(fp, a, b):
-        return "g%d:%d>%d" % (fp, a, b)
-
-    for a in objs:
-        for b in objs:
-            for fp in objs:
-                fm = m.op(m.op(m.inv(b), fp), a)
-                nm = name(fp, a, b)
-                mors.append((nm, a, b))
-                norms[nm] = grothendieck_norm(m, fp, fm, a, b)
-    ids = {a: name(m.unit, a, a) for a in objs}
-    comp = {}
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for fp in objs:
-                    for gp in objs:
-                        comp[(name(gp, b, c), name(fp, a, b))] = name(m.op(gp, fp), a, c)
+    # each name formatted once, in morphism order
+    names = {(fp, a, b): "g%d:%d>%d" % (fp, a, b)
+             for a in objs for b in objs for fp in objs}
+    mors = [(nm, a, b) for (fp, a, b), nm in names.items()]
+    norms = {nm: grothendieck_norm(m, fp, m.op(m.op(m.inv(b), fp), a), a, b)
+             for (fp, a, b), nm in names.items()}
+    ids = {a: names[m.unit, a, a] for a in objs}
+    comp = {(names[gp, b, c], names[fp, a, b]): names[m.op(gp, fp), a, c]
+            for a in objs for b in objs for c in objs for fp in objs for gp in objs}
     cat = FiniteCategory(objs, mors, ids, comp)
     return cat, norms
 

@@ -3,7 +3,7 @@
 Values are plain Python floats; the infinities are the usual IEEE
 sentinels.  The conventions used everywhere in this package:
 
-    log(0) = -inf     log(inf) = inf     exp(-inf) = 0     abs(-inf) = inf
+    log(0) = -inf     log(inf) = inf     abs(-inf) = inf
 
 and the supremum of an empty collection is the supplied floor element.
 Adding +inf to -inf is a hard error rather than a silent nan, so that
@@ -44,13 +44,6 @@ def ext_log(x):
     if x == INF:
         return INF
     return math.log(x)
-
-
-def ext_exp(x):
-    # math.exp already honours exp(-inf) = 0 and exp(inf) = inf
-    if math.isnan(x):
-        raise ConventionError("nan operand in exp")
-    return math.exp(x)
 
 
 def sup_bounded(floor, values):

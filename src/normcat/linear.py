@@ -2,11 +2,9 @@
 
 The seminorm of a matrix measures worst-case contraction: max(0, -log
 of the smallest singular value), infinite when the matrix has a kernel.
-Its left dual is the matching expansion quantity max(0, log of the
-largest singular value).  Singular values come from LAPACK's SVD of A
-itself, never from the Gram matrix A^T A, which would square the
-conditioning; tests cross-check against an independent sphere-sampling
-oracle.
+Singular values come from LAPACK's SVD of A itself, never from the Gram
+matrix A^T A, which would square the conditioning; tests cross-check
+against an independent sphere-sampling oracle.
 """
 
 import math
@@ -51,15 +49,6 @@ def operator_seminorm(entries):
     if smin == 0.0:
         return INF
     return max(0.0, -math.log(smin))
-
-
-def operator_left_dual(entries):
-    """max(0, log sigma_max): the matching expansion quantity."""
-    sigma = singular_values(entries)
-    smax = sigma[0]
-    if smax == 0.0:
-        return 0.0
-    return max(0.0, math.log(smax))
 
 
 def min_gain_estimate(entries, samples=100000, seed=0):

@@ -5,9 +5,8 @@ shrink a distance, sup0 of d(x, y) - d(y1, y2) over points and
 selections y1 in f[x], y2 in f[y].  It comes in a pointwise and a
 subset-capacity form (provably equal, tested), has a closed-form left
 dual, and induces a distance between spaces.  The module also carries
-the Hausdorff and Gromov-Hausdorff distances, packing statistics,
-thickenings, and the searches used by the norm-axiom checks (isometry
-search, expansive-map search).
+the Gromov-Hausdorff distance, thickenings, and the searches used by
+the norm-axiom checks (isometry search, expansive-map search).
 """
 
 import itertools
@@ -268,7 +267,7 @@ def pullback_metric(f):
     return FiniteMetricSpace(pts, dist, allow_pseudo=True)
 
 
-# -- thickenings, Hausdorff, packings --------------------------------------
+# -- thickenings -------------------------------------------------------------
 
 def thicken(sp, subset, r, mode="closed"):
     """Open (< r) or closed (<= r) metric thickening of a subset."""
@@ -288,63 +287,6 @@ def thicken(sp, subset, r, mode="closed"):
         if idxs and keep(min(sp.dist[i][j] for j in idxs)):
             out.append(p)
     return frozenset(out)
-
-
-def hausdorff_distance(sp, a, b):
-    """max over either set of the distance to the other; empty vs nonempty is inf."""
-    a, b = frozenset(a), frozenset(b)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return INF
-    ia = [sp.index[p] for p in a]
-    ib = [sp.index[p] for p in b]
-    d = sp.dist
-    fwd = max(min(d[i][j] for j in ib) for i in ia)
-    bwd = max(min(d[j][i] for i in ia) for j in ib)
-    return max(fwd, bwd)
-
-
-def l_dense_check(sp, subset, l):
-    """True iff the closed l-thickening of the subset covers every point."""
-    if l < 0:
-        raise ValueError("density radius must be nonnegative")
-    return len(thicken(sp, subset, l, "closed")) == len(sp.points)
-
-
-def packing_stats(sp, l):
-    """Largest packing with pairwise distances strictly above l.
-
-    Returns {"pack_number": size, "packing": a witness of maximal size,
-    "tot_sup": best sum of distances over ordered distinct pairs across
-    all packings}.  Exhaustive subset walk, intended for small spaces.
-    """
-    if not l > 0:
-        raise ValueError("packing radius must be positive")
-    n = len(sp.points)
-    if n > 16:
-        raise ValueError("packing enumeration is limited to 16 points")
-    d = sp.dist
-    best_size = 0
-    best_pack = ()
-    best_tot = 0.0
-
-    def rec(i, chosen, tot):
-        nonlocal best_size, best_pack, best_tot
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_pack = tuple(sp.points[k] for k in chosen)
-        if tot > best_tot:
-            best_tot = tot
-        if i == n:
-            return
-        rec(i + 1, chosen, tot)
-        if all(d[i][k] > l for k in chosen):
-            add = 2.0 * sum(d[i][k] for k in chosen)
-            rec(i + 1, chosen + [i], tot + add)
-
-    rec(0, [], 0.0)
-    return {"pack_number": best_size, "packing": best_pack, "tot_sup": best_tot}
 
 
 # -- distances between spaces ----------------------------------------------

@@ -11,7 +11,6 @@ conjectured identity between the two routes.
 
 import bisect
 import itertools
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -176,27 +175,26 @@ def wasserstein_capacity_oracle(sp, phi, lam_grid=None):
     return value
 
 
-def _merged_search(search):
-    out = {"k": 4, "restarts": 6, "sweeps": 60, "seed": 0}
-    if search:
-        out.update(search)
-    return out
+# the test-function search of wasserstein_seminorm
+SEARCH_K = 4
+SEARCH_RESTARTS = 6
+SEARCH_SWEEPS = 60
+SEARCH_SEED = 0
 
 
-def wasserstein_seminorm(f, search=None, direction="displayed",
-                         extra_witnesses=()):
+def wasserstein_seminorm(f, direction="displayed", extra_witnesses=()):
     """Best capacity gap over a grid of test functions on the target.
 
     direction "displayed" maximizes c_W(source, psi after f) minus
     c_W(target, psi); "reversed" flips the two terms.  Targets with at
     most 4 points are searched exhaustively on the value grid
-    {0, 1/k, ..., 1}; larger targets use seeded multi-start coordinate
-    ascent.  The result is a certified lower bound with its witness,
+    {0, 1/SEARCH_K, ..., 1}; larger targets use seeded multi-start
+    coordinate ascent (SEARCH_RESTARTS starts of at most SEARCH_SWEEPS
+    sweeps, seeded by SEARCH_SEED).  The result is a certified lower bound with its witness,
     not an exact supremum.  extra_witnesses are evaluated alongside.
     """
     if direction not in ("displayed", "reversed"):
         raise ValueError("unknown direction %r" % (direction,))
-    opts = _merged_search(search)
     src = ProjectiveMMSpace(f.source)
     tgt = ProjectiveMMSpace(f.target)
     tpts = f.target.base.points
@@ -214,17 +212,16 @@ def wasserstein_seminorm(f, search=None, direction="displayed",
 
     best, witness = 0.0, {p: 0.0 for p in tpts}
     seen = [dict(w) for w in extra_witnesses]
-    k = opts["k"]
-    levels = [i / k for i in range(k + 1)]
+    levels = [i / SEARCH_K for i in range(SEARCH_K + 1)]
     if len(tpts) <= 4:
         for combo in itertools.product(levels, repeat=len(tpts)):
             seen.append(dict(zip(tpts, combo)))
     else:
-        rng = random.Random(opts["seed"])
-        for _ in range(opts["restarts"]):
+        rng = random.Random(SEARCH_SEED)
+        for _ in range(SEARCH_RESTARTS):
             psi = {p: rng.choice(levels) for p in tpts}
             cur = term(psi)
-            for _ in range(opts["sweeps"]):
+            for _ in range(SEARCH_SWEEPS):
                 improved = False
                 for p in tpts:
                     for v in levels:
@@ -270,27 +267,18 @@ class Coupling:
                 raise ValueError("column sum at %r misses its marginal" % (y,))
 
 
-def w1_transport(f, free_scalars=False):
+def w1_transport(f):
     """Cheapest coupling of the two masses against the cost d(f(x), y).
 
     Solved exactly by successive shortest augmenting paths; the final
     flow is certified by exhibiting potentials under which every
     residual edge has nonnegative reduced cost and every loaded edge is
-    tight.  free_scalars is experimental: unbalanced inputs are admitted
-    by rescaling the source mass onto the target total, with no
-    optimality claim relative to other rescalings.
+    tight.  Unequal total masses raise MassMismatch.
     """
     mu, nu, assign = f.source, f.target, f.assign
     if abs(mu.volume() - nu.volume()) > 1e-9:
-        if not free_scalars:
-            raise MassMismatch("total masses differ: %r vs %r"
-                               % (mu.volume(), nu.volume()))
-        if mu.volume() <= 0.0 or nu.volume() <= 0.0:
-            raise MassMismatch("free scaling needs positive totals")
-        r = nu.volume() / mu.volume()
-        warnings.warn("free-scalar regime: source mass rescaled by %g, "
-                      "no optimality claim" % r)
-        mu = FiniteMMSpace(mu.base, {p: r * m for p, m in mu.mass.items()})
+        raise MassMismatch("total masses differ: %r vs %r"
+                           % (mu.volume(), nu.volume()))
     xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
     ys = [y for y in nu.base.points if nu.mass[y] > 0.0]
     tb = nu.base

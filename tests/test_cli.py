@@ -86,6 +86,24 @@ def test_generate_size_out_of_bounds(capsys):
     assert "size" in err
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_rejects_fewer_than_one_case(capsys, cases):
+    code, out, err = run(capsys, "check", "--suite", "metric", "--cases", cases,
+                         "--format", "text")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cases must be at least 1, got %s\n" % cases
+
+
+def test_check_runs_a_single_case(capsys):
+    code, out, err = run(capsys, "check", "--suite", "metric", "--cases", "1",
+                         "--format", "text")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines and all(line.startswith("[ok] ") and "  (1 " in line for line in lines)
+
+
 def test_dist_gh_two_point_files(tmp_path, capsys):
     a = two_point_file(tmp_path, "a.json", 1.0)
     b = two_point_file(tmp_path, "b.json", 2.0)

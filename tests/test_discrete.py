@@ -7,16 +7,17 @@ import random
 import pytest
 
 from normcat.extreal import INF
-from normcat.category import check_seminorm_axioms, check_norm_axioms, dual_seminorm
+from normcat.category import (
+    check_seminorm_axioms, check_norm_axioms, dual_seminorm, induced_pqmetric,
+)
 from normcat.discrete import (
     NonInjective, NotSimplicial, NotAMorphism, NotSquareFree,
     FiniteFunction, compose_functions, fibers, set_norm, csb_witness,
     function_category,
-    SimplicialComplex, SimplicialMap, simplicial_set_norm,
+    SimplicialComplex, SimplicialMap,
     find_simplicial_isomorphism, find_injective_simplicial_map,
     simplicial_mutual_embedding,
-    NormedMonoid, integers_monoid, cyclic_group,
-    grothendieck_norm, group_distance, word_norm, group_norm_category,
+    NormedMonoid, cyclic_group, grothendieck_norm, group_norm_category,
     CostSystem, word_cost, cost_pseudometric, cost_category,
 )
 
@@ -153,17 +154,6 @@ def test_simplicial_map_must_send_simplices_to_simplices():
         SimplicialMap(edge, two_points, {1: "a", 2: "b"})
 
 
-def test_edge_collapse_norm():
-    m = SimplicialMap(triangle(), triangle(), {1: 2, 2: 2, 3: 3})
-    assert simplicial_set_norm(m) == LOG2
-
-
-def test_edge_inclusion_norm():
-    edge = SimplicialComplex.from_facets((1, 2), [(1, 2)])
-    m = SimplicialMap(edge, triangle(), {1: 1, 2: 2})
-    assert simplicial_set_norm(m) == 0.0
-
-
 def test_isomorphism_search_finds_relabelling():
     tri2 = SimplicialComplex.from_facets(("x", "y", "z"),
                                          [("x", "y"), ("x", "z"), ("y", "z")])
@@ -232,62 +222,44 @@ def test_from_table_validates_structure():
                                 partial=False)
 
 
-def test_grothendieck_norm_on_integers():
-    z = integers_monoid()
+def test_grothendieck_norm_on_a_cyclic_group():
+    z = cyclic_group(100)
     assert grothendieck_norm(z, 0, 0, 7, 7) == 0
     assert grothendieck_norm(z, 2, 0, 3, 5) == 2
     with pytest.raises(NotAMorphism):
         grothendieck_norm(z, 2, 1, 3, 5)
 
 
-def test_group_distance_on_integers():
-    z = integers_monoid()
-    d = group_distance(z, 3, 5, candidates=range(-10, 11))
-    assert d == 2 == abs(-5 + 3)
-
-
-def test_group_distance_matches_element_norm_on_cyclic_groups():
-    for n in range(2, 13):
+def test_group_category_distance_matches_element_norm_on_cyclic_groups():
+    for n in range(2, 7):
         m = cyclic_group(n)
+        pq = induced_pqmetric(*group_norm_category(n))
         for a in range(n):
             for b in range(n):
-                expect = m.norm((a - b) % n)
-                assert group_distance(m, a, b) == expect
+                assert pq.dist[a][b] == m.norm((a - b) % n)
 
 
-def test_word_norm_values():
-    z = integers_monoid()
-    assert word_norm(z, (1, -1), 0) == 0.0
-    assert word_norm(z, (1, -1), 3) == 3.0
-    z5 = cyclic_group(5)
-    assert word_norm(z5, (1, 4), 3) == 2.0
-    assert word_norm(z5, (1, 4), 0) == 0.0
+def test_cyclic_group_norm_is_the_word_length_over_plus_minus_one():
+    for n in range(1, 13):
+        m = cyclic_group(n)
+        length = {m.unit: 0}
+        frontier = [m.unit]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in (1, m.inv(1)):
+                    y = m.op(x, g)
+                    if y not in length:
+                        length[y] = length[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        assert sorted(length) == list(range(n))
+        assert all(m.norm(g) == float(k) for g, k in length.items())
 
 
-def test_word_norm_radius_cutoff():
-    z = integers_monoid()
-    assert word_norm(z, (1, -1), 30, radius=12) == INF
-
-
-def test_word_norm_requires_inversion_closed_generators():
-    z5 = cyclic_group(5)
-    with pytest.raises(ValueError):
-        word_norm(z5, (1,), 3)
-
-
-def test_word_norm_on_truncated_integers():
-    # partial table: sums escaping [-10, 10] are simply missing
-    elems = list(range(-10, 11))
-    table = {}
-    for a in elems:
-        for b in elems:
-            if -10 <= a + b <= 10:
-                table[(a, b)] = a + b
-    m = NormedMonoid.from_table(elems, table, 0,
-                                {e: float(abs(e)) for e in elems},
-                                partial=True)
-    assert word_norm(m, (1, -1), 3) == 3.0
-    assert word_norm(m, (1, -1), 10) == 10.0
+def test_normed_monoid_requires_its_elements():
+    with pytest.raises(TypeError):
+        NormedMonoid(op=lambda a, b: a + b, unit=0, norm=abs)
 
 
 def test_group_norm_category_duals_reproduce_norm():

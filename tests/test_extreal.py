@@ -6,7 +6,7 @@ import pytest
 
 from normcat.extreal import (
     INF, NEG_INF, ConventionError,
-    ext_add, ext_sub, ext_log, ext_exp,
+    ext_add, ext_sub, ext_log,
     sup_bounded, sup0, sup1, is_norm_value,
 )
 
@@ -16,12 +16,6 @@ def test_log_conventions():
     assert ext_log(INF) == INF
     assert ext_log(1) == 0.0
     assert abs(ext_log(math.e) - 1.0) < 1e-12
-
-
-def test_exp_conventions():
-    assert ext_exp(NEG_INF) == 0.0
-    assert ext_exp(INF) == INF
-    assert ext_exp(0.0) == 1.0
 
 
 def test_abs_of_minus_infinity_is_infinity():
@@ -47,8 +41,6 @@ def test_nan_operands_are_rejected():
         ext_add(nan, 1.0)
     with pytest.raises(ConventionError):
         ext_log(nan)
-    with pytest.raises(ConventionError):
-        ext_exp(nan)
 
 
 def test_log_of_negative_is_an_error():

@@ -192,7 +192,49 @@ def test_group_norm_category_keeps_its_names_and_norms():
                                                       + float(min(fm, n - fm)))
         assert norms == want
         assert list(cat.morphisms) == list(want)
-        assert cat.compose("g%d:%d>%d" % (n - 1, 0, 0), "g%d:%d>%d" % (1 % n, 0, 0)) == "g0:0>0"
+        for a, b, c, fp, gp in itertools.product(range(n), repeat=5):
+            got = cat.compose("g%d:%d>%d" % (gp, b, c), "g%d:%d>%d" % (fp, a, b))
+            assert got == "g%d:%d>%d" % ((fp + gp) % n, a, c)
+
+
+def loop_group_norm_category(n):
+    """The nested loops group_norm_category used to run, formatting each
+    name once per use: (morphisms, norms, identities, composition)."""
+    m = cyclic_group(n)
+    objs = list(m.elements)
+    mors, norms = [], {}
+
+    def name(fp, a, b):
+        return "g%d:%d>%d" % (fp, a, b)
+
+    for a in objs:
+        for b in objs:
+            for fp in objs:
+                fm = m.op(m.op(m.inv(b), fp), a)
+                nm = name(fp, a, b)
+                mors.append((nm, a, b))
+                norms[nm] = grothendieck_norm(m, fp, fm, a, b)
+    ids = {a: name(m.unit, a, a) for a in objs}
+    comp = {}
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for fp in objs:
+                    for gp in objs:
+                        comp[(name(gp, b, c), name(fp, a, b))] = name(m.op(gp, fp), a, c)
+    return mors, norms, ids, comp
+
+
+def test_group_norm_category_equals_the_nested_loop_build():
+    # same morphisms, norms and identities, and the composition dict in
+    # the same key order, so validation meets the entries as before
+    for n in range(1, 7):
+        cat, norms = group_norm_category(n)
+        mors, want_norms, ids, comp = loop_group_norm_category(n)
+        assert [(m.name, m.src, m.tgt) for m in cat.morphisms.values()] == mors
+        assert list(norms.items()) == list(want_norms.items())
+        assert cat.identity == ids
+        assert list(cat._comp.items()) == list(comp.items())
 
 
 def test_cyclic_group_reads_integers_as_residues():

@@ -24,14 +24,11 @@ from normcat.metric import (
     find_expansive_map,
     gh_correspondence_oracle,
     gh_distance,
-    hausdorff_distance,
     is_isometry,
     isometry_search,
-    l_dense_check,
     line_space,
     min_dilatation_map,
     one_point_space,
-    packing_stats,
     pullback_metric,
     thicken,
     two_point_probe_dual,
@@ -292,7 +289,7 @@ def test_pullback_then_map_never_shrinks():
         assert dilatation_norm(through) == 0.0
 
 
-# -- thickenings, Hausdorff, packing, density --------------------------------
+# -- thickenings -------------------------------------------------------------
 
 def test_thicken_values():
     sp = line_space([0, 1, 2])
@@ -320,49 +317,21 @@ def test_thickening_inclusions():
             thicken(sp, a, r + s, "closed")
 
 
-def test_hausdorff_values():
-    sp = line_space([0, 3])
-    assert hausdorff_distance(sp, [0, 3], [0, 3]) == 0.0
-    assert hausdorff_distance(sp, [0], [0, 3]) == 3.0
-    assert hausdorff_distance(sp, [], [0]) == INF
-    assert hausdorff_distance(sp, [], []) == 0.0
-
-
-def test_hausdorff_agrees_with_thickening_description():
+def test_thickening_boundary_is_the_distance_to_the_subset():
+    # x joins the closed thickening at radius d(x, A) and the open one
+    # only above it
     rng = random.Random(60609)
     for _ in range(40):
         sp = random_metric_space(rng, rng.randint(2, 5), "x")
         a = random_subset(rng, sp.points, allow_empty=False)
-        b = random_subset(rng, sp.points, allow_empty=False)
-        r = hausdorff_distance(sp, a, b)
-        assert a <= thicken(sp, b, r, "closed")
-        assert b <= thicken(sp, a, r, "closed")
-        if r > 1e-9:
-            shrunk = r - 1e-9
-            assert not (a <= thicken(sp, b, shrunk, "closed")
-                        and b <= thicken(sp, a, shrunk, "closed"))
-
-
-def test_packing_values():
-    sp = line_space([0, 1, 2])
-    assert packing_stats(sp, 0.5)["pack_number"] == 3
-    stats = packing_stats(sp, 1.5)
-    assert stats["pack_number"] == 2
-    assert stats["tot_sup"] == 4.0
-    assert set(stats["packing"]) == {0, 2}
-    single = packing_stats(one_point_space(), 1.0)
-    assert single["pack_number"] == 1 and single["tot_sup"] == 0.0
-    with pytest.raises(ValueError):
-        packing_stats(sp, 0)
-
-
-def test_l_dense_values():
-    sp = line_space([0, 1, 2])
-    assert l_dense_check(sp, [0, 1, 2], 0.0)
-    assert l_dense_check(sp, [0], 2.0)
-    assert not l_dense_check(sp, [0], 0.5)
-    with pytest.raises(ValueError):
-        l_dense_check(sp, [0], -0.1)
+        assert thicken(sp, a, 0.0, "closed") == frozenset(a)
+        for x in sp.points:
+            r = min(sp.d(x, y) for y in a)
+            assert x in thicken(sp, a, r, "closed")
+            if r > 0:
+                assert x not in thicken(sp, a, r, "open")
+                assert x not in thicken(sp, a, r - 1e-9, "closed")
+            assert x in thicken(sp, a, r + 1e-9, "open")
 
 
 # -- distances between spaces ------------------------------------------------

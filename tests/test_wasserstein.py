@@ -237,9 +237,18 @@ def test_seminorm_ascent_path_on_large_target():
     tgt = random_mm_space(rng, 5, prefix="b", fully_supported=True)
     f = random_mm_map(rng, src, tgt)
     psi = random_testfn_values(rng, tgt.base.points, grid=4)
-    out = wasserstein_seminorm(f, search={"restarts": 3, "sweeps": 10},
-                               extra_witnesses=[psi])
+    out = wasserstein_seminorm(f, extra_witnesses=[psi])
     assert out["lower_bound"] >= 0.0
+
+
+def test_seminorm_search_is_seeded():
+    # the ascent on a large target repeats itself exactly, so printed
+    # values are reproducible
+    rng = random.Random(98)
+    src = random_mm_space(rng, 3, prefix="a", fully_supported=True)
+    tgt = random_mm_space(rng, 5, prefix="b", fully_supported=True)
+    f = random_mm_map(rng, src, tgt)
+    assert wasserstein_seminorm(f) == wasserstein_seminorm(f)
 
 
 def test_coupling_validation():
@@ -289,6 +298,16 @@ def test_w1_mass_mismatch():
     nu = FiniteMMSpace(base, {"p": 0.0, "q": 0.5})
     f = MMSpaceMap(mu, nu, {"p": "p", "q": "q"})
     with pytest.raises(MassMismatch):
+        w1_transport(f)
+
+
+def test_w1_mass_mismatch_names_both_totals():
+    # unequal masses are an error, never an unbalanced transport
+    base = two_point_space(1.0)
+    mu = FiniteMMSpace(base, {"p": 2.0, "q": 0.0})
+    nu = FiniteMMSpace(base, {"p": 0.0, "q": 1.0})
+    f = MMSpaceMap(mu, nu, {"p": "p", "q": "q"})
+    with pytest.raises(MassMismatch, match=r"^total masses differ: 2\.0 vs 1\.0$"):
         w1_transport(f)
 
 
@@ -370,16 +389,6 @@ def test_kr_batch_completes():
     for lhs, rhs, gap in rows:
         assert lhs >= 0.0
         assert rhs == rhs and gap == gap  # no NaNs; sign is not asserted
-
-
-def test_w1_free_scalar_regime_warns_and_runs():
-    base = two_point_space(1.0)
-    mu = FiniteMMSpace(base, {"p": 2.0, "q": 0.0})
-    nu = FiniteMMSpace(base, {"p": 0.0, "q": 1.0})
-    f = MMSpaceMap(mu, nu, {"p": "p", "q": "q"})
-    with pytest.warns(UserWarning):
-        out = w1_transport(f, free_scalars=True)
-    assert abs(out["cost"] - 1.0) <= 1e-12
 
 
 def grid_pair(rng, lam):
