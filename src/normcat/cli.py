@@ -226,13 +226,13 @@ def _report(command, results, seed=None, **extra):
 
 
 def _cmd_norm(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = parse_instance(args.map)
     aux = parse_instance(args.space) if args.space else None
     pairs, details = _norm_results(args.kind, inst, aux)
     results = [{"name": n, "value": ext_to_json(v)} for n, v in pairs]
     rep = _report("norm", results, kind=args.kind,
-                  timing_s=round(time.time() - t0, 6))
+                  timing_s=round(time.perf_counter() - t0, 6))
     if details:
         rep["details"] = details
     _emit(rep, args.format)
@@ -240,25 +240,25 @@ def _cmd_norm(args):
 
 
 def _cmd_dist(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = parse_instance(args.a)
     b = parse_instance(args.b)
     pairs = _dist_results(args.kind, a, b)
     results = [{"name": n, "value": ext_to_json(v)} for n, v in pairs]
     _emit(_report("dist", results, kind=args.kind,
-                  timing_s=round(time.time() - t0, 6)), args.format)
+                  timing_s=round(time.perf_counter() - t0, 6)), args.format)
     return 0
 
 
 def _cmd_check(args):
     if args.cases < 1:
         raise SizeOutOfBounds("--cases must be at least 1, got %d" % args.cases)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = run_suite(args.suite, args.seed, args.cases)
     ok = all(r["ok"] for r in rows)
     _emit(_report("check", rows, seed=args.seed, suite=args.suite,
                   cases=args.cases, ok=ok,
-                  timing_s=round(time.time() - t0, 6)), args.format)
+                  timing_s=round(time.perf_counter() - t0, 6)), args.format)
     return 0 if ok else 1
 
 

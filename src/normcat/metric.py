@@ -13,10 +13,10 @@ import itertools
 
 import numpy as np
 
-from .extreal import INF, sup0
+from .extreal import INF, NEG_INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import SubobjectFamily, Capacity, CapacityInstance
-from .search import least_max, solve, subsets
+from .search import least_max, solve, subset_maxima, subsets
 
 
 class EmptySpace(ValueError):
@@ -237,16 +237,29 @@ def codiameter_seminorm(f):
     sup0 over target subsets with nonempty preimage of
     diam(A) - diam(preimage of A); subsets missing the image entirely
     are skipped.
+
+    One subset walk carries, for each A, the largest distance (either
+    way round) from A to every target point and from the preimage of A
+    to every source point; both diameters are then read off per-subset
+    tables of maxima.
     """
+    src, tgt = f.source, f.target
+    n = len(tgt.points)
+    fibres = [[src.index[x] for x in f.fiber(q)] for q in tgt.points]
+    cols = [_far_row(tgt, [i]) + _far_row(src, fib) for i, fib in enumerate(fibres)]
+    keys = [[[i] for i in range(n)], [[n + x for x in fib] for fib in fibres]]
     best = 0.0
-    for a in subsets(f.target.points):
-        pre = f.preimage(a)
-        if not pre:
-            continue
-        v = diameter(f.target, a) - diameter(f.source, pre)
-        if v > best:
-            best = v
+    for diam_a, diam_pre in subset_maxima(cols, keys):
+        if diam_pre > NEG_INF and diam_a - diam_pre > best:
+            best = diam_a - diam_pre
     return best
+
+
+def _far_row(sp, idxs):
+    """max(d(p, x), d(x, p)) over p in idxs for every point x; -inf
+    everywhere when idxs is empty."""
+    d = sp.dist
+    return [max([NEG_INF] + [max(d[p][x], d[x][p]) for p in idxs]) for x in range(len(sp.points))]
 
 
 def pullback_metric(f):

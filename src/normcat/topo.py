@@ -14,7 +14,7 @@ import math
 
 from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
-from .search import solve, subsets
+from .search import down_sets, solve, subsets
 
 
 class IncompatibleCarriers(ValueError):
@@ -232,14 +232,13 @@ def monotone_light_report(f):
 # -- dimension seminorm on simplicial complexes ------------------------------
 
 def _subcomplexes(complex_):
-    """All downward-closed simplex subsets, the empty one included."""
+    """Every downward-closed simplex subset, the empty one first: the
+    down-sets of the face order, yielded one at a time."""
     simp = sorted(complex_.simplices, key=lambda s: (len(s), sorted(map(str, s))))
-    out = []
-    for chosen in subsets(simp, nonempty=False):
-        pool = set(chosen)
-        if all(not (s - {v}) or (s - {v}) in pool for s in chosen for v in s):
-            out.append(frozenset(pool))
-    return out
+    pos = {s: k for k, s in enumerate(simp)}
+    below = [[pos[s - {v}] for v in s if len(s) > 1] for s in simp]
+    for down in down_sets(below):
+        yield frozenset(simp[k] for k in down)
 
 
 def _dim_value(simplices):
@@ -303,29 +302,36 @@ def topological_norm(poset_map=None, vmap=None):
 
 def all_posets(n, prefix="p"):
     """All posets on n labeled points, one representative per isomorphism class."""
-    if n == 0:
-        return []
-    if n > 4:
-        raise ValueError("poset enumeration is limited to 4 points")
+    if n > 5:
+        raise ValueError("poset enumeration is limited to 5 points")
     labels = tuple("%s%d" % (prefix, i) for i in range(n))
+    return [FiniteTopSpace(labels, leq) for leq in _orders(n)] if n else []
+
+
+def _orders(n):
+    """One leq matrix per isomorphism class of posets on n points.
+
+    Every such poset is one on n - 1 points plus a new maximal point
+    whose strict down-set is a down-set of the old one; the extensions
+    are kept up to the least relabeled matrix.
+    """
+    if n == 0:
+        return [()]
     idx = range(n)
-    strict_pairs = [(i, j) for i in idx for j in idx if i != j]
-    seen = set()
-    out = []
-    for chosen in subsets(strict_pairs, nonempty=False):
-        leq = [[i == j for j in idx] for i in idx]
-        for i, j in chosen:
-            leq[i][j] = True
-        if first_transitivity_violation(leq) is not None:
-            continue
-        if any(leq[i][j] and leq[j][i] for i, j in strict_pairs):
-            continue
-        canon = min(tuple(tuple(leq[p[i]][p[j]] for j in idx) for i in idx)
-                    for p in itertools.permutations(idx))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(FiniteTopSpace(labels, leq))
+    seen, out = set(), []
+    for old in _orders(n - 1):
+        # fewer points below comes first: a linear extension
+        ext = sorted(idx[:-1], key=lambda q: sum(row[q] for row in old))
+        pos = {q: k for k, q in enumerate(ext)}
+        below = [[pos[p] for p in idx[:-1] if p != q and old[p][q]] for q in ext]
+        for down in down_sets(below):
+            under = {ext[k] for k in down}
+            leq = [row + (p in under,) for p, row in enumerate(old)] + [(False,) * (n - 1) + (True,)]
+            canon = min(tuple(tuple(leq[p[i]][p[j]] for j in idx) for i in idx)
+                        for p in itertools.permutations(idx))
+            if canon not in seen:
+                seen.add(canon)
+                out.append(tuple(leq))
     return out
 
 

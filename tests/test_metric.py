@@ -35,6 +35,7 @@ from normcat.metric import (
     two_point_space,
     zero_dilatation_endos,
 )
+from normcat.search import subsets
 
 
 def pinch_map():
@@ -193,6 +194,50 @@ def test_codiameter_values():
     assert codiameter_seminorm(f) == 0.0
     doubling = MultiMap.from_function(line_space([0, 1]), line_space([0, 2]), {0: 0, 1: 2})
     assert codiameter_seminorm(doubling) == 1.0
+
+
+def walked_codiameter(f):
+    """codiameter_seminorm with both diameters recomputed for every target
+    subset, as it was computed before the max-row walk."""
+    best = 0.0
+    for a in subsets(f.target.points):
+        pre = f.preimage(a)
+        if not pre:
+            continue
+        v = diameter(f.target, a) - diameter(f.source, pre)
+        if v > best:
+            best = v
+    return best
+
+
+def quasi_space(rng, n, prefix):
+    """Random planar points with d(p, q) = |p - q| + max(0, h(q) - h(p))."""
+    pts = [(rng.random(), rng.random()) for _ in range(n)]
+    h = [rng.random() for _ in range(n)]
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)],
+                             [[math.dist(pts[i], pts[j]) + max(0.0, h[j] - h[i]) for j in range(n)]
+                              for i in range(n)], allow_quasi=True)
+
+
+def test_codiameter_matches_the_subset_walk():
+    rng = random.Random(60610)
+    maps = []
+    for n in range(1, 12):
+        m = rng.randint(1, n + 2)
+        for space in (random_metric_space, quasi_space):
+            x, y = space(rng, m, "x"), space(rng, n, "y")
+            maps.append(random_multimap(rng, x, y))
+            maps.append(few_image_points(rng, x, y))
+    # the cap: one quasi-metric map onto 16 points, most fibres empty
+    maps.append(few_image_points(rng, quasi_space(rng, 5, "x"), quasi_space(rng, 16, "y")))
+    for f in maps:
+        assert codiameter_seminorm(f) == walked_codiameter(f)
+
+
+def few_image_points(rng, x, y):
+    """A multi-valued map onto at most three target points."""
+    ys = rng.sample(y.points, rng.randint(1, min(3, len(y.points))))
+    return MultiMap(x, y, {p: tuple(rng.sample(ys, rng.randint(1, len(ys)))) for p in x.points})
 
 
 def test_selections_never_exceed_the_multimap():

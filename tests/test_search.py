@@ -3,6 +3,7 @@ the least-max threshold search, the searches built on them, and the
 size and node caps as the CLI reports them."""
 
 import ast
+import bisect
 import dataclasses
 import importlib
 import inspect
@@ -65,17 +66,39 @@ def mask_of(items):
     return sum(2 ** i for i in items)
 
 
-def test_subset_rows_match_min_over_subsets():
+@pytest.mark.parametrize("combine", [min, max])
+def test_subset_rows_combine_over_subsets(combine):
     rng = random.Random(4201)
     for _ in range(40):
         n, m = rng.randint(0, 7), rng.randint(0, 5)
-        cols = [[rng.choice((0.0, 1.0, 2.5, math.inf, rng.random())) for _ in range(m)]
-                for _ in range(n)]
-        rows = list(search.subset_rows(cols))
+        cols = [[rng.choice((0.0, 1.0, 2.5, math.inf, -math.inf, rng.random()))
+                 for _ in range(m)] for _ in range(n)]
+        rows = list(search.subset_rows(cols, combine))
         assert sorted(mask for mask, _ in rows) == list(range(1, 2 ** n))
         got = dict(rows)
         for s in subsets(range(n)):
-            assert got[mask_of(s)] == [min(cols[i][x] for i in s) for x in range(m)]
+            assert got[mask_of(s)] == [combine(cols[i][x] for i in s) for x in range(m)]
+
+
+def test_subset_maxima_are_the_diameters_of_the_points_of_each_subset():
+    rng = random.Random(4205)
+    for _ in range(60):
+        n, m = rng.randint(0, 6), rng.randint(1, 7)
+        # item i owns a random set of the m points, maybe none
+        owns = [rng.sample(range(m), rng.randint(0, min(3, m))) for _ in range(n)]
+        d = [[rng.choice((0.0, 1.0, rng.random())) for _ in range(m)] for _ in range(m)]
+        far = lambda ps: [max([-math.inf] + [max(d[p][x], d[x][p]) for p in ps]) for x in range(m)]
+        tops = list(search.subset_maxima([far(ps) for ps in owns], [owns]))
+        masks = [mask for mask, _ in search.subset_rows([[0.0]] * n)]
+        assert len(tops) == len(masks) == 2 ** n - 1
+        for mask, (top,) in zip(masks, tops):
+            pts = [p for i in range(n) if mask >> i & 1 for p in owns[i]]
+            assert top == max([-math.inf] + [d[p][q] for p in pts for q in pts])
+
+
+def test_subset_maxima_cap_before_the_first_row():
+    with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
+        search.subset_maxima([[0.0]] * 17, [[[0]] * 17])
 
 
 def test_subset_rows_walk_depth_first():
@@ -129,6 +152,50 @@ def test_level_sums_match_a_sum_per_level():
         totals = [sum(w for w, d in zip(weights, row) if d <= t) for t in levels]
         assert search.level_sums(row, weights) == (levels, totals)
         assert search.level_sums(row, weights, search.subset_sums(weights)) == (levels, totals)
+
+
+# -- down_sets ---------------------------------------------------------------
+
+def random_order(rng, n):
+    """below[i] for a random partial order on range(n), numbered in a
+    linear extension: every item below i, directly or not."""
+    below = []
+    for i in range(n):
+        under = set()
+        for j in range(i):
+            if rng.random() < 0.25:
+                under |= {j, *below[j]}
+        below.append(sorted(under))
+    return below
+
+
+def test_down_sets_match_the_filtered_subset_walk():
+    rng = random.Random(4301)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        below = random_order(rng, n)
+        closed = [s for s in subsets(range(n), nonempty=False)
+                  if all(j in s for i in s for j in below[i])]
+        got = list(search.down_sets(below))
+        assert got[:1] == [[]]
+        assert sorted(got) == sorted(closed)
+
+
+def test_down_sets_charge_one_node_per_decision(monkeypatch):
+    # a chain of three: 3 items left out, then 0 in and 1, 2 out, then 1
+    # in and 2 out, then 2 in
+    monkeypatch.setattr(search, "MAX_NODES", 9)
+    assert list(search.down_sets([[], [0], [1]])) == [[], [0], [0, 1], [0, 1, 2]]
+    monkeypatch.setattr(search, "MAX_NODES", 8)
+    with pytest.raises(ValueError, match="^search is limited to 8 nodes$"):
+        list(search.down_sets([[], [0], [1]]))
+
+
+def test_down_sets_are_iterative():
+    # a chain deeper than the recursion limit
+    n = sys.getrecursionlimit() + 10
+    walk = search.down_sets([[]] + [[i] for i in range(n - 1)])
+    assert sum(1 for _ in walk) == n + 1
 
 
 # -- solve -----------------------------------------------------------------
@@ -215,6 +282,42 @@ def test_least_max_returns_the_first_optimum():
         low = min(map(cost, every))
         assert least_max(domains, term, floor) == (low, next(a for a in every if cost(a) == low))
     assert least_max([[0, 1], [], [0]], term, 0.0) == (float("inf"), None)
+
+
+def test_least_max_lowers_the_bracket_to_each_list_found(monkeypatch):
+    decisions, seen = [], []
+
+    def counted(domains, compatible, nodes=None):
+        decisions.append(1)
+        return solve(domains, compatible, nodes)
+
+    def index(cands, cost):
+        seen.append(list(cands))
+        return find(cands, cost)
+
+    find = bisect.bisect_left
+    monkeypatch.setattr(search, "solve", counted)
+    monkeypatch.setattr(search.bisect, "bisect_left", index)
+    rng = random.Random(4109)
+    fewer = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        table = {(j, v, i, w): float(rng.randint(0, 9))
+                 for i in range(n) for j in range(i) for v in range(3) for w in range(3)}
+        term = lambda j, v, i, w: table[j, v, i, w]
+        low = min(max(term(j, a[j], i, a[i]) for i in range(n) for j in range(i))
+                  for a in itertools.product(range(3), repeat=n))
+        decisions.clear()
+        seen.clear()
+        assert least_max([range(3)] * n, term, 0.0)[0] == low
+        if not seen:
+            continue
+        # a bisection of the same candidates that learns only yes or no
+        plain = []
+        find(seen[0], True, key=lambda r: plain.append(r) or low <= r)
+        assert len(decisions) <= len(plain)
+        fewer += len(decisions) < len(plain)
+    assert fewer > 20
 
 
 def test_least_max_stops_at_the_floor(monkeypatch):

@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from normcat import search
+from normcat.cli import main
 from normcat.extreal import INF, sup0
 from normcat.discrete import NotSimplicial, SimplicialComplex, SimplicialMap
 from normcat.generate import random_poset, random_simplicial
@@ -27,6 +30,7 @@ from normcat.topo import (
     _dim_value,
     _subcomplexes,
 )
+from normcat.search import subsets
 
 LOG2 = math.log(2.0)
 
@@ -134,10 +138,37 @@ def test_all_order_preserving_maps_counts():
 
 
 def test_all_posets_isomorphism_counts():
-    assert len(all_posets(1)) == 1
-    assert len(all_posets(2)) == 2
-    assert len(all_posets(3)) == 5
-    assert len(all_posets(4)) == 16
+    # OEIS A000112
+    assert [len(all_posets(n)) for n in range(6)] == [0, 1, 2, 5, 16, 63]
+    with pytest.raises(ValueError, match="limited to 5 points"):
+        all_posets(6)
+
+
+def canonical(leq):
+    idx = range(len(leq))
+    return min(tuple(tuple(leq[p[i]][p[j]] for j in idx) for i in idx)
+               for p in itertools.permutations(idx))
+
+
+def test_all_posets_are_distinct_partial_orders():
+    for n in range(1, 6):
+        posets = all_posets(n)
+        assert all(not (sp.leq[i][j] and sp.leq[j][i])
+                   for sp in posets for i in range(n) for j in range(n) if i != j)
+        assert len({canonical(sp.leq) for sp in posets}) == len(posets)
+
+
+def test_all_posets_close_under_one_point_extensions():
+    # every poset on n points with a new maximal point over any down-set
+    # is isomorphic to one of the listed posets on n + 1 points
+    for n in range(0, 4):
+        bigger = {canonical(sp.leq) for sp in all_posets(n + 1)}
+        for sp in all_posets(n) or [FiniteTopSpace((), ())]:
+            for down in subsets(range(n), nonempty=False):
+                if not sp.is_closed([sp.points[i] for i in down]):
+                    continue
+                leq = [list(row) + [i in down] for i, row in enumerate(sp.leq)]
+                assert canonical(leq + [[False] * n + [True]]) in bigger
 
 
 # -- component seminorm --------------------------------------------------------
@@ -270,9 +301,22 @@ def test_fiber_form_below_capacity_form():
             assert out["fiber_form"] <= out["capacity_form"] + 1e-12
 
 
+def walked_subcomplexes(complex_):
+    """The downward-closed sets among all 2^k subsets of the k simplices,
+    as the subcomplexes were found before the down-set walk."""
+    simp = sorted(complex_.simplices, key=lambda s: (len(s), sorted(map(str, s))))
+    out = []
+    for chosen in subsets(simp, nonempty=False):
+        pool = set(chosen)
+        if all(not (s - {v}) or (s - {v}) in pool for s in chosen for v in s):
+            out.append(frozenset(pool))
+    return out
+
+
 def looped_dimension_seminorm(vmap):
     """dimension_seminorm with each source simplex's image rebuilt for
-    every target subcomplex, as it was computed before."""
+    every target subcomplex of the subset walk, as it was computed
+    before."""
     src, tgt = vmap.source, vmap.target
 
     def preimage_simplices(simplex_set):
@@ -282,7 +326,7 @@ def looped_dimension_seminorm(vmap):
     fiber_form = sup0([_dim_value(preimage_simplices(frozenset([frozenset([y])])))
                        for y in tgt.vertices])
     capacity_form = sup0([_dim_value(preimage_simplices(sub)) - _dim_value(sub)
-                          for sub in _subcomplexes(tgt) if sub])
+                          for sub in walked_subcomplexes(tgt) if sub])
     return {"fiber_form": fiber_form, "capacity_form": capacity_form}
 
 
@@ -311,8 +355,9 @@ def surjective_simplicial_map(rng, n_src, n_tgt, n_edges, n_triangles):
 
 def test_dimension_seminorm_matches_the_looped_preimages():
     rng = random.Random(70706)
-    # the benchmark's size: 10 vertices onto 6 vertices, 7 edges, 2 triangles
-    maps = [surjective_simplicial_map(rng, 10, 6, 7, 2)]
+    # the benchmark's size: 10 vertices onto 15 simplices
+    maps = [surjective_simplicial_map(rng, 10, 6, 7, 2) for _ in range(2)]
+    maps.append(surjective_simplicial_map(rng, 10, 7, 8, 0))
     for _ in range(20):
         triangles = rng.randint(0, 1)
         maps.append(surjective_simplicial_map(rng, rng.randint(3, 7), 3,
@@ -342,3 +387,63 @@ def test_topological_norm():
     other = SimplicialMap(zero_complex_src, zero_complex_tgt, {"a": "0", "b": "0"})
     with pytest.raises(IncompatibleCarriers):
         topological_norm(poset_map=f, vmap=other)
+
+
+def test_subcomplexes_are_the_closed_simplex_subsets():
+    rng = random.Random(70707)
+    complexes = [surjective_simplicial_map(rng, 10, 6, 7, 2).target]
+    complexes += [random_simplicial(rng, rng.randint(1, 5), "y") for _ in range(20)]
+    for c in complexes:
+        got = list(_subcomplexes(c))
+        assert got[0] == frozenset()
+        assert len(got) == len(set(got))
+        assert set(got) == set(walked_subcomplexes(c))
+
+
+def twelve_simplices(rng, prefix):
+    """A complex on 5 vertices with 6 edges and one triangle."""
+    ws = ["%s%d" % (prefix, i) for i in range(5)]
+    tri = tuple(rng.sample(ws, 3))
+    edges = set(itertools.combinations(sorted(tri), 2))
+    others = [e for e in itertools.combinations(ws, 2) if e not in edges]
+    return SimplicialComplex.from_facets(ws, sorted(edges | set(rng.sample(others, 3))) + [tri])
+
+
+def dim_map_file(tmp_path, src, tgt, assign):
+    payload = {"kind": "map", "assign": assign,
+               "source": {"kind": "simplicial", "vertices": list(src.vertices),
+                          "simplices": sorted(sorted(s) for s in src.simplices)},
+               "target": {"kind": "simplicial", "vertices": list(tgt.vertices),
+                          "simplices": sorted(sorted(s) for s in tgt.simplices)}}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_norm_dim_answers_a_24_simplex_target(tmp_path, capsys):
+    rng = random.Random(70708)
+    a, b = twelve_simplices(rng, "a"), twelve_simplices(rng, "b")
+    assert len(a.simplices) == len(b.simplices) == 12
+    tgt = SimplicialComplex(a.vertices + b.vertices, a.simplices | b.simplices)
+    # a subcomplex of a disjoint union is one of each part
+    count = sum(1 for _ in _subcomplexes(tgt))
+    assert count == len(walked_subcomplexes(a)) * len(walked_subcomplexes(b))
+    # the source adds a vertex x and an edge x-a0, both sent onto a0
+    a0 = a.vertices[0]
+    src = SimplicialComplex(tgt.vertices + ("x",),
+                            set(tgt.simplices) | {frozenset(["x"]), frozenset(["x", a0])})
+    assign = dict({v: v for v in tgt.vertices}, x=a0)
+    assert main(["norm", "--kind", "dim", "--map", dim_map_file(tmp_path, src, tgt, assign)]) == 0
+    rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert rows == {"fiber_form": LOG2, "capacity_form": LOG2}
+
+
+def test_norm_dim_gives_up_at_the_node_budget(tmp_path, capsys, monkeypatch):
+    # a full simplex on 10 vertices has 1,023 simplices and too many
+    # subcomplexes to walk; the real budget gives up after a few seconds
+    ws = ["w%d" % i for i in range(10)]
+    tgt = SimplicialComplex(ws, [c for k in range(1, 11) for c in itertools.combinations(ws, k)])
+    src = SimplicialComplex.from_facets(("v",), [])
+    monkeypatch.setattr(search, "MAX_NODES", 20_000)
+    assert main(["norm", "--kind", "dim", "--map", dim_map_file(tmp_path, src, tgt, {"v": "w0"})]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: search is limited to 20000 nodes"]
