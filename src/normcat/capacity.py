@@ -1,100 +1,78 @@
-"""Capacities on subobject families and the seminorms they induce.
+"""Capacities on subobjects and the seminorms they induce.
 
-A subobject family enumerates handles (for example: the subsets of a
-finite space) for one carrier object, together with a partial order and
-a preimage operation along morphisms.  A capacity assigns an extended
-real to each handle.  The induced seminorm of a morphism measures how
-much the capacity can grow when pulling a handle back; the co-seminorm
-measures how much it can drop.
+A capacity assigns an extended real to each subobject handle of an
+object (for example: each subset of a finite space).  Along a morphism
+the induced seminorm measures how much the capacity can grow when a
+handle of the target is pulled back to the source; the co-seminorm
+measures how much it can drop.  capacity_norms is that one
+construction: the dilatation norm, the dimension seminorm and the
+diameter capacity of a category of metric spaces are each one call of
+it with their own handles, preimage and capacities.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 from .extreal import INF, NEG_INF, sup0
 from . import category as cat_mod
-from .search import subsets
 
 
-@dataclass(frozen=True)
-class SubobjectFamily:
-    """Enumerated subobject handles for one carrier object.
+def validate_order(handles, leq):
+    """Check reflexivity, antisymmetry and transitivity of leq on the handles."""
+    hs = tuple(handles)
+    rel = np.array([[bool(leq(a, b)) for b in hs] for a in hs], dtype=bool)
+    for i, a in enumerate(hs):
+        if not rel[i, i]:
+            raise ValueError("leq not reflexive at %r" % (a,))
+    for i, j in np.argwhere(rel & rel.T).tolist():
+        if hs[i] != hs[j]:
+            raise ValueError("leq not antisymmetric on (%r, %r)" % (hs[i], hs[j]))
+    bad = cat_mod.first_transitivity_violation(rel)
+    if bad is not None:
+        raise ValueError("leq not transitive on (%r, %r, %r)"
+                         % tuple(hs[i] for i in bad))
 
-    preimage(morphism_name, handle) takes a handle of THIS family (the
-    morphism's target) to a handle of the morphism's source family.
-    is_empty flags handles that denote an empty subobject.
+
+def check_capacity_monotone(handles, leq, c):
+    """True iff c respects leq on all comparable pairs of handles, up to 1e-12.
+
+    Returns (ok, witness) where witness is the first violating (smaller,
+    larger, c(smaller), c(larger)) tuple in handle order, or None.  c is
+    evaluated once per handle.
     """
-    carrier: object
-    handles: tuple
-    leq: Callable
-    preimage: Optional[Callable] = None
-    is_empty: Callable = lambda h: False
-
-    def validate_order(self):
-        """Check reflexivity, antisymmetry and transitivity of leq on the handles."""
-        hs = self.handles
-        rel = np.array([[bool(self.leq(a, b)) for b in hs] for a in hs], dtype=bool)
-        for i, a in enumerate(hs):
-            if not rel[i, i]:
-                raise ValueError("leq not reflexive at %r" % (a,))
-        for i, j in np.argwhere(rel & rel.T).tolist():
-            if hs[i] != hs[j]:
-                raise ValueError("leq not antisymmetric on (%r, %r)" % (hs[i], hs[j]))
-        bad = cat_mod.first_transitivity_violation(rel)
-        if bad is not None:
-            raise ValueError("leq not transitive on (%r, %r, %r)"
-                             % tuple(hs[i] for i in bad))
-
-
-@dataclass(frozen=True)
-class Capacity:
-    """Extended-real valuation on handles; direction is a promise, checked on demand."""
-    value: Callable
-    direction: str = "unchecked"   # monotone | antimonotone | unchecked
-
-    def __call__(self, handle):
-        return self.value(handle)
-
-
-def check_capacity_monotone(fam, c):
-    """True iff c respects fam's order on all comparable pairs, up to 1e-12.
-
-    Returns (ok, witness) where witness is a violating (smaller, larger,
-    c(smaller), c(larger)) tuple or None.
-    """
-    for a in fam.handles:
-        for b in fam.handles:
-            if fam.leq(a, b):
-                ca, cb = c(a), c(b)
-                if ca > cb + 1e-12:
-                    return False, (a, b, ca, cb)
+    hs = tuple(handles)
+    cs = [c(h) for h in hs]
+    for a, ca in zip(hs, cs):
+        for b, cb in zip(hs, cs):
+            if leq(a, b) and ca > cb + 1e-12:
+                return False, (a, b, ca, cb)
     return True, None
 
 
-def capacity_norms(f, fam_src, fam_tgt, c):
-    """(seminorm, coseminorm, filter_hits) of f from one walk over the target handles.
+def capacity_norms(handles, preimage, c_target, c_source):
+    """(seminorm, coseminorm, filter_hits) of a morphism from one walk over
+    the target handles.
 
-    seminorm: sup0 of c(preimage of C) - c(C) over target handles C with
-    c(C) < inf, skipping preimages of capacity -inf.
-    coseminorm: sup0 of c(C) - c(preimage of C) over the same handles,
-    skipping preimages of capacity inf and empty preimages: dropping to
-    the empty subobject is not read as capacity loss.
-    filter_hits: the handles the empty-preimage filter skipped.
+    preimage(C) is the source handle that the target handle C pulls back
+    to; c_target and c_source are the capacities on the two ends.
+    seminorm: sup0 of c_source(preimage C) - c_target(C) over the handles
+    C with c_target(C) < inf, skipping preimages of capacity -inf.
+    coseminorm: sup0 of c_target(C) - c_source(preimage C) over the same
+    handles, skipping preimages of capacity inf and empty (falsy)
+    preimages: dropping to the empty subobject is not read as capacity
+    loss.  filter_hits: the handles the empty-preimage filter skipped.
     """
-    if fam_tgt.preimage is None:
-        raise ValueError("target family has no preimage operation")
     sem, cosem, hits = [], [], []
-    for C in fam_tgt.handles:
-        cC = c(C)
+    for C in handles:
+        cC = c_target(C)
         if cC == INF:
             continue
-        B = fam_tgt.preimage(f, C)
-        cB = c(B)
+        B = preimage(C)
+        cB = c_source(B)
         if cB != NEG_INF:
             sem.append(INF if cB == INF else cB - cC)
-        if fam_src.is_empty(B):
+        if not B:
             hits.append(C)
         elif cB != INF:
             cosem.append(INF if cB == NEG_INF else cC - cB)
@@ -103,14 +81,15 @@ def capacity_norms(f, fam_src, fam_tgt, c):
 
 @dataclass
 class CapacityInstance:
-    """A finite category with a subobject family per object and one capacity.
+    """A finite category with the capacity norms of each morphism.
 
-    annihilated: morphism names for which the instance promises an
-    approximate left annihilator (so the left-dual lower bound applies).
+    norms: {morphism name: (seminorm, coseminorm, filter_hits)} as
+    capacity_norms returns them.  annihilated: morphism names for which
+    the instance promises an approximate left annihilator (so the
+    left-dual lower bound applies).
     """
     category: object
-    families: dict
-    capacity: Capacity
+    norms: dict
     annihilated: tuple = ()
 
 
@@ -143,18 +122,7 @@ def dual_inequality_report(inst):
       dual_left(f) >= coseminorm(f), each up to cat_mod.AXIOM_TOL.
     """
     cat = inst.category
-    c = inst.capacity
-
-    def fam_of(obj):
-        return inst.families[obj]
-
-    norms = {}
-    cosem = {}
-    hits = {}
-    for m in cat.morphisms.values():
-        fs, ft = fam_of(m.src), fam_of(m.tgt)
-        norms[m.name], cosem[m.name], skipped = capacity_norms(m.name, fs, ft, c)
-        hits[m.name] = len(skipped)
+    norms = {name: inst.norms[name][0] for name in cat.morphisms}
     dual_l = cat_mod.dual_seminorm(cat, norms, "left")
     dual_r = cat_mod.dual_seminorm(cat, norms, "right")
     bidual_l = cat_mod.dual_seminorm(cat, dual_l, "left")
@@ -163,28 +131,18 @@ def dual_inequality_report(inst):
     tol = cat_mod.AXIOM_TOL
     rep = DualInequalityReport(ok=True)
     for name in cat.morphisms:
+        norm, cosem, hits = inst.norms[name]
         rep.rows.append(DualInequalityRow(
-            name, norms[name], cosem[name], dual_l[name], dual_r[name],
-            bidual_l[name], bidual_r[name], hits[name]))
-        if dual_r[name] > cosem[name] + tol:
-            rep.violations.append((name, "dual_right<=coseminorm", dual_r[name], cosem[name]))
-        if bidual_l[name] > norms[name] + tol:
-            rep.violations.append((name, "bidual_left<=norm", bidual_l[name], norms[name]))
-        if bidual_r[name] > norms[name] + tol:
-            rep.violations.append((name, "bidual_right<=norm", bidual_r[name], norms[name]))
-        if name in inst.annihilated and dual_l[name] < cosem[name] - tol:
-            rep.violations.append((name, "dual_left>=coseminorm", dual_l[name], cosem[name]))
+            name, norm, cosem, dual_l[name], dual_r[name],
+            bidual_l[name], bidual_r[name], len(hits)))
+        if dual_r[name] > cosem + tol:
+            rep.violations.append((name, "dual_right<=coseminorm", dual_r[name], cosem))
+        if bidual_l[name] > norm + tol:
+            rep.violations.append((name, "bidual_left<=norm", bidual_l[name], norm))
+        if bidual_r[name] > norm + tol:
+            rep.violations.append((name, "bidual_right<=norm", bidual_r[name], norm))
+        if name in inst.annihilated and dual_l[name] < cosem - tol:
+            rep.violations.append((name, "dual_left>=coseminorm", dual_l[name], cosem))
     rep.ok = not rep.violations
     return rep
 
-
-# -- stock families -------------------------------------------------------
-
-def subset_family(carrier, points, preimage=None):
-    """The family of subsets of a finite point set, ordered by inclusion."""
-    return SubobjectFamily(
-        carrier=carrier,
-        handles=tuple(map(frozenset, subsets(points, nonempty=False))),
-        leq=lambda a, b: a <= b,
-        preimage=preimage,
-        is_empty=lambda h: len(h) == 0)

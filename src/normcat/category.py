@@ -199,10 +199,6 @@ class FiniteCategory:
     def outof(self, x):
         return list(self._outof[x])
 
-    def is_identity(self, name):
-        m = self._mor[name]
-        return self.identity.get(m.src) == name
-
 
 def validate_norm_assignment(cat, norms):
     """Every morphism must carry exactly one value in [0, inf]."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .category import FiniteMap
 from .extreal import INF
-from .capacity import SubobjectFamily, Capacity
 from .metric import isometry_search
 from .search import MAX_ITEMS, level_sums, subset_rows, subset_sums, subsets
 
@@ -59,12 +58,10 @@ def compose_mm_maps(g, f):
                       {x: g.assign[f.assign[x]] for x in f.assign})
 
 
-def _dist_to_subset(base, x, subset):
-    idxs = [base.index[p] for p in subset]
-    if not idxs:
-        return INF
-    i = base.index[x]
-    return min(base.dist[i][j] for j in idxs)
+def _column(sp, subset):
+    """The distance from each point of sp to subset, inf for the empty subset."""
+    d, idxs = sp.base.dist, [sp.base.index[p] for p in subset]
+    return [min([row[j] for j in idxs], default=INF) for row in d]
 
 
 def _steps(sp, subset):
@@ -74,16 +71,9 @@ def _steps(sp, subset):
     distance ts[i] of the subset; points at infinite distance (empty
     subset) never enter.
     """
-    dists = {}
-    for x in sp.base.points:
-        d = _dist_to_subset(sp.base, x, subset)
-        if d < INF:
-            dists[x] = d
-    ts = sorted(set(dists.values()) | {0.0})
-    ms = []
-    for t in ts:
-        ms.append(sum(sp.mass[x] for x, d in dists.items() if d <= t))
-    return ts, ms
+    if not subset:
+        return [0.0], [0]
+    return level_sums(_column(sp, subset), [sp.mass[p] for p in sp.points])
 
 
 def _capacity(ts, ms, v):
@@ -156,10 +146,6 @@ def _masses(sp):
     return w, (subset_sums(w) if len(w) <= MAX_ITEMS else None)
 
 
-def _column(sp, subset):
-    return [_dist_to_subset(sp.base, x, subset) for x in sp.points]
-
-
 def prokhorov_seminorm(f):
     """Least delta making every target set catchable in the source.
 
@@ -185,7 +171,12 @@ def prokhorov_seminorm(f):
 
 
 def prokhorov_seminorm_capacity_form(f):
-    """Oracle route: sup over subsets and value kinks of the capacity gap."""
+    """Oracle route: sup over subsets and value kinks of the capacity gap.
+
+    Written out rather than as capacity_norms over handles (A, v): every
+    kink of A is evaluated on the steps of A and of its preimage, built
+    once per subset, which such handles would rebuild for every kink.
+    """
     src, tgt = f.source, f.target
     best = 0.0
     for a in subsets(tgt.base.points):
@@ -226,6 +217,9 @@ def volume_norm(sp):
 
     The empty source turns the capacity gap into v - c_P(A, v); the sup
     over subsets and value kinks is exact and never exceeds the volume.
+    Written out rather than as capacity_norms for the reason given at
+    prokhorov_seminorm_capacity_form: one subset's steps serve all its
+    kinks.
     """
     vol = sp.volume()
     best = 0.0
@@ -243,21 +237,18 @@ def volume_norm(sp):
 
 
 def prokhorov_family(sp, v_values):
-    """Subobject handles (A, v) ordered by reversed inclusion and growing v.
+    """Handles (A, v) with their order and the Prokhorov capacity on them.
 
-    c_P shrinks when A grows and grows with v, so this is the order that
-    makes it a monotone capacity.  Returns (family, capacity).
+    (A, v) <= (B, w) when B is inside A and v <= w: c_P shrinks when A
+    grows and grows with v, so this is the order that makes it a
+    monotone capacity.  Returns (handles, leq, capacity), the arguments
+    of check_capacity_monotone.
     """
     vs = sorted(set(float(v) for v in v_values))
     subs = map(frozenset, subsets(sp.base.points, nonempty=False, limit=10))
-    fam = SubobjectFamily(
-        carrier=sp,
-        handles=tuple((a, v) for a in subs for v in vs),
-        leq=lambda h1, h2: h2[0] <= h1[0] and h1[1] <= h2[1],
-        is_empty=lambda h: len(h[0]) == 0)
-    cap = Capacity(lambda h: prokhorov_capacity(sp, h[0], h[1]),
-                   direction="monotone")
-    return fam, cap
+    return (tuple((a, v) for a in subs for v in vs),
+            lambda h1, h2: h2[0] <= h1[0] and h1[1] <= h2[1],
+            lambda h: prokhorov_capacity(sp, h[0], h[1]))
 
 
 def measure_isometry_search(a, b):

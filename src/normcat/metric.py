@@ -15,7 +15,7 @@ import numpy as np
 
 from .extreal import INF, NEG_INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
-from .capacity import SubobjectFamily, Capacity, CapacityInstance
+from .capacity import CapacityInstance, capacity_norms
 from .search import least_max, solve, subset_maxima, subsets
 
 
@@ -183,18 +183,15 @@ def dilatation_norm(f):
 
 
 def dilatation_norm_capacity(f):
-    """Subset form: sup0 over target subsets A of diam(preimage of A) - diam(A).
+    """Subset form: sup0 over target subsets A of diam(preimage of A) - diam(A),
+    the seminorm of the diameter capacity.
 
     Exponential in the target size; used as the oracle against the
     pointwise form.
     """
-    best = 0.0
-    for a in subsets(f.target.points):
-        pre = f.preimage(a)
-        v = diameter(f.source, pre) - diameter(f.target, a)
-        if v > best:
-            best = v
-    return best
+    return capacity_norms(subsets(f.target.points), f.preimage,
+                          lambda a: diameter(f.target, a),
+                          lambda b: diameter(f.source, b))[0]
 
 
 def dilatation_left_dual(f):
@@ -456,15 +453,6 @@ def is_isometry(f):
 
 # -- capacity instances over the diameter ----------------------------------
 
-def _tagged_subset_family(label, sp, preimage):
-    return SubobjectFamily(
-        carrier=label,
-        handles=tuple((label, frozenset(a)) for a in subsets(sp.points, nonempty=False)),
-        leq=lambda a, b: a[0] == b[0] and a[1] <= b[1],
-        preimage=preimage,
-        is_empty=lambda h: len(h[1]) == 0)
-
-
 # bound on the composition closure of diameter_capacity_instance
 MAX_MORPHISMS = 400
 
@@ -482,8 +470,9 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     keep their names unless equal to an earlier map, whose name they
     take (in annihilated too); an identity, probe or composite ("g.f")
     whose name is taken gets primes appended.  Returns (CapacityInstance,
-    {morphism name: MultiMap}) with the instance ready for
-    dual_inequality_report.
+    {morphism name: MultiMap}); the instance holds each morphism's
+    capacity_norms of the diameter over every target subset, the empty
+    one included, ready for dual_inequality_report.
     """
     spaces = dict(spaces)
     label_of = {sp: lab for lab, sp in spaces.items()}
@@ -571,14 +560,10 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
     mors = [(name, endpoints[name][0], endpoints[name][1]) for name in maps]
     cat = FiniteCategory(list(spaces), mors, ids, comp)
 
-    def preimage(name, handle):
-        mm = maps[name]
-        src_lab = endpoints[name][0]
-        return (src_lab, mm.preimage(handle[1]))
-
-    families = {lab: _tagged_subset_family(lab, sp, preimage)
-                for lab, sp in spaces.items()}
-    cap = Capacity(lambda h: diameter(spaces[h[0]], h[1]), direction="monotone")
-    inst = CapacityInstance(category=cat, families=families,
-                            capacity=cap, annihilated=tuple(map(kept, annihilated)))
+    norms = {name: capacity_norms(subsets(mm.target.points, nonempty=False), mm.preimage,
+                                  lambda a: diameter(mm.target, a),
+                                  lambda b: diameter(mm.source, b))
+             for name, mm in maps.items()}
+    inst = CapacityInstance(category=cat, norms=norms,
+                            annihilated=tuple(map(kept, annihilated)))
     return inst, dict(maps)

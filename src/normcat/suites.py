@@ -253,8 +253,7 @@ def suite_measure(seed, cases):
     runs = max(1, cases // 10)
     for _ in range(runs):
         sp = random_mm_space(rng, rng.randint(1, 4))
-        fam, cap = prokhorov_family(sp, [0.0, 0.5, sp.volume()])
-        ok, witness = check_capacity_monotone(fam, cap)
+        ok, witness = check_capacity_monotone(*prokhorov_family(sp, [0.0, 0.5, sp.volume()]))
         if not ok:
             bad = "monotonicity witness %r" % (witness,)
             break

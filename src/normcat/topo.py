@@ -12,6 +12,7 @@ for simplex dimension on finite simplicial complexes.
 import itertools
 import math
 
+from .capacity import capacity_norms
 from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
 from .search import down_sets, solve, subsets
@@ -47,10 +48,6 @@ class FiniteTopSpace:
     def comparable(self, a, b):
         return self.below(a, b) or self.below(b, a)
 
-    def is_open(self, subset):
-        s = set(subset)
-        return all(q in s for p in s for q in self.points if self.below(p, q))
-
     def is_closed(self, subset):
         s = set(subset)
         return all(q in s for p in s for q in self.points if self.below(q, p))
@@ -59,11 +56,6 @@ class FiniteTopSpace:
         cols = [self.index[p] for p in set(subset)]
         return frozenset(q for q, row in zip(self.points, self.leq)
                          if any(row[j] for j in cols))
-
-    def is_t1(self):
-        """On finite spaces T1 collapses to discreteness (trivial order)."""
-        n = len(self.points)
-        return all(self.leq[i][j] == (i == j) for i in range(n) for j in range(n))
 
     def __len__(self):
         return len(self.points)
@@ -182,7 +174,10 @@ def component_capacity_form(f):
     """Capacity form over all nonempty target subsets.
 
     term = log #components(preimage) - log #components(subset); provably
-    equal to component_seminorm, kept as its independent check.
+    equal to component_seminorm, kept as its independent check.  Written
+    out rather than as capacity_norms: here an empty preimage makes the
+    form infinite, while capacity_norms skips a preimage whose capacity
+    (log 0 = -inf) is -inf.
     """
     tgt = f.target
     terms = []
@@ -252,10 +247,11 @@ def dimension_seminorm(vmap):
     """Fiber and capacity forms of the dimension seminorm of a simplicial map.
 
     fiber_form: sup0 over target vertices of log(1 + dim) of the full
-    preimage subcomplex of that vertex.  capacity_form: sup0 over
-    nonempty subcomplexes A of dim value of preimage minus dim value of
-    A.  Empty preimages count 0 (a non-surjective inclusion should not
-    be infinitely singular for dimension reasons).
+    preimage subcomplex of that vertex.  capacity_form: the seminorm of
+    the dim value capacity over the subcomplexes A, sup0 of dim value of
+    preimage minus dim value of A (the empty A adds 0).  Empty preimages
+    count 0 (a non-surjective inclusion should not be infinitely
+    singular for dimension reasons).
     """
     src, tgt = vmap.source, vmap.target
 
@@ -270,12 +266,8 @@ def dimension_seminorm(vmap):
         fiber_terms.append(_dim_value(fib))
     fiber_form = sup0(fiber_terms)
 
-    cap_terms = []
-    for sub in _subcomplexes(tgt):
-        if not sub:
-            continue
-        cap_terms.append(_dim_value(preimage_simplices(sub)) - _dim_value(sub))
-    capacity_form = sup0(cap_terms)
+    capacity_form = capacity_norms(_subcomplexes(tgt), preimage_simplices,
+                                   _dim_value, _dim_value)[0]
     return {"fiber_form": fiber_form, "capacity_form": capacity_form}
 
 

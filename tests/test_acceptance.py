@@ -13,12 +13,7 @@ import numpy as np
 
 from normcat.extreal import INF
 from normcat.category import dual_seminorm
-from normcat.capacity import (
-    Capacity,
-    check_capacity_monotone,
-    dual_inequality_report,
-    subset_family,
-)
+from normcat.capacity import check_capacity_monotone, dual_inequality_report
 from normcat.discrete import (
     FiniteFunction,
     csb_witness,
@@ -80,6 +75,7 @@ from normcat.generate import (
     random_simplicial,
     random_testfn_values,
 )
+from normcat.search import subsets
 
 LOG2 = math.log(2.0)
 
@@ -244,14 +240,13 @@ def test_criterion_10_capacity_monotonicity():
     rng = random.Random(110)
     for _ in range(20):
         sp = random_metric_space(rng, rng.randint(1, 4))
-        fam = subset_family("X", sp.points)
-        cap = Capacity(lambda h, sp=sp: diameter(sp, h), direction="monotone")
-        ok, witness = check_capacity_monotone(fam, cap)
+        handles = [frozenset(a) for a in subsets(sp.points, nonempty=False)]
+        ok, witness = check_capacity_monotone(handles, lambda a, b: a <= b,
+                                              lambda h, sp=sp: diameter(sp, h))
         assert ok, witness
     for _ in range(20):
         sp = random_mm_space(rng, rng.randint(1, 4))
-        fam, cap = prokhorov_family(sp, [0.0, 0.4, sp.volume()])
-        ok, witness = check_capacity_monotone(fam, cap)
+        ok, witness = check_capacity_monotone(*prokhorov_family(sp, [0.0, 0.4, sp.volume()]))
         assert ok, witness
     for _ in range(500):
         sp = random_mm_space(rng, rng.randint(2, 5), fully_supported=True)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from normcat.extreal import INF
-from normcat.capacity import check_capacity_monotone
+from normcat.capacity import check_capacity_monotone, validate_order
 from normcat.metric import FiniteMetricSpace, line_space, two_point_space, thicken
 from normcat.measure import (
     BaseMismatch,
@@ -103,9 +103,9 @@ def test_prokhorov_family_passes_monotone_check():
     rng = random.Random(11)
     for _ in range(10):
         sp = random_mm_space(rng, rng.randint(1, 4))
-        fam, cap = prokhorov_family(sp, [0.0, 0.5, sp.volume(), sp.volume() + 1.0])
-        fam.validate_order()
-        ok, witness = check_capacity_monotone(fam, cap)
+        handles, leq, cap = prokhorov_family(sp, [0.0, 0.5, sp.volume(), sp.volume() + 1.0])
+        validate_order(handles, leq)
+        ok, witness = check_capacity_monotone(handles, leq, cap)
         assert ok, witness
 
 

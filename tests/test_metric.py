@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from normcat.extreal import INF
+from normcat.extreal import INF, sup0
 from normcat.capacity import dual_inequality_report
 from normcat.generate import random_metric_space, random_multimap, random_function_map, random_subset
 from normcat.metric import (
@@ -156,6 +156,26 @@ def test_dilatation_capacity_form_values():
     assert dilatation_norm_capacity(sel) == 1.0
     const = MultiMap.from_function(line_space([0, 1]), one_point_space(), {0: "*", 1: "*"})
     assert dilatation_norm_capacity(const) == 1.0
+
+
+def looped_dilatation_norm_capacity(f):
+    """The subset form as a hand loop, as it was written before it became
+    one capacity_norms call."""
+    best = 0.0
+    for a in subsets(f.target.points):
+        v = diameter(f.source, f.preimage(a)) - diameter(f.target, a)
+        if v > best:
+            best = v
+    return best
+
+
+def test_dilatation_capacity_form_matches_the_hand_loop():
+    rng = random.Random(60602)
+    for _ in range(150):
+        x = random_metric_space(rng, rng.randint(1, 5), "x")
+        y = random_metric_space(rng, rng.randint(1, 5), "y")
+        f = random_multimap(rng, x, y)
+        assert dilatation_norm_capacity(f) == looped_dilatation_norm_capacity(f)
 
 
 def test_dilatation_forms_agree_on_random_maps():
@@ -552,6 +572,49 @@ def test_capacity_rows_match_direct_formulas():
             mm = maps[row.morphism]
             assert abs(row.norm - dilatation_norm(mm)) <= 1e-9
             assert abs(row.coseminorm - codiameter_seminorm(mm)) <= 1e-9
+
+
+def tagged_capacity_rows(spaces, maps, endpoints):
+    """(seminorm, coseminorm, filter hits) per morphism by the walk over
+    (label, subset) handles that served every object with one diameter
+    capacity, as the instance computed them before."""
+    c = lambda h: diameter(spaces[h[0]], h[1])
+    rows = {}
+    for name, mm in maps.items():
+        src, tgt = endpoints[name]
+        sem, cosem, hits = [], [], 0
+        for C in ((tgt, frozenset(a)) for a in subsets(spaces[tgt].points, nonempty=False)):
+            cC = c(C)
+            if cC == INF:
+                continue
+            B = (src, mm.preimage(C[1]))
+            cB = c(B)
+            if cB != -INF:
+                sem.append(INF if cB == INF else cB - cC)
+            if len(B[1]) == 0:
+                hits += 1
+            elif cB != INF:
+                cosem.append(INF if cB == -INF else cC - cB)
+        rows[name] = (sup0(sem), sup0(cosem), hits)
+    return rows
+
+
+def test_capacity_rows_match_the_tagged_walk():
+    rng = random.Random(60620)
+    for t in range(16):
+        sizes = sorted((rng.randint(1, 4) for _ in range(3)), reverse=True)
+        spaces = {"s%d" % i: random_metric_space(rng, sizes[i], "s%d_" % i) for i in range(3)}
+        gens = {"f0": random_multimap(rng, spaces["s0"], spaces["s1"]),
+                "f1": random_function_map(rng, spaces["s1"], spaces["s2"])}
+        pulled = ("f1",) if t % 2 else ()
+        inst, maps = diameter_capacity_instance(spaces, gens, attach_pullbacks=pulled)
+        cat = inst.category
+        endpoints = {name: (m.src, m.tgt) for name, m in cat.morphisms.items()}
+        labeled = {lab: maps[cat.identity[lab]].source for lab in cat.objects}
+        want = tagged_capacity_rows(labeled, maps, endpoints)
+        got = {r.morphism: (r.norm, r.coseminorm, r.filter_hits)
+               for r in dual_inequality_report(inst).rows}
+        assert got == want
 
 
 def test_generator_names_survive_derived_names():

@@ -1,6 +1,6 @@
-"""Structural guards over the source tree: every public function is
-reached from the command line or has a named role, and no invariant
-rests on an assert statement."""
+"""Structural guards over the source tree: every public function and
+public method is reached from the command line or has a named role, and
+no invariant rests on an assert statement."""
 
 import ast
 import pathlib
@@ -14,14 +14,17 @@ BUILDER = "builder"
 AXIOMS = "norm axioms and metrization"
 FACTORIZATION = "monotone-light factorization check"
 
-# the public top-level functions that neither the CLI nor `check`
-# reaches, each with the role that keeps it
+# the public top-level functions and methods that neither the CLI nor
+# `check` reaches, each with the role that keeps it
 UNREACHED = {
-    "capacity.subset_family": BUILDER,
+    "capacity.validate_order": ORACLE,
+    "category.FiniteCategory.hom": AXIOMS,
     "category.check_norm_axioms": AXIOMS,
     "category.identity_only_category": BUILDER,
     "category.induced_pqmetric": AXIOMS,
     "category.modulator_subcategory": AXIOMS,
+    "category.monoid_category": BUILDER,
+    "discrete.NormedMonoid.from_table": BUILDER,
     "discrete.compose_functions": ORACLE,
     "discrete.cost_category": BUILDER,
     "discrete.cost_pseudometric": AXIOMS,
@@ -32,6 +35,7 @@ UNREACHED = {
     "discrete.simplicial_mutual_embedding": AXIOMS,
     "generate.random_subset": BUILDER,
     "linear.min_gain_estimate": ORACLE,
+    "measure.FiniteMMSpace.measure": ORACLE,
     "measure.capacity_value_kinks": ORACLE,
     "measure.measure_isometry_search": AXIOMS,
     "measure.prokhorov_seminorm_capacity_form": ORACLE,
@@ -45,6 +49,7 @@ UNREACHED = {
     "metric.two_point_probe_dual": ORACLE,
     "metric.two_point_space": BUILDER,
     "metric.zero_dilatation_endos": AXIOMS,
+    "topo.FiniteTopSpace.is_closed": ORACLE,
     "topo.all_posets": BUILDER,
     "topo.compose_poset_maps": FACTORIZATION,
     "topo.discrete_space": BUILDER,
@@ -66,18 +71,28 @@ def _names(node):
 
 
 def unreached_functions(trees):
-    """Public top-level functions that no walk from cli.main reaches.
+    """Public top-level functions and methods that no walk from cli.main
+    reaches.
 
     A definition is reached when its name occurs in a reached body or in
     module-level code; a name reaches every definition it names, in any
-    module, so the walk can only overcount what is reached.
+    module, so the walk can only overcount what is reached.  Reaching a
+    class reaches its bases, decorators, fields and dunder methods, which
+    run without being named; its other methods are reached by name.
     """
     defs = {}
     todo = ["main"]
     for tree in trees.values():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods = _methods(node)
+                defs.setdefault(node.name, []).extend(
+                    [n for n in node.body if n not in methods]
+                    + node.bases + node.decorator_list)
+                for n in methods:
+                    defs.setdefault(n.name, []).append(n)
             else:
                 todo += _names(node)
     reached = set()
@@ -87,10 +102,22 @@ def unreached_functions(trees):
             reached.add(name)
             for node in defs.get(name, ()):
                 todo += _names(node)
-    return {"%s.%s" % (module, node.name)
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and not node.name.startswith("_") and node.name not in reached}
+    listed = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                listed["%s.%s" % (module, node.name)] = node.name
+            elif isinstance(node, ast.ClassDef):
+                listed.update(("%s.%s.%s" % (module, node.name, n.name), n.name)
+                              for n in _methods(node))
+    return {key for key, name in listed.items()
+            if not name.startswith("_") and name not in reached}
+
+
+def _methods(cls):
+    """The methods of a class that run only when named: all but dunders."""
+    return [n for n in cls.body if isinstance(n, ast.FunctionDef)
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
 
 
 def test_every_unreached_function_has_a_role():
@@ -106,12 +133,27 @@ def test_the_walk_sees_a_function_nothing_calls():
     assert unreached_functions(trees) == set(UNREACHED)
 
 
+def test_the_walk_sees_a_method_nothing_names():
+    # a reached class runs its dunder methods; its other methods need a name
+    trees = _trees()
+    trees["extra"] = ast.parse("class Box:\n"
+                               "    def __init__(self):\n        self.origin = line_space([0])\n"
+                               "    def unused(self):\n        pass\n\n"
+                               "BOX = Box()\n")
+    reached_by_init = set(UNREACHED) - {"metric.line_space"}
+    assert unreached_functions(trees) == reached_by_init | {"extra.Box.unused"}
+    trees["extra"].body.append(ast.parse("BOX.unused()").body[0])
+    assert unreached_functions(trees) == reached_by_init
+
+
 def test_the_walk_reports_a_stale_entry():
     # a listed function that something reached now calls is no longer
     # unreached, so its entry fails the guard
     trees = _trees()
     trees["extra"] = ast.parse("ORIGIN = line_space([0])\n")
     assert unreached_functions(trees) == set(UNREACHED) - {"metric.line_space"}
+    trees["extra"] = ast.parse("CLOSED = SPACE.is_closed(())\n")
+    assert unreached_functions(trees) == set(UNREACHED) - {"topo.FiniteTopSpace.is_closed"}
 
 
 def test_private_functions_are_never_listed():
