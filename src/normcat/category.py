@@ -340,7 +340,7 @@ def first_triangle_violation(dist, tol):
         # ran 3x slower at n = 170 under numpy 2.4
         bound = rows[:, :, None] + d[None, :, :] + tol
         bad = rows[:, None, :] > bound
-        if bad.any():
+        if np.count_nonzero(bad):
             i, j, k = np.argwhere(bad)[0].tolist()
             return lo + i, j, k
     return None
@@ -352,6 +352,18 @@ def first_transitivity_violation(leq):
     its complement 1 - leq satisfies the triangle inequality."""
     rel = np.asarray(leq, dtype=bool)
     return first_triangle_violation(1.0 - rel.reshape(len(rel), len(rel)), 0.0)
+
+
+def _reject_first_bad_entry(labels, d, tol):
+    """Raise for the first entry, row by row, that breaks the diagonal
+    or sign rule; the diagonal entry is checked first in its row."""
+    n = len(labels)
+    for i in range(n):
+        if abs(d[i][i]) > tol:
+            raise ValueError("nonzero diagonal at %r" % (labels[i],))
+        for j in range(n):
+            if d[i][j] < 0:
+                raise ValueError("negative distance at (%r, %r)" % (labels[i], labels[j]))
 
 
 @dataclass(frozen=True)
@@ -369,12 +381,10 @@ class PqMetricMatrix:
             raise ValueError("distance matrix shape does not match labels")
         d = np.asarray(self.dist, dtype=float).reshape(n, n)
         tol = scale_tolerance(d)
-        for i in range(n):
-            if abs(self.dist[i][i]) > tol:
-                raise ValueError("nonzero diagonal at %r" % (self.labels[i],))
-            for j in range(n):
-                if self.dist[i][j] < 0:
-                    raise ValueError("negative distance at (%r, %r)" % (self.labels[i], self.labels[j]))
+        # d reads None as nan and "1" as 1.0; the loop raises TypeError on them
+        if (np.asarray(self.dist).dtype.kind not in "biuf"
+                or np.count_nonzero(d.diagonal() > tol) or np.count_nonzero(d < 0)):
+            _reject_first_bad_entry(self.labels, self.dist, tol)
         bad = first_triangle_violation(d, tol)
         if bad is not None:
             i, j, k = bad

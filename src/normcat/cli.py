@@ -327,8 +327,12 @@ def build_parser():
     return p
 
 
+# built once: parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()

@@ -38,7 +38,7 @@ class FiniteMetricSpace:
 
     def __init__(self, points, dist, allow_pseudo=False, allow_quasi=False):
         self.points = tuple(points)
-        self.dist = tuple(tuple(float(v) for v in row) for row in dist)
+        self.dist = tuple(tuple(map(float, row)) for row in dist)
         self.allow_pseudo = allow_pseudo
         self.allow_quasi = allow_quasi
         n = len(self.points)
@@ -47,22 +47,20 @@ class FiniteMetricSpace:
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix shape does not match points")
         self.index = {p: i for i, p in enumerate(self.points)}
-        d = self.dist
-        arr = np.asarray(d, dtype=float).reshape(n, n)
-        tol = scale_tolerance(arr)
-        for i in range(n):
-            if d[i][i] != 0.0:
-                raise ValueError("nonzero diagonal at %r" % (self.points[i],))
-            for j in range(n):
-                v = d[i][j]
-                if not (0.0 <= v < INF):
-                    raise ValueError("distance (%r, %r) outside [0, inf)" % (self.points[i], self.points[j]))
-                if i != j and v == 0.0 and not allow_pseudo:
-                    raise ValueError("zero distance between distinct points %r, %r"
-                                     % (self.points[i], self.points[j]))
-                if not allow_quasi and abs(v - d[j][i]) > tol:
-                    raise ValueError("asymmetric distance at (%r, %r)" % (self.points[i], self.points[j]))
-        bad = first_triangle_violation(arr, tol)
+        a = self.array = np.asarray(self.dist, dtype=float).reshape(n, n)
+        hi = float(a.max(initial=0.0))
+        tol = 1e-9 * max(1.0, hi)
+        # Counts decide whether some entry is bad (nan fails every
+        # comparison); only then does the loop run, to name it.  With every
+        # entry finite, tol is scale_tolerance(a), and as fl(u - v) =
+        # -fl(v - u), a - a^T > tol somewhere iff |a - a^T| > tol somewhere.
+        if not (hi < INF and not np.count_nonzero(a.diagonal())
+                and (np.count_nonzero(a >= 0.0) == n * n if allow_pseudo
+                     else np.count_nonzero(a > 0.0) == n * (n - 1))
+                and (allow_quasi or not np.count_nonzero(a - a.T > tol))):
+            _reject_first_bad_entry(self.points, self.dist, scale_tolerance(a),
+                                    allow_pseudo, allow_quasi)
+        bad = first_triangle_violation(a, tol)
         if bad is not None:
             raise ValueError("triangle inequality fails on (%r, %r, %r)"
                              % tuple(self.points[i] for i in bad))
@@ -82,6 +80,24 @@ class FiniteMetricSpace:
 
     def __repr__(self):
         return "FiniteMetricSpace(%r)" % (list(self.points),)
+
+
+def _reject_first_bad_entry(points, d, tol, allow_pseudo, allow_quasi):
+    """Raise for the first entry, row by row, that breaks the range,
+    zero or symmetry rule; the diagonal entry is checked first in its row."""
+    n = len(points)
+    for i in range(n):
+        if d[i][i] != 0.0:
+            raise ValueError("nonzero diagonal at %r" % (points[i],))
+        for j in range(n):
+            v = d[i][j]
+            if not (0.0 <= v < INF):
+                raise ValueError("distance (%r, %r) outside [0, inf)" % (points[i], points[j]))
+            if i != j and v == 0.0 and not allow_pseudo:
+                raise ValueError("zero distance between distinct points %r, %r"
+                                 % (points[i], points[j]))
+            if not allow_quasi and abs(v - d[j][i]) > tol:
+                raise ValueError("asymmetric distance at (%r, %r)" % (points[i], points[j]))
 
 
 def line_space(values, labels=None):
@@ -159,22 +175,24 @@ def diameter(sp, subset):
 
 
 def _selection_gap(f, sign):
-    """sup0 over point pairs and selections of sign * (d(x,y) - d(y1,y2))."""
-    dx, dy = f.source.dist, f.target.dist
-    six, tix = f.source.index, f.target.index
-    best = 0.0
-    pts = f.source.points
-    for x in pts:
-        fx = [tix[y] for y in f.assign[x]]
-        for y in pts:
-            fy = [tix[w] for w in f.assign[y]]
-            dxy = dx[six[x]][six[y]]
-            for i in fx:
-                for j in fy:
-                    v = sign * (dxy - dy[i][j])
-                    if v > best:
-                        best = v
-    return best
+    """sup0 over point pairs and selections of sign * (d(x,y) - d(y1,y2)).
+
+    Rounding is monotone (fl(u - v) never rises as v grows), so the
+    best selection is the nearest pair for sign 1 and the farthest for
+    sign -1: the target rows, then columns, are reduced over each value
+    set, and one subtraction against the source array is maximized.
+    With K = sum of |f(x)| the temporaries hold K*m, n*K and n*n entries.
+    """
+    tix = f.target.index
+    starts, flat = [], []
+    for x in f.source.points:
+        starts.append(len(flat))
+        flat.extend([tix[y] for y in f.assign[x]])
+    red = np.minimum if sign > 0 else np.maximum
+    rows = red.reduceat(f.target.array.take(flat, 0), starts)
+    near = red.reduceat(rows.take(flat, 1), starts, axis=1)
+    gap = f.source.array - near if sign > 0 else near - f.source.array
+    return max(0.0, float(gap.max(initial=0.0)))
 
 
 def dilatation_norm(f):

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from normcat.extreal import INF
@@ -13,7 +14,7 @@ from normcat.category import (
     check_seminorm_axioms, check_norm_axioms,
     dual_seminorm, induced_pqmetric, modulator_subcategory,
     identity_only_category, monoid_category, PqMetricMatrix,
-    first_triangle_violation,
+    first_triangle_violation, scale_tolerance,
 )
 from normcat.discrete import CostSystem, cost_category, function_category, group_norm_category
 
@@ -360,6 +361,88 @@ def test_pqmetric_matrix_with_infinite_entries():
     PqMetricMatrix(("a", "b"), ((0.0, INF), (INF, 0.0)))
     with pytest.raises(ValueError, match=r"d\('a','c'\) > d\('a','b'\) \+ d\('b','c'\)"):
         PqMetricMatrix(("a", "b", "c"), ((0.0, 1.0, INF), (INF, 0.0, 1.0), (INF, INF, 0.0)))
+
+
+def looped_pq_check(labels, dist):
+    """PqMetricMatrix's validation as it was written before the entry
+    rules became numpy reductions: one Python pass over every entry."""
+    n = len(labels)
+    if len(dist) != n or any(len(row) != n for row in dist):
+        raise ValueError("distance matrix shape does not match labels")
+    d = np.asarray(dist, dtype=float).reshape(n, n)
+    tol = scale_tolerance(d)
+    for i in range(n):
+        if abs(dist[i][i]) > tol:
+            raise ValueError("nonzero diagonal at %r" % (labels[i],))
+        for j in range(n):
+            if dist[i][j] < 0:
+                raise ValueError("negative distance at (%r, %r)" % (labels[i], labels[j]))
+    bad = first_triangle_violation(d, tol)
+    if bad is not None:
+        i, j, k = bad
+        raise ValueError(
+            "triangle inequality fails: d(%r,%r) > d(%r,%r) + d(%r,%r)"
+            % (labels[i], labels[k], labels[i], labels[j], labels[j], labels[k]))
+
+
+def outcome(check, *args):
+    """None when check passes, else the type and message of what it raised."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def perturbed_pq_rows(rng):
+    """Path lengths of a random weighted digraph on 0-6 points (inf off
+    its reach) with up to three entries broken: a diagonal just above or
+    below the tolerance, negative, nan, +-inf, None, strings, bools, or a
+    ragged row."""
+    n = rng.randint(0, 6)
+    d = [[0.0 if i == j else (rng.uniform(0.5, 2.0) if rng.random() < 0.7 else INF)
+          for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    for _ in range(rng.randint(0, 3) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(7)
+        if kind == 0:
+            tol = 1e-9 * max([1.0] + [v for row in d for v in row
+                                      if isinstance(v, float) and v < INF])
+            d[i][i] = rng.choice([0.5, 1.5, 2.5, -1.5, 0.0]) * tol
+        elif kind == 1:
+            d[i][j] = -rng.choice([1e-12, 1.0])
+        elif kind == 2:
+            d[i][j] = rng.choice([math.nan, INF, -INF])
+        elif kind == 3:
+            d[i][j] = None
+        elif kind == 4:
+            d[i][j] = rng.choice(["1.5", "0", "far"])
+        elif kind == 5:
+            d[i][j] = rng.choice([True, False])
+        else:
+            d[i][j] = rng.uniform(0.0, 5.0)
+    if n and rng.random() < 0.1:
+        i = rng.randrange(n)
+        d[i] = d[i][:-1] if rng.random() < 0.5 else d[i] + [1.0]
+    return tuple("p%d" % i for i in range(n)), tuple(tuple(row) for row in d)
+
+
+def test_pqmetric_validation_names_the_entry_the_loop_named():
+    rng = random.Random(15003)
+    seen = set()
+    for _ in range(600):
+        labels, dist = perturbed_pq_rows(rng)
+        want = outcome(looped_pq_check, labels, dist)
+        assert outcome(PqMetricMatrix, labels, dist) == want, (labels, dist)
+        seen.add(None if want is None else (want[0], " ".join(want[1].split()[:2])))
+    assert seen >= {None, (TypeError, "bad operand"), (TypeError, "'<' not"),
+                    (ValueError, "could not"), (ValueError, "distance matrix"),
+                    (ValueError, "nonzero diagonal"), (ValueError, "negative distance"),
+                    (ValueError, "triangle inequality")}
 
 
 def brute_force_violation(d, tol):

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -507,3 +511,43 @@ def test_map_parse_serialize_round_trip(tmp_path, capsys, kind, size):
     path = tmp_path / "f.json"
     path.write_text(text)
     assert serialize_instance(parse_instance(str(path))) == text
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", None)
+    a = line_file(tmp_path, "a.json", [0.0, 1.0])
+    code, out, _ = run(capsys, "dist", "--kind", "gh", a, a, "--format", "text")
+    assert (code, out) == (0, "gh_distance = 0.0\n")
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys, monkeypatch):
+    # argparse wraps usage lines at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    src = {"kind": "metric_space", "points": ["x0", "x1", "x2"],
+           "dist": [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]}
+    tgt = {"kind": "metric_space", "points": ["y0", "y1"], "dist": [[0.0, 1.5], [1.5, 0.0]]}
+    m = write_json(tmp_path / "m.json", {"kind": "map", "source": src, "target": tgt,
+                                         "assign": {"x0": "y0", "x1": "y1", "x2": "y1"}})
+    a, b = line_file(tmp_path, "a.json", [0.0, 1.0, 3.0]), line_file(tmp_path, "b.json", [0.0, 2.0])
+    calls = [["norm", "--kind", "dil", "--map", m],
+             ["dist", "--kind", "dil-plus", a, b],
+             ["check", "--suite", "metric", "--cases", "2", "--seed", "4", "--format", "csv"],
+             ["norm", "--kind", "no-such-kind", "--map", m],
+             ["norm", "--kind", "dil", "--map", m]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    untimed = lambda text: re.sub(r'"timing_s": [0-9.e-]+', '"timing_s": 0', text)
+    fresh, codes = {}, []
+    for argv in calls:
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = subprocess.run([sys.executable, "-m", "normcat"] + argv,
+                                                env=env, capture_output=True, text=True)
+        want = fresh[tuple(argv)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, untimed(out.out), out.err) == \
+            (want.returncode, untimed(want.stdout), want.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 2, 0]

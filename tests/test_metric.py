@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from normcat.extreal import INF, sup0
+from normcat.category import first_triangle_violation, scale_tolerance
 from normcat.capacity import dual_inequality_report
 from normcat.generate import random_metric_space, random_multimap, random_function_map, random_subset
 from normcat.metric import (
@@ -95,6 +96,104 @@ def test_triangle_tolerance_scales_with_the_distances():
         FiniteMetricSpace(["a", "m", "b"], [[0.0, 1e9, 2e9 + 10.0],
                                             [1e9, 0.0, 1e9],
                                             [2e9 + 10.0, 1e9, 0.0]])
+
+
+def looped_space_check(points, dist, allow_pseudo=False, allow_quasi=False):
+    """FiniteMetricSpace's validation as it was written before the entry
+    rules became numpy reductions: one Python pass over every entry."""
+    points = tuple(points)
+    d = tuple(tuple(float(v) for v in row) for row in dist)
+    n = len(points)
+    if len(set(points)) != n:
+        raise ValueError("duplicate point ids")
+    if len(d) != n or any(len(row) != n for row in d):
+        raise ValueError("distance matrix shape does not match points")
+    arr = np.asarray(d, dtype=float).reshape(n, n)
+    tol = scale_tolerance(arr)
+    for i in range(n):
+        if d[i][i] != 0.0:
+            raise ValueError("nonzero diagonal at %r" % (points[i],))
+        for j in range(n):
+            v = d[i][j]
+            if not (0.0 <= v < INF):
+                raise ValueError("distance (%r, %r) outside [0, inf)" % (points[i], points[j]))
+            if i != j and v == 0.0 and not allow_pseudo:
+                raise ValueError("zero distance between distinct points %r, %r"
+                                 % (points[i], points[j]))
+            if not allow_quasi and abs(v - d[j][i]) > tol:
+                raise ValueError("asymmetric distance at (%r, %r)" % (points[i], points[j]))
+    bad = first_triangle_violation(arr, tol)
+    if bad is not None:
+        raise ValueError("triangle inequality fails on (%r, %r, %r)"
+                         % tuple(points[i] for i in bad))
+
+
+def outcome(check, *args, **kwargs):
+    """None when check passes, else the type and message of what it raised."""
+    try:
+        check(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def perturbed_distances(rng):
+    """A scaled Euclidean metric on 0-6 points with up to three entries
+    broken: bad diagonal, negative, nan, +-inf, None, strings, bools, a
+    ragged row, a zero off the diagonal, or asymmetry near the tolerance."""
+    n = rng.randint(0, 6)
+    scale = rng.choice([1.0, 1e3, 1e10])
+    coords = [(rng.random(), rng.random()) for _ in range(n)]
+    d = [[scale * math.dist(a, b) for b in coords] for a in coords]
+    for _ in range(rng.randint(0, 3) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(10)
+        if kind == 0:
+            d[i][i] = rng.choice([1e-12, 0.5, -0.0, -1.0])
+        elif kind == 1:
+            d[i][j] = -rng.choice([d[i][j], 1.0])
+        elif kind == 2:
+            d[i][j] = rng.choice([math.nan, INF, -INF])
+        elif kind == 3:
+            d[i][j] = None
+        elif kind == 4:
+            d[i][j] = rng.choice([repr(d[i][j]), "1.5", "0", "far"])
+        elif kind == 5:
+            d[i][j] = rng.choice([True, False])
+        elif kind in (6, 7):
+            d[i][j] = 0.0
+            if rng.random() < 0.5:
+                d[j][i] = 0.0
+        elif isinstance(d[j][i], float) and math.isfinite(d[j][i]):
+            d[i][j] = d[j][i] + rng.choice([0.5, 0.99, 1.01, 2.0]) * 1e-9 * max(1.0, scale)
+    if n and rng.random() < 0.1:
+        i = rng.randrange(n)
+        d[i] = d[i][:-1] if rng.random() < 0.5 else d[i] + [1.0]
+    return ["p%d" % i for i in range(n)], d
+
+
+def test_space_validation_names_the_entry_the_loop_named():
+    rng = random.Random(15001)
+    seen = set()
+    for _ in range(600):
+        points, dist = perturbed_distances(rng)
+        flags = dict(allow_pseudo=rng.random() < 0.5, allow_quasi=rng.random() < 0.5)
+        want = outcome(looped_space_check, points, dist, **flags)
+        assert outcome(FiniteMetricSpace, points, dist, **flags) == want, (points, dist, flags)
+        seen.add(None if want is None else (want[0], " ".join(want[1].split()[:2])))
+    assert seen >= {None, (TypeError, "float() argument"),
+                    (ValueError, "could not"),
+                    (ValueError, "distance matrix"), (ValueError, "nonzero diagonal"),
+                    (ValueError, "distance ('p0',"), (ValueError, "zero distance"),
+                    (ValueError, "asymmetric distance"), (ValueError, "triangle inequality")}
+
+
+def test_space_validation_of_empty_and_one_point_spaces():
+    for points, dist in (((), ()), (("a",), ((0.0,),)), (("a",), ((-0.0,),)),
+                         (("a",), ((1.0,),)), (("a",), ((math.nan,),)), (("a",), ((INF,),))):
+        for flags in ({}, {"allow_pseudo": True, "allow_quasi": True}):
+            assert outcome(FiniteMetricSpace, points, dist, **flags) == \
+                outcome(looped_space_check, points, dist, **flags)
 
 
 def test_multimap_validation():
@@ -198,6 +297,68 @@ def test_dilatation_subadditive_under_composition():
         g = random_multimap(rng, y, z)
         assert dilatation_norm(compose_multimaps(g, f)) <= \
             dilatation_norm(g) + dilatation_norm(f) + 1e-9
+
+
+def looped_selection_gap(f, sign):
+    """dilatation_norm (sign 1) and dilatation_left_dual (sign -1) as they
+    were written before they became numpy reductions: every pair of
+    points and every selection in a Python loop."""
+    dx, dy = f.source.dist, f.target.dist
+    six, tix = f.source.index, f.target.index
+    best = 0.0
+    pts = f.source.points
+    for x in pts:
+        fx = [tix[y] for y in f.assign[x]]
+        for y in pts:
+            fy = [tix[w] for w in f.assign[y]]
+            dxy = dx[six[x]][six[y]]
+            for i in fx:
+                for j in fy:
+                    v = sign * (dxy - dy[i][j])
+                    if v > best:
+                        best = v
+    return best
+
+
+def seeded_dilatation_maps(rng):
+    """Single- and multi-valued maps from 0 to 40 points, on metric and
+    quasi-metric spaces, with maps whose gaps are exactly 0."""
+    empty = FiniteMetricSpace((), ())
+    yield MultiMap(empty, empty, {})
+    yield MultiMap(empty, line_space([0, 1]), {})
+    # -0.0 - 0.0 is -0.0, which must come out as 0.0
+    negative_zero = FiniteMetricSpace(("a",), ((-0.0,),))
+    yield MultiMap.from_function(negative_zero, one_point_space(), {"a": "*"})
+    yield MultiMap.from_function(one_point_space(), negative_zero, {"*": "a"})
+    for n in range(1, 41):
+        m = rng.randint(1, 40)
+        if n % 3:
+            x, y = random_metric_space(rng, n, "x"), random_metric_space(rng, m, "y")
+        else:
+            x, y = quasi_space(rng, n, "x"), quasi_space(rng, m, "y")
+        yield random_function_map(rng, x, y)
+        yield MultiMap(x, y, {p: rng.sample(y.points, rng.randint(1, min(m, 3 if n > 8 else m)))
+                              for p in x.points})
+        yield identity_map(x)
+    xs = [rng.uniform(0, 5) for _ in range(6)]
+    doubling = dict(zip(xs, [2 * v for v in xs]))
+    yield MultiMap.from_function(line_space(xs), line_space(list(doubling.values())), doubling)
+    halving = {v: u for u, v in doubling.items()}
+    yield MultiMap.from_function(line_space(list(halving)), line_space(xs), halving)
+
+
+def test_dilatation_values_match_the_selection_loop():
+    rng = random.Random(15002)
+    maps = list(seeded_dilatation_maps(rng))
+    x, y = random_metric_space(rng, 170, "x"), random_metric_space(rng, 120, "y")
+    maps.append(random_function_map(rng, x, y))
+    zeros = 0
+    for f in maps:
+        for got, sign in ((dilatation_norm(f), 1.0), (dilatation_left_dual(f), -1.0)):
+            want = looped_selection_gap(f, sign)
+            assert got == want and repr(got) == repr(want)
+            zeros += want == 0.0
+    assert zeros >= 40
 
 
 def test_left_dual_values():
