@@ -6,13 +6,14 @@ min/max over finitely many candidates and the headline identities hold
 without float tolerances beyond accumulation noise.
 """
 
-import bisect
 from dataclasses import dataclass
+
+import numpy as np
 
 from .category import FiniteMap
 from .extreal import INF
 from .metric import isometry_search
-from .search import MAX_ITEMS, level_sums, subset_rows, subset_sums, subsets
+from .search import MAX_ITEMS, level_sums, sorted_sums, subset_sums, subset_table, subsets
 
 
 class BaseMismatch(ValueError):
@@ -115,30 +116,6 @@ def capacity_value_kinks(sp, subset):
     return _kinks(*_steps(sp, subset))
 
 
-def _threshold(ts, ms, shift, v, floor):
-    """max(floor, least delta > 0 with mass(closed (shift+delta)-thickening)
-    + delta >= v), from the steps (ts, ms) of the thickening.
-
-    The least delta is at most v minus the mass within shift, so floor
-    is returned at once when that bound does not exceed it.  Mass jumps
-    happen at the original distance values; deciding ball membership
-    there (rather than at shift + (t - shift), which can round below t)
-    keeps the branch structure exact.  Each interval's candidate is at
-    least the end of the interval before, so the first that fits its
-    interval is the least; the last interval never ends.
-    """
-    j = bisect.bisect_right(ts, shift)
-    m = ms[j - 1] if j else 0
-    if v - m <= floor:
-        return floor
-    for t, nxt in zip([shift] + ts[j:], ts[j:] + [INF]):
-        cand = max(max(t - shift, 0.0), v - m)
-        if cand < nxt - shift:
-            return max(floor, cand)
-        m = ms[j]
-        j += 1
-
-
 def _masses(sp):
     """The masses in point order and, within the subset cap, their
     subset_sums table."""
@@ -146,27 +123,54 @@ def _masses(sp):
     return w, (subset_sums(w) if len(w) <= MAX_ITEMS else None)
 
 
+def _nonempty(start, rows):
+    """A block of a subset table without the empty subset's row, and the
+    mask of its first row."""
+    return (1, rows[1:]) if start == 0 else (start, rows)
+
+
 def prokhorov_seminorm(f):
     """Least delta making every target set catchable in the source.
 
     inf over delta > 0 such that for every target subset A and radius
     r >= 0: source mass of the (r+delta)-thickened preimage plus delta
-    dominates the target mass of the r-thickened A.  Per (A, r-interval)
-    the threshold is exact; the result is their maximum.
+    dominates the target mass of the r-thickened A.
 
-    One subset walk carries, for each A, the target's distances to A and
-    the source's distances to f^-1(A) in one row (min over the points
-    of A); masses come from exact point-order sums.
+    Per A, sort the target's distances to A, s_p with v_p the mass
+    within s_p, and the source's distances to f^-1(A), t_k with M_k the
+    mass within t_k.  The least delta at radius s_p is min(v_p, min over
+    k of max(t_k - s_p, 0, v_p - M_k)).  The candidate of a distinct
+    level t_k is that of the radius interval starting there; one that
+    does not fit its interval (is not below the next level minus s_p)
+    is never below the next candidate, and one that fits is below every
+    later one, so the min is the first that fits, and exact.  Positions
+    inside a tie group or at inf (an empty fibre) only add larger
+    candidates, and a target position inside a tie group a smaller
+    value.  The result is the max of 0 and of these over A and p, so
+    the 0 inside is left out: that changes only values that are 0 with
+    it.  One subset_table carries both distance rows of each A, and a
+    block's candidates are one broadcast.
     """
     src, tgt = f.source, f.target
-    n = len(tgt.points)
-    walk = subset_rows([_column(tgt, [q]) + _column(src, f.fiber(q)) for q in tgt.points])
-    tmass, smass = _masses(tgt), _masses(src)
+    n, size = len(tgt.points), len(src.points)
+    # column q: every target point's distance to q, then every source
+    # point's distance to f^-1(q)
+    cols = np.full((n, n + size), INF)
+    cols[:, :n] = tgt.base.array.T
+    np.minimum.at(cols[:, n:], np.array([tgt.base.index[f.assign[x]] for x in src.points],
+                                         dtype=np.intp), src.base.array.T)
+    (tw, tsums), (sw, ssums) = _masses(tgt), _masses(src)
     best = 0.0
-    for _, row in walk:
-        ts, ms = level_sums(row[n:], *smass)
-        for s, v in zip(*level_sums(row[:n], *tmass)):
-            best = _threshold(ts, ms, s, v, best)
+    for start, rows in subset_table(cols, np.minimum, max(n * size, n + size)):
+        _, rows = _nonempty(start, rows)
+        # points on axis 0 and subsets on axis 1, so the broadcast runs
+        # along the subsets
+        dists = np.ascontiguousarray(rows.T)
+        s, v = sorted_sums(dists[:n], tw, tsums)
+        t, m = sorted_sums(dists[n:], sw, ssums)
+        gap = t[:, None] - s
+        np.maximum(gap, v - m[:, None], out=gap)
+        best = max(best, float(np.minimum(v, gap.min(axis=0, initial=INF)).max(initial=0.0)))
     return best
 
 
@@ -190,25 +194,26 @@ def prokhorov_seminorm_capacity_form(f):
     return best
 
 
-def prokhorov_distance(mu_sp, nu_sp, symmetrize=False):
+def prokhorov_distance(mu_sp, nu_sp):
     """inf over delta > 0 with mu(open delta-thickening of A) + delta >= nu(A) for all A.
 
-    One subset walk carries each A's distances; nu(A) and the masses of
-    the thickenings come from exact point-order sums.
+    Per A, with (t_k, M_k) the sorted distances to A and the mu-mass
+    within each, that least delta is min over k of max(t_k, nu(A) - M_k),
+    for the reason given at prokhorov_seminorm; t_0 = 0, so it is 0 when
+    nu(A) is.  The result is the max of 0 and of these over A, read off
+    one subset_table of the distance rows, with nu(A) and the masses
+    from exact point-order sums.
     """
     if (mu_sp.base.points != nu_sp.base.points
             or mu_sp.base.dist != nu_sp.base.dist):
         raise BaseMismatch("the two measures must share one base metric space")
-    walk = subset_rows([_column(mu_sp, [p]) for p in mu_sp.points])
     (mu_w, mu_sums), (_, nu_sums) = _masses(mu_sp), _masses(nu_sp)
     best = 0.0
-    for mask, row in walk:
-        v = nu_sums[mask]
-        # the capacity is at most nu(A) - mu(A), the mass outside A it needs
-        if v - mu_sums[mask] > best:
-            best = max(best, _capacity(*level_sums(row, mu_w, mu_sums), v))
-    if symmetrize:
-        return (best + prokhorov_distance(nu_sp, mu_sp, symmetrize=False)) / 2.0
+    for start, rows in subset_table(mu_sp.base.array.T, np.minimum):
+        start, rows = _nonempty(start, rows)
+        t, m = sorted_sums(np.ascontiguousarray(rows.T), mu_w, mu_sums)
+        np.subtract(nu_sums[start:start + len(rows)], m, out=m)
+        best = max(best, float(np.maximum(t, m, out=m).min(axis=0, initial=INF).max(initial=0.0)))
     return best
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .extreal import INF, NEG_INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import CapacityInstance, capacity_norms
-from .search import least_max, solve, subset_maxima, subsets
+from .search import least_max, solve, subset_table, subsets
 
 
 class EmptySpace(ValueError):
@@ -253,28 +253,32 @@ def codiameter_seminorm(f):
     diam(A) - diam(preimage of A); subsets missing the image entirely
     are skipped.
 
-    One subset walk carries, for each A, the largest distance (either
+    One subset_table carries, for each A, the largest distance (either
     way round) from A to every target point and from the preimage of A
-    to every source point; both diameters are then read off per-subset
-    tables of maxima.
+    to every source point, and beside it 0 at the points of A and of
+    its preimage and -inf elsewhere.  Their sum keeps the distances
+    from the points of A and of the preimage alone, and its max over
+    each part is the diameter: a max of the very floats that a pairwise
+    recomputation takes, so exact.
     """
     src, tgt = f.source, f.target
     n = len(tgt.points)
-    fibres = [[src.index[x] for x in f.fiber(q)] for q in tgt.points]
-    cols = [_far_row(tgt, [i]) + _far_row(src, fib) for i, fib in enumerate(fibres)]
-    keys = [[[i] for i in range(n)], [[n + x for x in fib] for fib in fibres]]
+    w = n + len(src.points)
+    far_s = np.maximum(src.array, src.array.T)
+    cols = np.full((n, 2 * w), NEG_INF)
+    cols[:, :n] = np.maximum(tgt.array, tgt.array.T)
+    for i, q in enumerate(tgt.points):
+        fib = [src.index[x] for x in f.fiber(q)]
+        cols[i, n:w] = far_s[fib].max(axis=0, initial=NEG_INF)
+        cols[i, [w + i] + [w + n + x for x in fib]] = 0.0
     best = 0.0
-    for diam_a, diam_pre in subset_maxima(cols, keys):
-        if diam_pre > NEG_INF and diam_a - diam_pre > best:
-            best = diam_a - diam_pre
+    for _, rows in subset_table(cols, np.maximum):
+        held = rows[:, :w] + rows[:, w:]
+        diam_pre = held[:, n:].max(axis=1, initial=NEG_INF)
+        hit = diam_pre > NEG_INF
+        gaps = held[hit, :n].max(axis=1, initial=NEG_INF) - diam_pre[hit]
+        best = max(best, float(gaps.max(initial=0.0)))
     return best
-
-
-def _far_row(sp, idxs):
-    """max(d(p, x), d(x, p)) over p in idxs for every point x; -inf
-    everywhere when idxs is empty."""
-    d = sp.dist
-    return [max([NEG_INF] + [max(d[p][x], d[x][p]) for p in idxs]) for x in range(len(sp.points))]
 
 
 def pullback_metric(f):

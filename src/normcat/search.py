@@ -9,15 +9,19 @@ distance is a least worst case over maps.  Every walk has a fixed
 order, so every value and every first witness is reproducible.
 """
 
-import array
 import bisect
 import math
+
+import numpy as np
 
 # bound on the compatibility checks of one search before it gives up
 MAX_NODES = 5_000_000
 
 # bound on the items of one subset walk
 MAX_ITEMS = 16
+
+# bound on the floats of one block of a subset table
+BLOCK_FLOATS = 2 ** 14
 
 
 def subsets(items, nonempty=True, limit=MAX_ITEMS):
@@ -40,112 +44,80 @@ def _cap(n, limit=MAX_ITEMS):
         raise ValueError("subset enumeration is limited to %d elements, got %d" % (limit, n))
 
 
-def subset_rows(cols, combine=min):
-    """(mask, row) for every nonempty subset S of the columns, where bit i
-    of mask is set for each i in S and row[x] = combine(cols[i][x] for i
-    in S), with combine min or max.
+def subset_table(cols, combine, width=None):
+    """Every subset's row of an (n, m) array of columns, where
+    rows[mask] = combine(cols[i] for each bit i of mask), combine is
+    np.minimum or np.maximum, and the empty subset's row is its
+    identity (inf or -inf).  Yields (start, block), block =
+    rows[start:start + len(block)], in bitmask order.
 
-    Depth first: S + [j] follows S for every j above the largest item of
-    S, and its row is one elementwise combine of the row of S with
-    cols[j], starting from the empty row (inf under min, -inf under max),
-    so at most len(cols) + 1 rows are alive at once.  Same cap and error
-    as subsets, raised before anything is yielded.
+    The rows of the low items are built by doubling, rows[2^i + S] =
+    combine(rows[S], cols[i]); that table is the first block (read-only)
+    and every later block combines it with the row of one subset of the
+    high items.  A block has 2^k rows for the largest k <= n with
+    2^k * width <= BLOCK_FLOATS (or one row), where width, the floats
+    per row of the caller's largest array, defaults to m.  Every entry
+    is a min or a max of the columns' own floats, so exact in any
+    order.  Same cap and error as subsets, raised before anything is
+    allocated.
     """
-    _cap(len(cols))
-    if combine is min:
-        empty, join = math.inf, lambda row, col: [b if b < a else a for a, b in zip(row, col)]
-    else:
-        empty, join = -math.inf, lambda row, col: [b if b > a else a for a, b in zip(row, col)]
+    n, m = cols.shape
+    _cap(n)
+    empty = math.inf if combine is np.minimum else -math.inf
+    # lo low items, whose 2^lo rows make one block
+    lo = min(n, max(1, BLOCK_FLOATS // max(1, width or m)).bit_length() - 1)
 
-    def walk():
-        # (item, mask, row) per level of the branch; the root is the empty set
-        branch, i = [(-1, 0, [empty] * (len(cols[0]) if cols else 0))], 0
-        while True:
-            if i < len(cols):
-                _, mask, row = branch[-1]
-                mask, row = mask | 1 << i, join(row, cols[i])
-                branch.append((i, mask, row))
-                yield mask, row
-                i += 1
-            elif len(branch) > 1:
-                i = branch.pop()[0] + 1
-            else:
-                return
+    def blocks():
+        low = np.full((1 << lo, m), empty)
+        for i in range(lo):
+            combine(low[:1 << i], cols[i], out=low[1 << i:2 << i])
+        low.flags.writeable = False
+        yield 0, low
+        for high in range(1, 1 << (n - lo)):
+            picked = cols[[lo + j for j in range(n - lo) if high >> j & 1]]
+            yield high << lo, combine(low, combine.reduce(picked, axis=0))
 
-    return walk()
-
-
-def subset_maxima(cols, keys):
-    """tops for every nonempty subset S of the columns, in the order of
-    subset_rows(cols, max): tops[t] is T[S] for the table
-
-        T[{}] = -inf,  T[S] = max(T[S without its highest item i],
-                                  row[k] for k in keys[t][i]),
-
-    where row is the walk's row of S.  When column i holds, at each
-    position, the largest distance either way round between that
-    position's point and the points of item i, and keys[t][i] lists the
-    positions of those points, T[S] is the diameter of the points of the
-    items of S (-inf when there are none): the row of S holds every
-    distance from the points of i to the points of S.  One table per
-    key list, built like the subset_sums table, so a subset costs one
-    read per key.  Same cap as subset_rows, raised before anything is
-    yielded.
-    """
-    walk = subset_rows(cols, max)
-    tables = [array.array("d", [-math.inf]) * 2 ** len(cols) for _ in keys]
-
-    def tops():
-        for mask, row in walk:
-            i = mask.bit_length() - 1
-            rest = mask ^ 1 << i
-            out = []
-            for table, key in zip(tables, keys):
-                top = table[rest]
-                for k in key[i]:
-                    if row[k] > top:
-                        top = row[k]
-                table[mask] = top
-                out.append(top)
-            yield out
-
-    return tops()
+    return blocks()
 
 
 def subset_sums(weights):
     """sums[mask]: the weights at the bits of mask added left to right in
     index order, bit-identical to sum() over those weights in order.
 
-    Entry mask is the entry without its highest bit plus that bit's
-    weight, so the table costs one addition per entry.
+    Built by doubling, sums[2^i + S] = sums[S] + weights[i], so the
+    table costs one addition per entry.
     """
     _cap(len(weights))
-    sums = array.array("d", [0.0])
+    sums = np.zeros(1)
     for w in weights:
-        sums.extend(array.array("d", (s + w for s in sums)))
+        sums = np.concatenate([sums, sums + w])
     return sums
 
 
-def level_sums(row, weights, sums=None):
+def sorted_sums(dists, weights, sums):
+    """(d, totals) for a (points, columns) array of distances: d is each
+    column sorted, and totals[k, c] the weights of the points within
+    distance d[k, c] in column c, added in index order like sum().  With
+    sums, the subset_sums table of the weights, each total is one
+    lookup by the mask of the points up to position k (inside a tie
+    group, only part of it); with sums None, a running total over the
+    points in order."""
+    order, d = np.argsort(dists, axis=0), np.sort(dists, axis=0)
+    if sums is not None:
+        np.left_shift(1, order, out=order)
+        return d, sums[np.bitwise_or.accumulate(order, axis=0, out=order)]
+    totals = np.zeros_like(d)
+    for x, w in enumerate(weights):
+        totals += np.where(dists[x] <= d, w, 0.0)
+    return d, totals
+
+
+def level_sums(row, weights):
     """(levels, totals): the distinct finite values of row, increasing, and
-    for each level t the weights[x] with row[x] <= t added left to right
-    in index order, bit-identical to sum() over them.  With sums, the
-    subset_sums table of weights, each total is one lookup."""
-    if sums is None:
-        levels = sorted({t for t in row if t < math.inf})
-        return levels, [sum([w for w, d in zip(weights, row) if d <= t]) for t in levels]
-    levels, totals, mask = [], [], 0
-    for x in sorted(range(len(row)), key=row.__getitem__):
-        t = row[x]
-        if t == math.inf:
-            break
-        mask |= 1 << x
-        if levels and levels[-1] == t:
-            totals[-1] = sums[mask]
-        else:
-            levels.append(t)
-            totals.append(sums[mask])
-    return levels, totals
+    for each level t the sum() of the weights[x] with row[x] <= t, in
+    index order."""
+    levels = sorted({t for t in row if t < math.inf})
+    return levels, [sum([w for w, d in zip(weights, row) if d <= t]) for t in levels]
 
 
 def _charge(nodes, k):

@@ -135,10 +135,12 @@ def test_distance_base_mismatch_and_symmetrize():
     base = line_space([0.0, 1.0], labels=("p", "q"))
     mu = FiniteMMSpace(base, {"p": 1.0, "q": 0.0})
     nu = FiniteMMSpace(base, {"p": 0.0, "q": 0.4})
+    # the unit mass at p needs delta 1 to reach q; the 0.4 at q is covered
+    # by the slack alone; the half-sum is the symmetrized distance
     fwd = prokhorov_distance(mu, nu)
     bwd = prokhorov_distance(nu, mu)
-    avg = prokhorov_distance(mu, nu, symmetrize=True)
-    assert abs(avg - (fwd + bwd) / 2.0) <= 1e-15
+    assert (fwd, bwd) == (0.4, 1.0)
+    assert (fwd + bwd) / 2.0 == 0.7
 
 
 def test_distance_symmetric_for_probability_measures():
@@ -303,9 +305,8 @@ def test_walk_matches_the_per_subset_route(kind):
         empty_fibres += len(set(tgt.points) - set(f.assign.values()))
         assert prokhorov_seminorm(f) == _old_seminorm(f)
         mu, nu = tgt, _pin_masses(rng, tgt.base)
-        fwd, bwd = _old_distance(mu, nu), _old_distance(nu, mu)
-        assert prokhorov_distance(mu, nu) == fwd
-        assert prokhorov_distance(mu, nu, symmetrize=True) == (fwd + bwd) / 2.0
+        assert prokhorov_distance(mu, nu) == _old_distance(mu, nu)
+        assert prokhorov_distance(nu, mu) == _old_distance(nu, mu)
     assert empty_fibres > 0
 
 
@@ -313,15 +314,54 @@ def test_walk_matches_the_per_subset_route_at_12_points():
     rng = random.Random(74)
     base = _pin_base(rng, 12, "line")
     mu, nu = _pin_masses(rng, base), _pin_masses(rng, base)
-    fwd, bwd = _old_distance(mu, nu), _old_distance(nu, mu)
-    assert prokhorov_distance(mu, nu) == fwd
-    assert prokhorov_distance(mu, nu, symmetrize=True) == (fwd + bwd) / 2.0
+    assert prokhorov_distance(mu, nu) == _old_distance(mu, nu)
+    assert prokhorov_distance(nu, mu) == _old_distance(nu, mu)
     # a 17-point source is past the 16-point mass table, so its masses
-    # are summed level by level
+    # are added up point by point
     src = _pin_masses(rng, _pin_base(rng, 17, "random"))
     tgt = _pin_masses(rng, _pin_base(rng, 6, "line"))
     f = MMSpaceMap(src, tgt, {x: rng.choice(tgt.points[:4]) for x in src.points})
     assert prokhorov_seminorm(f) == _old_seminorm(f)
+
+
+@pytest.mark.parametrize("n, kind", [(13, "line"), (14, "quasi"), (15, "quasi"), (16, "line")])
+def test_table_matches_the_per_subset_route_on_13_to_16_points(n, kind):
+    # the subset table comes in many blocks here; tied distances and
+    # masses, and the empty fibres of a 3-point source
+    rng = random.Random(7500 + n)
+    tgt = _pin_masses(rng, _pin_base(rng, n, kind))
+    if n < 15:
+        src = _pin_masses(rng, _pin_base(rng, 3, kind))
+        f = MMSpaceMap(src, tgt, {x: rng.choice(tgt.points) for x in src.points})
+        assert prokhorov_seminorm(f) == _old_seminorm(f)
+    else:
+        nu = _pin_masses(rng, tgt.base)
+        assert prokhorov_distance(tgt, nu) == _old_distance(tgt, nu)
+
+
+def test_table_matches_the_per_subset_route_at_the_edges():
+    empty = FiniteMMSpace(FiniteMetricSpace((), []), {})
+    f = MMSpaceMap(empty, empty, {})
+    assert prokhorov_seminorm(f) == 0.0 == _old_seminorm(f)
+    assert prokhorov_distance(empty, empty) == 0.0
+    zero = lambda sp: FiniteMMSpace(sp.base, dict.fromkeys(sp.points, 0.0))
+    rng = random.Random(76)
+    for kind in ("line", "random", "quasi"):
+        one = _pin_masses(rng, _pin_base(rng, 1, kind))
+        for m in range(4):
+            src = _pin_masses(rng, _pin_base(rng, m, kind)) if m else empty
+            f = MMSpaceMap(src, one, {x: one.points[0] for x in src.points})
+            assert prokhorov_seminorm(f) == _old_seminorm(f)
+        assert prokhorov_distance(one, zero(one)) == _old_distance(one, zero(one))
+        # all-zero masses on either end, or on both
+        for n in range(1, 8):
+            tgt = _pin_masses(rng, _pin_base(rng, n, kind))
+            src = _pin_masses(rng, _pin_base(rng, rng.randint(1, 6), kind))
+            for a, b in ((zero(src), tgt), (src, zero(tgt)), (zero(src), zero(tgt))):
+                f = MMSpaceMap(a, b, {x: rng.choice(b.points) for x in a.points})
+                assert prokhorov_seminorm(f) == _old_seminorm(f)
+            assert prokhorov_distance(tgt, zero(tgt)) == _old_distance(tgt, zero(tgt))
+            assert prokhorov_distance(zero(tgt), tgt) == _old_distance(zero(tgt), tgt)
 
 
 def test_seminorm_triangle_under_composition():

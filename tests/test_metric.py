@@ -415,6 +415,38 @@ def test_codiameter_matches_the_subset_walk():
         assert codiameter_seminorm(f) == walked_codiameter(f)
 
 
+def int_line(rng, n, prefix, quasi=False):
+    """n points at distinct integers in [0, 2n], so distances tie often;
+    with quasi, d(x, y) = y - x, or 2 (x - y) when y < x."""
+    xs = rng.sample(range(2 * n + 1), n)
+    gauge = (lambda t: float(t if t >= 0 else -2 * t)) if quasi else (lambda t: float(abs(t)))
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)],
+                             [[gauge(b - a) for b in xs] for a in xs], allow_quasi=quasi)
+
+
+@pytest.mark.parametrize("n, quasi", [(13, False), (14, True), (15, False), (16, True)])
+def test_codiameter_matches_the_subset_walk_on_13_to_16_points(n, quasi):
+    rng = random.Random(60620 + n)
+    x, y = int_line(rng, rng.randint(1, 6), "x", quasi), int_line(rng, n, "y", quasi)
+    f = random_multimap(rng, x, y)
+    assert codiameter_seminorm(f) == walked_codiameter(f)
+
+
+def test_codiameter_matches_the_subset_walk_at_the_edges():
+    empty = FiniteMetricSpace((), [])
+    assert codiameter_seminorm(MultiMap(empty, empty, {})) == 0.0
+    rng = random.Random(60630)
+    for quasi in (False, True):
+        one = int_line(rng, 1, "y", quasi)
+        for m in range(4):
+            x = int_line(rng, m, "x", quasi)
+            f = MultiMap(x, one, {p: one.points for p in x.points})
+            assert codiameter_seminorm(f) == walked_codiameter(f) == 0.0
+            if m:
+                g = MultiMap(one, x, {"y0": x.points})
+                assert codiameter_seminorm(g) == walked_codiameter(g)
+
+
 def few_image_points(rng, x, y):
     """A multi-valued map onto at most three target points."""
     ys = rng.sample(y.points, rng.randint(1, min(3, len(y.points))))

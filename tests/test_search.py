@@ -17,6 +17,7 @@ import re
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import normcat
@@ -60,76 +61,67 @@ def test_subsets_cap():
         subsets(range(11), nonempty=False, limit=10)
 
 
-# -- subset_rows, subset_sums, level_sums ---------------------------------
+# -- subset_table, subset_sums, sorted_sums, level_sums ----------------
 
 def mask_of(items):
     return sum(2 ** i for i in items)
 
 
-@pytest.mark.parametrize("combine", [min, max])
-def test_subset_rows_combine_over_subsets(combine):
+@pytest.mark.parametrize("combine, pick, empty", [(np.minimum, min, math.inf),
+                                                  (np.maximum, max, -math.inf)],
+                         ids=["min", "max"])
+def test_subset_table_combines_over_subsets(combine, pick, empty):
     rng = random.Random(4201)
-    for _ in range(40):
-        n, m = rng.randint(0, 7), rng.randint(0, 5)
-        cols = [[rng.choice((0.0, 1.0, 2.5, math.inf, -math.inf, rng.random()))
-                 for _ in range(m)] for _ in range(n)]
-        rows = list(search.subset_rows(cols, combine))
-        assert sorted(mask for mask, _ in rows) == list(range(1, 2 ** n))
-        got = dict(rows)
-        for s in subsets(range(n)):
-            assert got[mask_of(s)] == [combine(cols[i][x] for i in s) for x in range(m)]
-
-
-def test_subset_maxima_are_the_diameters_of_the_points_of_each_subset():
-    rng = random.Random(4205)
     for _ in range(60):
-        n, m = rng.randint(0, 6), rng.randint(1, 7)
-        # item i owns a random set of the m points, maybe none
-        owns = [rng.sample(range(m), rng.randint(0, min(3, m))) for _ in range(n)]
-        d = [[rng.choice((0.0, 1.0, rng.random())) for _ in range(m)] for _ in range(m)]
-        far = lambda ps: [max([-math.inf] + [max(d[p][x], d[x][p]) for p in ps]) for x in range(m)]
-        tops = list(search.subset_maxima([far(ps) for ps in owns], [owns]))
-        masks = [mask for mask, _ in search.subset_rows([[0.0]] * n)]
-        assert len(tops) == len(masks) == 2 ** n - 1
-        for mask, (top,) in zip(masks, tops):
-            pts = [p for i in range(n) if mask >> i & 1 for p in owns[i]]
-            assert top == max([-math.inf] + [d[p][q] for p in pts for q in pts])
+        n, m = rng.randint(0, 7), rng.randint(0, 5)
+        cols = np.array([[rng.choice((0.0, 1.0, 2.5, math.inf, -math.inf, rng.random()))
+                          for _ in range(m)] for _ in range(n)]).reshape(n, m)
+        width = rng.choice((None, 1, 2 ** 13, 2 ** 14, 2 ** 16))
+        table = np.concatenate([rows for _, rows in search.subset_table(cols, combine, width)])
+        assert table.shape == (2 ** n, m)
+        for s in subsets(range(n), nonempty=False):
+            assert table[mask_of(s)].tolist() == [pick([cols[i, x] for i in s], default=empty)
+                                                  for x in range(m)]
 
 
-def test_subset_maxima_cap_before_the_first_row():
+def test_subset_table_blocks_come_in_bitmask_order():
+    # 5 items and room for 4 rows a block: 8 blocks of 4
+    blocks = list(search.subset_table(np.eye(5), np.maximum, search.BLOCK_FLOATS // 4))
+    assert [(start, len(rows)) for start, rows in blocks] == [(4 * k, 4) for k in range(8)]
+    table = np.concatenate([rows for _, rows in blocks])
+    assert table[0].tolist() == [-math.inf] * 5
+    for mask in range(1, 32):
+        assert table[mask].tolist() == [float(mask >> i & 1) for i in range(5)]
+    # a small table is one block
+    assert [start for start, _ in search.subset_table(np.eye(5), np.maximum)] == [0]
+
+
+def test_subset_table_caps_before_allocating():
     with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
-        search.subset_maxima([[0.0]] * 17, [[[0]] * 17])
-
-
-def test_subset_rows_walk_depth_first():
-    masks = [mask for mask, _ in search.subset_rows([[0.0]] * 3)]
-    assert masks == [mask_of(s) for s in ([0], [0, 1], [0, 1, 2], [0, 2], [1], [1, 2], [2])]
-
-
-def test_subset_rows_cap_before_the_first_row():
-    with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
-        search.subset_rows([[0.0]] * 17)
+        search.subset_table(np.zeros((17, 3)), np.minimum)
+    with pytest.raises(ValueError, match="limited to 16 elements, got 40"):
+        search.subset_table(np.zeros((40, 1000)), np.maximum)
     with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
         search.subset_sums([1.0] * 17)
 
 
-def test_subset_rows_keep_at_most_one_row_per_item():
-    n, m = 10, 300
-    rng = random.Random(4202)
-    cols = [[rng.random() for _ in range(m)] for _ in range(n)]
-    row_bytes = sys.getsizeof([0.0] * m)
+def test_subset_table_blocks_stay_small():
+    # 16 target points and a 200-point source, as in a Prokhorov table
+    n, m = 16, 216
+    cols = np.random.default_rng(4202).random((n, m))
     tracemalloc.start()
     try:
-        walk = search.subset_rows(cols)
+        table = search.subset_table(cols, np.minimum)
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        count = sum(1 for _ in walk)
+        count = sum(len(rows) for _, rows in table)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert count == 2 ** n - 1
-    # the root's row, n rows along the branch and the list growth slack
-    assert peak <= 1.5 * (n + 1) * row_bytes, (peak, row_bytes)
+    assert count == 2 ** n
+    # the low table, the block and the one before it, each at most
+    # BLOCK_FLOATS floats; the whole table would be 2^16 x 216
+    assert peak <= 3.5 * 8 * search.BLOCK_FLOATS, peak
 
 
 def test_subset_sums_add_left_to_right():
@@ -151,7 +143,24 @@ def test_level_sums_match_a_sum_per_level():
         levels = sorted({t for t in row if t < math.inf})
         totals = [sum(w for w, d in zip(weights, row) if d <= t) for t in levels]
         assert search.level_sums(row, weights) == (levels, totals)
-        assert search.level_sums(row, weights, search.subset_sums(weights)) == (levels, totals)
+
+
+def test_sorted_sums_total_each_level_like_sum():
+    rng = random.Random(4206)
+    for _ in range(150):
+        n, c = rng.randint(0, 8), rng.randint(1, 4)
+        dists = np.array([[rng.choice((0.0, 1.0, 2.0, math.inf, rng.random())) for _ in range(c)]
+                          for _ in range(n)]).reshape(n, c)
+        weights = [rng.choice((0.0, 0.1, 0.2, 0.7, 1e16, rng.random())) for _ in range(n)]
+        for sums in (search.subset_sums(weights), None):
+            d, totals = search.sorted_sums(dists, weights, sums)
+            for b in range(c):
+                col = dists[:, b].tolist()
+                assert d[:, b].tolist() == sorted(col)
+                for k in range(n):
+                    # inside a tie group the table gives part of the group
+                    if sums is None or k == n - 1 or d[k + 1, b] != d[k, b]:
+                        assert totals[k, b] == sum(w for w, x in zip(weights, col) if x <= d[k, b])
 
 
 # -- down_sets ---------------------------------------------------------------
