@@ -34,12 +34,14 @@ def subsets(items, nonempty=True, limit=MAX_ITEMS):
     """
     items = tuple(items)
     n = len(items)
-    _cap(n, limit)
+    cap_items(n, limit)
     return ([items[i] for i in range(n) if mask >> i & 1]
             for mask in range(1 if nonempty else 0, 1 << n))
 
 
-def _cap(n, limit=MAX_ITEMS):
+def cap_items(n, limit=MAX_ITEMS):
+    """Raise the one ValueError of every subset walk when n items are
+    more than limit."""
     if n > limit:
         raise ValueError("subset enumeration is limited to %d elements, got %d" % (limit, n))
 
@@ -62,7 +64,7 @@ def subset_table(cols, combine, width=None):
     allocated.
     """
     n, m = cols.shape
-    _cap(n)
+    cap_items(n)
     empty = math.inf if combine is np.minimum else -math.inf
     # lo low items, whose 2^lo rows make one block
     lo = min(n, max(1, BLOCK_FLOATS // max(1, width or m)).bit_length() - 1)
@@ -87,7 +89,7 @@ def subset_sums(weights):
     Built by doubling, sums[2^i + S] = sums[S] + weights[i], so the
     table costs one addition per entry.
     """
-    _cap(len(weights))
+    cap_items(len(weights))
     sums = np.zeros(1)
     for w in weights:
         sums = np.concatenate([sums, sums + w])
@@ -118,6 +120,49 @@ def level_sums(row, weights):
     index order."""
     levels = sorted({t for t in row if t < math.inf})
     return levels, [sum([w for w, d in zip(weights, row) if d <= t]) for t in levels]
+
+
+def bitmask(indices):
+    """The int with bit i set for each i in indices."""
+    return sum(1 << i for i in set(indices))
+
+
+def component_counts(groups, adj):
+    """counts[mask]: the number of connected components of the graph on
+    the nodes of the groups at the bits of mask, where groups[i] lists
+    group i's nodes and adj[u] is the bitmask of node u's neighbours
+    (a symmetric relation).
+
+    Depth first over the groups, each step adding a group above the
+    highest one in: its nodes join the parent's components, each a
+    bitmask of nodes, one at a time, and a node merges every component
+    that meets its neighbours.  Only the walk's stack, at most n calls
+    deep, holds component lists, never a table of them.  Same cap and
+    error as subsets, raised before anything is allocated.
+    """
+    n = len(groups)
+    cap_items(n)
+    counts = [0] * (1 << n)
+
+    def walk(mask, start, comps):
+        for i in range(start, n):
+            merged = comps
+            for u in groups[i]:
+                near, joined, rest = adj[u], 1 << u, []
+                for c in merged:
+                    if c & near:
+                        joined |= c
+                    else:
+                        rest.append(c)
+                rest.append(joined)
+                merged = rest
+            child = mask | 1 << i
+            counts[child] = len(merged)
+            if i + 1 < n:
+                walk(child, i + 1, merged)
+
+    walk(0, 0, [])
+    return counts
 
 
 def _charge(nodes, k):

@@ -15,7 +15,7 @@ import math
 from .capacity import capacity_norms
 from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
-from .search import down_sets, solve, subsets
+from .search import bitmask, cap_items, component_counts, down_sets, solve, subsets
 
 
 class IncompatibleCarriers(ValueError):
@@ -141,33 +141,52 @@ def connected_components(sp, subset):
     return tuple(out)
 
 
-def is_connected(sp, subset):
-    return len(connected_components(sp, subset)) == 1
+def fibre_components(f):
+    """The connected components of each target point's fibre, in target
+    point order: the points of the middle space of f's monotone-light
+    factorization, onto which its monotone part maps each source point."""
+    fibres = {y: [] for y in f.target.points}
+    for x in f.source.points:
+        fibres[f.assign[x]].append(x)
+    return [connected_components(f.source, fib) for fib in fibres.values()]
 
 
-def _component_term(f, subset):
-    pre = f.preimage(subset)
-    if not pre:
-        return INF
-    return math.log(len(connected_components(f.source, pre)))
+def _adjacency(sp, blocks):
+    """adj[u]: the bitmask of the blocks holding a point comparable with
+    one of block u's."""
+    at = {sp.index[p]: u for u, block in enumerate(blocks) for p in block}
+    near = [set() for _ in blocks]
+    for i, u in at.items():
+        near[u].update(at[j] for j in at if sp.leq[i][j] or sp.leq[j][i])
+    return [bitmask(us) for us in near]
 
 
 def component_seminorm(f):
     """sup0 over nonempty connected target subsets of log #components(preimage).
 
     An empty preimage over a connected set counts as infinite: a map of
-    finite norm must hit every connected piece.
+    finite norm must hit every connected piece.  Every singleton is
+    connected, so that is exactly a map that is not onto.  Otherwise the
+    components of a preimage are those of the fibre components over the
+    subset, two of them joined when some of their points are comparable;
+    both counts, of the target subset and of its preimage, come from one
+    search.component_counts walk each.
     """
     tgt = f.target
-    terms = []
-    for c in subsets(tgt.points):
-        if not is_connected(tgt, c):
-            continue
-        t = _component_term(f, c)
-        if t == INF:
-            return INF
-        terms.append(t)
-    return sup0(terms)
+    cap_items(len(tgt))
+    if len(set(f.assign.values())) < len(tgt):
+        return INF
+    connected = component_counts([[i] for i in range(len(tgt))],
+                                 _adjacency(tgt, [[p] for p in tgt.points]))
+    groups, nodes = [], []
+    for comps in fibre_components(f):
+        groups.append(range(len(nodes), len(nodes) + len(comps)))
+        nodes += comps
+    pieces = component_counts(groups, _adjacency(f.source, nodes))
+    # log increases, so the largest count over a connected subset gives
+    # the sup0 of the logs: each count is at least 1, and an empty target
+    # has no connected subset
+    return math.log(max(itertools.compress(pieces, [c == 1 for c in connected]), default=1))
 
 
 def component_capacity_form(f):
@@ -206,13 +225,11 @@ def monotone_light_report(f):
     monotone = True
     light = True
     defects = []
-    for y in tgt.points:
-        fib = f.fiber(y)
-        if not fib:
+    for comps in fibre_components(f):
+        if not comps:
             monotone = False
             defects.append(INF)
             continue
-        comps = connected_components(src, fib)
         if len(comps) != 1:
             monotone = False
         if any(len(b) > 1 for b in comps):
@@ -280,13 +297,13 @@ def topological_norm(poset_map=None, vmap=None):
     """
     if poset_map is None and vmap is None:
         raise ValueError("need at least one of poset_map, vmap")
-    comp = 0.0 if poset_map is None else component_seminorm(poset_map)
-    dim = 0.0 if vmap is None else dimension_seminorm(vmap)["capacity_form"]
     if poset_map is not None and vmap is not None:
         if (set(poset_map.source.points) != set(vmap.source.vertices)
                 or set(poset_map.target.points) != set(vmap.target.vertices)
                 or poset_map.assign != vmap.assign):
             raise IncompatibleCarriers("poset and simplicial parts disagree")
+    comp = 0.0 if poset_map is None else component_seminorm(poset_map)
+    dim = 0.0 if vmap is None else dimension_seminorm(vmap)["capacity_form"]
     return ext_add(comp, dim)
 
 

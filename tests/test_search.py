@@ -24,14 +24,14 @@ import normcat
 from normcat import search
 from normcat.cli import main
 from normcat.discrete import find_injective_simplicial_map, find_simplicial_isomorphism
-from normcat.generate import random_simplicial
+from normcat.generate import random_poset, random_simplicial
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
     FiniteMetricSpace, MultiMap, dilatation_norm, find_expansive_map, is_isometry,
     isometry_search, min_dilatation_map, two_point_space, zero_dilatation_endos,
 )
 from normcat.search import least_max, solve, subsets
-from normcat.topo import all_order_preserving_maps, all_posets
+from normcat.topo import all_order_preserving_maps, all_posets, connected_components
 
 TOL = 1e-9
 
@@ -161,6 +161,52 @@ def test_sorted_sums_total_each_level_like_sum():
                     # inside a tie group the table gives part of the group
                     if sums is None or k == n - 1 or d[k + 1, b] != d[k, b]:
                         assert totals[k, b] == sum(w for w, x in zip(weights, col) if x <= d[k, b])
+
+
+# -- component_counts ----------------------------------------------------------
+
+def test_component_counts_match_the_flood_on_every_mask():
+    rng = random.Random(4210)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        # groups of 0-3 nodes of a random poset, adjacent when comparable
+        sizes = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n)]
+        sp = random_poset(rng, max(1, sum(sizes)), "p")
+        groups, at = [], 0
+        for k in sizes:
+            groups.append(list(range(at, at + k)))
+            at += k
+        adj = [search.bitmask(v for v, q in enumerate(sp.points) if sp.comparable(p, q))
+               for p in sp.points]
+        counts = search.component_counts(groups, adj)
+        assert len(counts) == 2 ** n
+        for s in subsets(range(n), nonempty=False):
+            nodes = [sp.points[u] for i in s for u in groups[i]]
+            assert counts[mask_of(s)] == len(connected_components(sp, nodes))
+
+
+def test_component_counts_on_a_graph_that_is_no_order():
+    # the 5-cycle, a node a group, and its two halves as groups
+    adj = [search.bitmask({(u - 1) % 5, (u + 1) % 5}) for u in range(5)]
+    counts = search.component_counts([[u] for u in range(5)], adj)
+    assert counts[mask_of([0, 2])] == 2
+    assert counts[mask_of([0, 1, 3])] == 2
+    assert counts[mask_of(range(5))] == 1
+    # 0 and 4 are neighbours, 1 and 3 are not
+    assert search.component_counts([[0, 2, 4], [1, 3]], adj) == [0, 2, 2, 1]
+    assert search.component_counts([], []) == [0]
+
+
+def test_component_counts_caps_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
+            search.component_counts([[u] for u in range(17)], [0] * 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table of 2^17 counts would hold about 1 MB
+    assert peak < 64 * 1024, peak
 
 
 # -- down_sets ---------------------------------------------------------------

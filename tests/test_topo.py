@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from normcat import search
+from normcat import search, topo
 from normcat.cli import main
 from normcat.extreal import INF, sup0
 from normcat.discrete import NotSimplicial, SimplicialComplex, SimplicialMap
@@ -22,7 +22,7 @@ from normcat.topo import (
     connected_components,
     dimension_seminorm,
     discrete_space,
-    is_connected,
+    fibre_components,
     monotone_light_report,
     poset_space,
     sierpinski_space,
@@ -73,7 +73,7 @@ def test_poset_space_closes_generating_pairs():
 def test_preorders_without_antisymmetry_are_allowed():
     sp = poset_space(("a", "b"), [("a", "b"), ("b", "a")])
     assert sp.below("a", "b") and sp.below("b", "a")
-    assert is_connected(sp, sp.points)
+    assert len(connected_components(sp, sp.points)) == 1
 
 
 def test_connected_components_examples():
@@ -179,18 +179,108 @@ def test_component_seminorm_examples():
 
 def test_component_forms_agree():
     rng = random.Random(70701)
+    cases = []
     for _ in range(60):
         x = random_poset(rng, rng.randint(1, 6), "x")
         y = random_poset(rng, rng.randint(1, 6), "y")
         maps = all_order_preserving_maps(x, y)
         rng.shuffle(maps)
-        for f in maps[:6]:
-            a = component_seminorm(f)
-            b = component_capacity_form(f)
-            if a == INF or b == INF:
-                assert a == b
-            else:
-                assert abs(a - b) <= 1e-12
+        cases += maps[:6]
+    cases += [seeded_poset_map(rng, n + 3, random_poset(rng, n, "y")) for n in (6, 7, 8, 9)]
+    for f in cases:
+        a = component_seminorm(f)
+        b = component_capacity_form(f)
+        if a == INF or b == INF:
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12
+
+
+def walked_component_seminorm(f):
+    """component_seminorm as it was: every target subset's connectivity
+    and its preimage's components, each flooded from scratch."""
+    terms = []
+    for c in subsets(f.target.points):
+        if len(connected_components(f.target, c)) != 1:
+            continue
+        pre = f.preimage(c)
+        if not pre:
+            return INF
+        terms.append(math.log(len(connected_components(f.source, pre))))
+    return sup0(terms)
+
+
+def seeded_poset_map(rng, n_src, tgt, hit=None):
+    """An order-preserving map onto the points hit (all of tgt's by
+    default): the source keeps a random part of the pulled-back strict
+    order, closed up."""
+    hit = list(tgt.points) if hit is None else hit
+    xs = ["x%d" % i for i in range(n_src)]
+    img = hit + [rng.choice(hit) for _ in range(n_src - len(hit))]
+    rng.shuffle(img)
+    keep = rng.choice((0.0, 0.3, 0.7, 1.0))
+    pairs = [(a, b) for a, ya in zip(xs, img) for b, yb in zip(xs, img)
+             if ya != yb and tgt.below(ya, yb) and rng.random() < keep]
+    return ContinuousPosetMap(poset_space(xs, pairs), tgt, dict(zip(xs, img)))
+
+
+def component_cases(rng):
+    empty = FiniteTopSpace((), ())
+    yield ContinuousPosetMap(empty, empty, {})
+    for n in range(2, 13):
+        for _ in range(1 if n > 10 else 3):
+            yield seeded_poset_map(rng, n + rng.randint(0, 4), random_poset(rng, n, "y"))
+        tgt = random_poset(rng, n, "y")
+        # one target point missed: infinite
+        yield seeded_poset_map(rng, n + 1, tgt, hit=list(tgt.points[1:]))
+        # a discrete source: any assignment preserves its order
+        src = discrete_space(["x%d" % i for i in range(n + 2)])
+        yield ContinuousPosetMap(src, tgt, {x: tgt.points[i % n] for i, x in enumerate(src.points)})
+        chain = poset_space(["c%d" % i for i in range(n)],
+                            [("c%d" % i, "c%d" % (i + 1)) for i in range(n - 1)])
+        yield seeded_poset_map(rng, n + 2, chain)
+        yield identity_poset_map(tgt)
+
+
+def test_component_seminorm_matches_the_walk():
+    seen = set()
+    for f in component_cases(random.Random(70705)):
+        got = component_seminorm(f)
+        assert repr(got) == repr(walked_component_seminorm(f)), f.assign
+        seen.add(got)
+    assert INF in seen and 0.0 in seen and len(seen) > 4
+
+
+def test_fibre_components_follow_the_target_order():
+    tgt = discrete_space(("p", "q", "r"))
+    src = poset_space(("a", "b", "c", "d"), [("a", "b")])
+    f = ContinuousPosetMap(src, tgt, {"a": "q", "b": "q", "c": "q", "d": "p"})
+    assert fibre_components(f) == [(frozenset(["d"]),),
+                                   (frozenset(["a", "b"]), frozenset(["c"])), ()]
+
+
+def comp_map_file(tmp_path, n):
+    """A map from two copies of an n-point chain onto it, folded: its
+    component seminorm is log 2."""
+    ys = ["y%d" % i for i in range(n)]
+    leq = [[i <= j for j in range(n)] for i in range(n)]
+    src = [[i <= j and i // n == j // n for j in range(2 * n)] for i in range(2 * n)]
+    f = {"kind": "map",
+         "source": {"kind": "top_space", "points": ["x%d" % i for i in range(2 * n)], "leq": src},
+         "target": {"kind": "top_space", "points": ys, "leq": leq},
+         "assign": {"x%d" % i: ys[i % n] for i in range(2 * n)}}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f))
+    return str(path)
+
+
+def test_comp_answers_16_points_and_caps_at_17(tmp_path, capsys):
+    assert main(["norm", "--kind", "comp", "--map", comp_map_file(tmp_path, 16)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == [
+        {"name": "component_seminorm", "value": LOG2}]
+    assert main(["norm", "--kind", "comp", "--map", comp_map_file(tmp_path, 17)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: subset enumeration is limited to 16 elements, got 17"]
 
 
 def test_monotone_light_report_examples():
@@ -402,6 +492,27 @@ def test_topological_norm():
     other = SimplicialMap(zero_complex_src, zero_complex_tgt, {"a": "0", "b": "0"})
     with pytest.raises(IncompatibleCarriers):
         topological_norm(poset_map=f, vmap=other)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_top_refuses_disagreeing_parts_before_any_walk(tmp_path, capsys, monkeypatch, n):
+    # the poset part maps onto n points, the simplicial part onto one
+    walked = []
+    monkeypatch.setattr(topo, "component_seminorm", walked.append)
+    ys = ["y%d" % i for i in range(n)]
+    pm = {"kind": "map", "source": {"kind": "top_space", "points": ["a"], "leq": [[True]]},
+          "target": {"kind": "top_space", "points": ys,
+                     "leq": [[i == j for j in range(n)] for i in range(n)]},
+          "assign": {"a": "y0"}}
+    one = {"kind": "simplicial", "vertices": ["a"], "simplices": [["a"]]}
+    vm = {"kind": "map", "source": one, "target": one, "assign": {"a": "a"}}
+    paths = []
+    for name, inst in (("pm.json", pm), ("vm.json", vm)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(inst))
+    assert main(["norm", "--kind", "top", "--map", str(paths[0]), "--space", str(paths[1])]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: poset and simplicial parts disagree"]
+    assert walked == []
 
 
 def test_subcomplexes_are_the_closed_simplex_subsets():
