@@ -252,18 +252,24 @@ class Coupling:
     col_marginals: dict
 
     def __post_init__(self):
+        # sums in dict order within each row and column; the margin is a
+        # multiple of the larger marginal total
+        rows = dict.fromkeys(self.source_points, 0.0)
+        cols = dict.fromkeys(self.target_points, 0.0)
         for (x, y), m in self.matrix.items():
-            if x not in self.source_points or y not in self.target_points:
+            if x not in rows or y not in cols:
                 raise ValueError("entry at unknown point pair (%r, %r)" % (x, y))
             if m < 0.0:
                 raise ValueError("negative mass at (%r, %r)" % (x, y))
-        for x in self.source_points:
-            row = sum(m for (a, _), m in self.matrix.items() if a == x)
-            if abs(row - self.row_marginals[x]) > 1e-9:
+            rows[x] += m
+            cols[y] += m
+        tol = 1e-9 * max(sum(self.row_marginals.values()),
+                         sum(self.col_marginals.values()))
+        for x, row in rows.items():
+            if abs(row - self.row_marginals[x]) > tol:
                 raise ValueError("row sum at %r misses its marginal" % (x,))
-        for y in self.target_points:
-            col = sum(m for (_, b), m in self.matrix.items() if b == y)
-            if abs(col - self.col_marginals[y]) > 1e-9:
+        for y, col in cols.items():
+            if abs(col - self.col_marginals[y]) > tol:
                 raise ValueError("column sum at %r misses its marginal" % (y,))
 
 
@@ -273,10 +279,13 @@ def w1_transport(f):
     Solved exactly by successive shortest augmenting paths; the final
     flow is certified by exhibiting potentials under which every
     residual edge has nonnegative reduced cost and every loaded edge is
-    tight.  Unequal total masses raise MassMismatch.
+    tight.  Unequal total masses raise MassMismatch.  Mass cut-offs are
+    multiples of the larger total mass, path-length margins multiples
+    of max(1, largest cost).
     """
     mu, nu, assign = f.source, f.target, f.assign
-    if abs(mu.volume() - nu.volume()) > 1e-9:
+    mass = max(mu.volume(), nu.volume())
+    if abs(mu.volume() - nu.volume()) > 1e-9 * mass:
         raise MassMismatch("total masses differ: %r vs %r"
                            % (mu.volume(), nu.volume()))
     xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
@@ -289,49 +298,16 @@ def w1_transport(f):
     demand = [nu.mass[y] for y in ys]
     # path-length margin relative to the costs, so rounding passes for no shorter path
     eps = 1e-15 * max([1.0] + [v for row in cost for v in row])
+    tiny = 1e-15 * mass
 
-    def shortest_augmenting_path():
-        # Bellman-Ford over nodes: 0..nx-1 sources, nx..nx+ny-1 sinks
-        dist = [INF] * (nx + ny)
-        prev = [None] * (nx + ny)
-        for i in range(nx):
-            if supply[i] > 1e-15:
-                dist[i] = 0.0
-        for _ in range(nx + ny):
-            changed = False
-            for i in range(nx):
-                if dist[i] == INF:
-                    continue
-                for j in range(ny):
-                    nd = dist[i] + cost[i][j]
-                    if nd < dist[nx + j] - eps:
-                        dist[nx + j] = nd
-                        prev[nx + j] = i
-                        changed = True
-            for j in range(ny):
-                if dist[nx + j] == INF:
-                    continue
-                for i in range(nx):
-                    if flow[i][j] > 1e-15:
-                        nd = dist[nx + j] - cost[i][j]
-                        if nd < dist[i] - eps:
-                            dist[i] = nd
-                            prev[i] = nx + j
-                            changed = True
-            if not changed:
-                break
-        best_j, best = None, INF
-        for j in range(ny):
-            if demand[j] > 1e-15 and dist[nx + j] < best:
-                best, best_j = dist[nx + j], j
-        return best_j, prev
-
+    # loaded[j]: the sources whose edge into sink j carries more than tiny
+    loaded = [{} for _ in range(ny)]
     remaining = sum(supply)
-    while remaining > 1e-12:
-        j, prev = shortest_augmenting_path()
+    while remaining > 1e-12 * mass:
+        j, prev = _shortest_augmenting_path(cost, loaded, supply, demand, eps, tiny)
         if j is None:
             # only the sub-tolerance imbalance of the inputs is left
-            if remaining > 1e-6:
+            if remaining > 1e-6 * mass:
                 raise RuntimeError("no augmenting path despite unshipped mass")
             break
         # walk back to a source, recording the path and its bottleneck
@@ -351,12 +327,16 @@ def w1_transport(f):
         bottleneck = min(bottleneck, supply[node])
         for i, jj, sign in path:
             flow[i][jj] += sign * bottleneck
+            if flow[i][jj] > tiny:
+                loaded[jj][i] = cost[i][jj]
+            else:
+                loaded[jj].pop(i, None)
         supply[node] -= bottleneck
         demand[j] -= bottleneck
         remaining -= bottleneck
 
     total = sum(flow[i][j] * cost[i][j] for i in range(nx) for j in range(ny))
-    _certify_transport(cost, flow, nx, ny)
+    _certify_transport(cost, flow, nx, ny, mass)
     matrix = {(xs[i], ys[j]): flow[i][j]
               for i in range(nx) for j in range(ny) if flow[i][j] > 0.0}
     coupling = Coupling(tuple(xs), tuple(ys), matrix,
@@ -365,13 +345,71 @@ def w1_transport(f):
     return {"cost": total, "coupling": coupling}
 
 
-def _certify_transport(cost, flow, nx, ny):
+def _shortest_augmenting_path(cost, loaded, supply, demand, eps, tiny):
+    """Bellman-Ford from the sources with supply left to the cheapest sink.
+
+    Nodes 0..nx-1 are sources, nx..nx+ny-1 sinks; the residual graph has
+    every forward edge and, from sink j, a back edge to each source in
+    loaded[j] (a dict source -> cost).  Each pass relaxes sources into
+    sinks, then sinks back into sources, in index order; within one
+    sink each source is met once, so the order of loaded[j] changes
+    nothing.  A node is rescanned only after its label fell: right
+    after a scan, every neighbour label l met the scanned node's
+    candidate nd with nd >= fl(l - eps), labels only fall and
+    fl(x - eps) is monotone in x, so a node whose label has not fallen
+    since improves nothing.  Labels, predecessors and the pass count are
+    those of the scan over every edge.  Returns the cheapest sink with
+    demand left (None if none is reached) and the predecessor list.
+    """
+    nx, ny = len(supply), len(demand)
+    src = [0.0 if s > tiny else INF for s in supply]
+    src_prev = [None] * nx
+    src_dirty = [v == 0.0 for v in src]
+    snk = [INF] * ny
+    snk_prev = [None] * ny
+    snk_dirty = [False] * ny
+    for _ in range(nx + ny):
+        changed = False
+        for i in range(nx):
+            if not src_dirty[i]:
+                continue
+            src_dirty[i] = False
+            di = src[i]
+            for j, c in enumerate(cost[i]):
+                nd = di + c
+                if nd < snk[j] - eps:
+                    snk[j] = nd
+                    snk_prev[j] = i
+                    snk_dirty[j] = changed = True
+        for j in range(ny):
+            if not snk_dirty[j]:
+                continue
+            snk_dirty[j] = False
+            dj = snk[j]
+            for i, c in loaded[j].items():
+                nd = dj - c
+                if nd < src[i] - eps:
+                    src[i] = nd
+                    src_prev[i] = nx + j
+                    src_dirty[i] = changed = True
+        if not changed:
+            break
+    best_j, best = None, INF
+    for j in range(ny):
+        if demand[j] > tiny and snk[j] < best:
+            best, best_j = snk[j], j
+    return best_j, src_prev + snk_prev
+
+
+def _certify_transport(cost, flow, nx, ny, mass):
     """Potentials making loaded edges tight and all edges nonnegative.
 
     Shortest distances over the residual graph stabilize only when no
     negative cycle remains; the stabilized distances are the potentials
-    of the complementary-slackness certificate.  Both margins are
-    multiples of max(1, largest cost).
+    of the complementary-slackness certificate.  Every pass scans every
+    edge, independently of the augmenting-path search.  Both path
+    margins are multiples of max(1, largest cost), both loaded-edge
+    cut-offs multiples of the total mass.
     """
     if nx == 0 or ny == 0:
         return
@@ -385,7 +423,7 @@ def _certify_transport(cost, flow, nx, ny):
                 if dist[i] + cost[i][j] < dist[nx + j] - eps:
                     dist[nx + j] = dist[i] + cost[i][j]
                     changed = True
-                if flow[i][j] > 1e-12 and dist[nx + j] - cost[i][j] < dist[i] - eps:
+                if flow[i][j] > 1e-12 * mass and dist[nx + j] - cost[i][j] < dist[i] - eps:
                     dist[i] = dist[nx + j] - cost[i][j]
                     changed = True
         if not changed:
@@ -399,7 +437,7 @@ def _certify_transport(cost, flow, nx, ny):
             if red < -tol:
                 raise RuntimeError("optimality certificate failed: "
                                    "negative reduced cost %r" % red)
-            if flow[i][j] > 1e-9 and abs(red) > tol:
+            if flow[i][j] > 1e-9 * mass and abs(red) > tol:
                 raise RuntimeError("optimality certificate failed: "
                                    "loaded edge not tight (%r)" % red)
 
@@ -407,7 +445,8 @@ def _certify_transport(cost, flow, nx, ny):
 def w1_vertex_oracle(f):
     """Brute-force minimum over all spanning-tree vertices of the polytope."""
     mu, nu, assign = f.source, f.target, f.assign
-    if abs(mu.volume() - nu.volume()) > 1e-9:
+    mass = max(mu.volume(), nu.volume())
+    if abs(mu.volume() - nu.volume()) > 1e-9 * mass:
         raise MassMismatch("total masses differ")
     xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
     ys = [y for y in nu.base.points if nu.mass[y] > 0.0]
@@ -467,7 +506,7 @@ def w1_vertex_oracle(f):
             else:
                 bal[other] -= amount
             alive.discard(leaf_edge)
-        if any(v < -1e-10 for v in val.values()):
+        if any(v < -1e-10 * mass for v in val.values()):
             continue
         total = sum(v * cost[e] for e, v in val.items())
         if total < best:

@@ -23,6 +23,7 @@ from normcat.wasserstein import (
     w1_transport,
     w1_vertex_oracle,
     kr_compare,
+    _certify_transport,
 )
 from normcat.generate import (
     random_mm_space,
@@ -442,3 +443,197 @@ def test_cli_w1_at_scale_1e8(tmp_path, capsys):
         costs[lam] = json.loads(capsys.readouterr().out)["results"][0]["value"]
     assert costs[1.0] == 0.5332428308781987
     assert abs(costs[1e8] - 1e8 * costs[1.0]) <= 1e-9 * 1e8 * costs[1.0]
+
+
+def full_scan_w1(f):
+    """The transport solver with the Bellman-Ford that rescans every
+    source against every sink and every sink against every source on
+    each pass: (cost, coupling matrix)."""
+    mu, nu, assign = f.source, f.target, f.assign
+    mass = max(mu.volume(), nu.volume())
+    xs = [x for x in mu.base.points if mu.mass[x] > 0.0]
+    ys = [y for y in nu.base.points if nu.mass[y] > 0.0]
+    cost = [[nu.base.d(assign[x], y) for y in ys] for x in xs]
+    nx, ny = len(xs), len(ys)
+    flow = [[0.0] * ny for _ in range(nx)]
+    supply = [mu.mass[x] for x in xs]
+    demand = [nu.mass[y] for y in ys]
+    eps = 1e-15 * max([1.0] + [v for row in cost for v in row])
+    tiny = 1e-15 * mass
+
+    def shortest_augmenting_path():
+        dist = [INF] * (nx + ny)
+        prev = [None] * (nx + ny)
+        for i in range(nx):
+            if supply[i] > tiny:
+                dist[i] = 0.0
+        for _ in range(nx + ny):
+            changed = False
+            for i in range(nx):
+                if dist[i] == INF:
+                    continue
+                for j in range(ny):
+                    nd = dist[i] + cost[i][j]
+                    if nd < dist[nx + j] - eps:
+                        dist[nx + j] = nd
+                        prev[nx + j] = i
+                        changed = True
+            for j in range(ny):
+                if dist[nx + j] == INF:
+                    continue
+                for i in range(nx):
+                    if flow[i][j] > tiny:
+                        nd = dist[nx + j] - cost[i][j]
+                        if nd < dist[i] - eps:
+                            dist[i] = nd
+                            prev[i] = nx + j
+                            changed = True
+            if not changed:
+                break
+        best_j, best = None, INF
+        for j in range(ny):
+            if demand[j] > tiny and dist[nx + j] < best:
+                best, best_j = dist[nx + j], j
+        return best_j, prev
+
+    remaining = sum(supply)
+    while remaining > 1e-12 * mass:
+        j, prev = shortest_augmenting_path()
+        if j is None:
+            break
+        path = []
+        node = nx + j
+        bottleneck = demand[j]
+        while prev[node] is not None:
+            p = prev[node]
+            if node >= nx:
+                path.append((p, node - nx, +1))
+            else:
+                path.append((node, p - nx, -1))
+                bottleneck = min(bottleneck, flow[node][p - nx])
+            node = p
+        bottleneck = min(bottleneck, supply[node])
+        for i, jj, sign in path:
+            flow[i][jj] += sign * bottleneck
+        supply[node] -= bottleneck
+        demand[j] -= bottleneck
+        remaining -= bottleneck
+    total = sum(flow[i][j] * cost[i][j] for i in range(nx) for j in range(ny))
+    return total, {(xs[i], ys[j]): flow[i][j]
+                   for i in range(nx) for j in range(ny) if flow[i][j] > 0.0}
+
+
+def transport_pair(rng, n, kind):
+    """A balanced pair on n points, total mass 1.
+
+    kind "euclid": random points in the unit cube, some masses zero;
+    "uniform": uniform masses; "line": integer points 0..5 on a line
+    with integer weights, so equal path lengths are common; "many": a
+    map sending every source point into the first third of the target.
+    """
+    if kind == "line":
+        vals = sorted({rng.randint(0, 5) for _ in range(n)})
+        n = len(vals)
+        base = line_space(vals, tuple("x%d" % v for v in vals))
+    else:
+        base = random_metric_space(rng, n)
+
+    def measure():
+        if kind == "uniform":
+            w = [1.0] * n
+        elif kind == "line":
+            w = [float(rng.randint(0, 3)) for _ in range(n)]
+        else:
+            w = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(n)]
+        if sum(w) == 0.0:
+            w[0] = 1.0
+        return FiniteMMSpace(base, {p: v / sum(w) for p, v in zip(base.points, w)})
+
+    mu, nu = measure(), measure()
+    pts = base.points
+    if kind == "many":
+        head = pts[:max(1, n // 3)]
+        return MMSpaceMap(mu, nu, {p: rng.choice(head) for p in pts})
+    return MMSpaceMap(mu, nu, {p: p for p in pts})
+
+
+def test_w1_search_matches_the_full_scan_bit_for_bit():
+    # the augmenting-path search rescans only labels that fell and
+    # walks only loaded back edges; every decision, and so every bit
+    # of the cost and the coupling, is that of the full scan
+    rng = random.Random(131)
+    sizes = list(range(1, 41, 3)) + [40, 40]
+    for kind in ("euclid", "uniform", "line", "many"):
+        for n in sizes:
+            f = transport_pair(rng, n, kind)
+            out = w1_transport(f)
+            cost, matrix = full_scan_w1(f)
+            assert repr(out["cost"]) == repr(cost), (kind, n)
+            assert out["coupling"].matrix == matrix, (kind, n)
+
+
+def scaled_pair(s):
+    rng = random.Random(137)
+    base = random_metric_space(rng, 6)
+    masses = []
+    for _ in range(2):
+        w = [rng.random() for _ in base.points]
+        masses.append([v / sum(w) for v in w])
+    mu, nu = (FiniteMMSpace(base, {p: s * v for p, v in zip(base.points, w)})
+              for w in masses)
+    return MMSpaceMap(mu, nu, {p: p for p in base.points})
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-11, 1e9, 1e12])
+def test_w1_mass_cutoffs_follow_the_total_mass(s, tmp_path, capsys):
+    # absolute mass cut-offs printed 0.0 at total 1e-13 and failed at 1e9
+    from normcat import cli
+    want = s * w1_transport(scaled_pair(1.0))["cost"]
+    f = scaled_pair(s)
+    got = w1_transport(f)["cost"]
+    assert abs(got - want) <= 1e-9 * want, (got, want)
+    paths = []
+    for name, sp in (("mu", f.source), ("nu", f.target)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({
+            "kind": "mm_space", "points": list(sp.base.points),
+            "dist": sp.base.dist, "mass": [sp.mass[p] for p in sp.base.points]}))
+        paths.append(str(path))
+    assert cli.main(["dist", "--kind", "w1"] + paths) == 0
+    value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+    assert abs(value - want) <= 1e-9 * want, (value, want)
+
+
+def test_w1_mass_mismatch_is_relative_to_the_total():
+    base = two_point_space(1.0)
+    mu = FiniteMMSpace(base, {"p": 1e-13, "q": 0.0})
+    nu = FiniteMMSpace(base, {"p": 0.0, "q": 2e-13})
+    f = MMSpaceMap(mu, nu, {"p": "p", "q": "q"})
+    with pytest.raises(MassMismatch):
+        w1_transport(f)
+    with pytest.raises(MassMismatch):
+        w1_vertex_oracle(f)
+
+
+def test_coupling_marginal_margin_follows_the_total():
+    with pytest.raises(ValueError, match="row sum"):
+        Coupling(("a",), ("b",), {("a", "b"): 0.4e-13}, {"a": 1e-13}, {"b": 0.4e-13})
+    Coupling(("a", "c"), ("b",), {("a", "b"): 3e12, ("c", "b"): 1e12 + 1e-3},
+             {"a": 3e12, "c": 1e12}, {"b": 4e12})
+
+
+def test_certificate_rejects_one_corrupted_flow_entry():
+    # line 0, 1, 2: the optimum ships p0 -> p0, p0 -> p1, p2 -> p1; loading
+    # p2 -> p0 as well opens the negative cycle p0 -> p2 -> p1 -> p0
+    base = line_space([0, 1, 2], ("p0", "p1", "p2"))
+    mu = FiniteMMSpace(base, {"p0": 0.5, "p1": 0.0, "p2": 0.5})
+    nu = FiniteMMSpace(base, {"p0": 0.25, "p1": 0.75, "p2": 0.0})
+    coupling = w1_transport(MMSpaceMap(mu, nu, {p: p for p in base.points}))["coupling"]
+    xs, ys = coupling.source_points, coupling.target_points
+    assert (xs, ys) == (("p0", "p2"), ("p0", "p1"))
+    cost = [[base.d(x, y) for y in ys] for x in xs]
+    flow = [[coupling.matrix.get((x, y), 0.0) for y in ys] for x in xs]
+    _certify_transport(cost, flow, 2, 2, 1.0)
+    flow[1][0] = 0.25
+    with pytest.raises(RuntimeError, match="optimality certificate failed"):
+        _certify_transport(cost, flow, 2, 2, 1.0)
