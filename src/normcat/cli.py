@@ -7,6 +7,13 @@ invariant, unknown kind, missing file, size out of bounds) or failed
 computation (an undefined extended-real operation, a value too large
 for a float, a failed transport optimality certificate or another
 broken runtime invariant).
+
+Each command loads only the modules it runs: at import this module
+loads only the standard library, `io` and `extreal`, and every other
+name it calls sits in the `_LAZY` table, imported on first use.  A new
+command adds its names to that table, never a top-level import of a
+computation module.  Library imports such as
+`from normcat.metric import dil_distance` do not change.
 """
 
 import argparse
@@ -17,6 +24,7 @@ import random
 import sys
 import time
 
+from . import SUITE_NAMES
 from .io import (
     parse_instance,
     write_instance,
@@ -25,46 +33,37 @@ from .io import (
     json_to_ext,
     SchemaError,
 )
-from .discrete import (
-    FiniteFunction,
-    SimplicialMap,
-    set_norm,
-    cyclic_group,
-    grothendieck_norm,
-    word_cost,
-)
 from .extreal import ConventionError
-from .linear import operator_seminorm
-from .metric import (
-    FiniteMetricSpace,
-    MultiMap,
-    dilatation_norm,
-    dilatation_left_dual,
-    codiameter_seminorm,
-    dil_distance,
-    gh_distance,
-)
-from .topo import (
-    ContinuousPosetMap,
-    component_seminorm,
-    dimension_seminorm,
-    topological_norm,
-)
-from .measure import (
-    FiniteMMSpace,
-    MMSpaceMap,
-    BaseMismatch,
-    prokhorov_seminorm,
-    prokhorov_distance,
-)
-from .wasserstein import wasserstein_seminorm, w1_transport
-from .suites import run_suite, SUITE_NAMES
-from .generate import (
-    random_metric_space,
-    random_mm_space,
-    random_poset,
-    random_simplicial,
-)
+
+# The names the commands call, each with the module that defines it.  A
+# name is imported on its first read through the module (PEP 562), so
+# call sites read `_cli.name`, which also reaches a name patched on this
+# module.
+_LAZY = {name: module for module, names in (
+    ("discrete", "FiniteFunction SimplicialMap set_norm cyclic_group grothendieck_norm "
+                 "word_cost"),
+    ("linear", "operator_seminorm"),
+    ("metric", "FiniteMetricSpace MultiMap dilatation_norm dilatation_left_dual "
+               "codiameter_seminorm dil_distance gh_distance"),
+    ("topo", "ContinuousPosetMap component_seminorm dimension_seminorm topological_norm"),
+    ("measure", "FiniteMMSpace MMSpaceMap BaseMismatch prokhorov_seminorm "
+                "prokhorov_distance"),
+    ("wasserstein", "wasserstein_seminorm w1_transport"),
+    ("suites", "run_suite"),
+    ("generate", "random_metric_space random_mm_space random_poset random_simplicial"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    """Import a name of _LAZY and keep it as a global, so later reads find it."""
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class SizeOutOfBounds(ValueError):
@@ -101,23 +100,23 @@ def _expect(inst, cls, what):
 def _norm_results(kind, inst, aux):
     """(results, details) for one norm computation."""
     if kind == "set":
-        f = _expect(inst, FiniteFunction, "norm --kind set")
-        return [("set_norm", set_norm(f))], {}
+        f = _expect(inst, _cli.FiniteFunction, "norm --kind set")
+        return [("set_norm", _cli.set_norm(f))], {}
     if kind == "dil":
-        f = _expect(inst, MultiMap, "norm --kind dil")
-        return [("dilatation_norm", dilatation_norm(f))], {}
+        f = _expect(inst, _cli.MultiMap, "norm --kind dil")
+        return [("dilatation_norm", _cli.dilatation_norm(f))], {}
     if kind == "dil-dual":
-        f = _expect(inst, MultiMap, "norm --kind dil-dual")
-        return [("dilatation_left_dual", dilatation_left_dual(f))], {}
+        f = _expect(inst, _cli.MultiMap, "norm --kind dil-dual")
+        return [("dilatation_left_dual", _cli.dilatation_left_dual(f))], {}
     if kind == "codiam":
-        f = _expect(inst, MultiMap, "norm --kind codiam")
-        return [("codiameter_seminorm", codiameter_seminorm(f))], {}
+        f = _expect(inst, _cli.MultiMap, "norm --kind codiam")
+        return [("codiameter_seminorm", _cli.codiameter_seminorm(f))], {}
     if kind == "comp":
-        f = _expect(inst, ContinuousPosetMap, "norm --kind comp")
-        return [("component_seminorm", component_seminorm(f))], {}
+        f = _expect(inst, _cli.ContinuousPosetMap, "norm --kind comp")
+        return [("component_seminorm", _cli.component_seminorm(f))], {}
     if kind == "dim":
-        f = _expect(inst, SimplicialMap, "norm --kind dim")
-        out = dimension_seminorm(f)
+        f = _expect(inst, _cli.SimplicialMap, "norm --kind dim")
+        out = _cli.dimension_seminorm(f)
         return [("fiber_form", out["fiber_form"]),
                 ("capacity_form", out["capacity_form"])], {}
     if kind == "top":
@@ -125,21 +124,21 @@ def _norm_results(kind, inst, aux):
         for part in (inst, aux):
             if part is None:
                 continue
-            if isinstance(part, ContinuousPosetMap):
+            if isinstance(part, _cli.ContinuousPosetMap):
                 pm = part
-            elif isinstance(part, SimplicialMap):
+            elif isinstance(part, _cli.SimplicialMap):
                 vm = part
             else:
                 raise SchemaError(
                     "norm --kind top takes order-preserving and simplicial "
                     "maps, got %s" % type(part).__name__)
-        return [("topological_norm", topological_norm(pm, vm))], {}
+        return [("topological_norm", _cli.topological_norm(pm, vm))], {}
     if kind == "prokhorov":
-        f = _expect(inst, MMSpaceMap, "norm --kind prokhorov")
-        return [("prokhorov_seminorm", prokhorov_seminorm(f))], {}
+        f = _expect(inst, _cli.MMSpaceMap, "norm --kind prokhorov")
+        return [("prokhorov_seminorm", _cli.prokhorov_seminorm(f))], {}
     if kind == "wasserstein":
-        f = _expect(inst, MMSpaceMap, "norm --kind wasserstein")
-        out = wasserstein_seminorm(f)
+        f = _expect(inst, _cli.MMSpaceMap, "norm --kind wasserstein")
+        out = _cli.wasserstein_seminorm(f)
         details = {"direction": out["direction"]}
         if out["witness"] is not None:
             details["witness"] = dict(out["witness"])
@@ -147,44 +146,44 @@ def _norm_results(kind, inst, aux):
     if kind == "op":
         if not isinstance(inst, list):
             raise SchemaError("norm --kind op needs a linear_map instance")
-        return [("operator_seminorm", operator_seminorm(inst))], {}
+        return [("operator_seminorm", _cli.operator_seminorm(inst))], {}
     if kind == "groth":
         if not (isinstance(inst, dict) and inst.get("kind") == "group_morphism"):
             raise SchemaError("norm --kind groth needs a group_morphism instance")
         n = inst["n"]
         args = [inst[k] % n for k in ("fplus", "fminus", "a", "b")]
-        return [("grothendieck_norm", grothendieck_norm(cyclic_group(n), *args))], {}
+        return [("grothendieck_norm", _cli.grothendieck_norm(_cli.cyclic_group(n), *args))], {}
     if kind == "word":
         if not (isinstance(inst, dict) and inst.get("kind") == "word"):
             raise SchemaError("norm --kind word needs a word instance")
-        return [("word_cost", word_cost(inst["cost_system"], inst["word"]))], {}
+        return [("word_cost", _cli.word_cost(inst["cost_system"], inst["word"]))], {}
     raise SchemaError("unknown norm kind %r" % (kind,))
 
 
 def _dist_results(kind, a, b):
     if kind == "gh":
-        _expect(a, FiniteMetricSpace, "dist --kind gh")
-        _expect(b, FiniteMetricSpace, "dist --kind gh")
-        return [("gh_distance", gh_distance(a, b))]
+        _expect(a, _cli.FiniteMetricSpace, "dist --kind gh")
+        _expect(b, _cli.FiniteMetricSpace, "dist --kind gh")
+        return [("gh_distance", _cli.gh_distance(a, b))]
     if kind == "dil":
-        _expect(a, FiniteMetricSpace, "dist --kind dil")
-        _expect(b, FiniteMetricSpace, "dist --kind dil")
-        return [("dil_distance", dil_distance(a, b))]
+        _expect(a, _cli.FiniteMetricSpace, "dist --kind dil")
+        _expect(b, _cli.FiniteMetricSpace, "dist --kind dil")
+        return [("dil_distance", _cli.dil_distance(a, b))]
     if kind == "dil-plus":
-        _expect(a, FiniteMetricSpace, "dist --kind dil-plus")
-        _expect(b, FiniteMetricSpace, "dist --kind dil-plus")
-        return [("dil_plus_distance", dil_distance(a, b, symmetrize="plus"))]
+        _expect(a, _cli.FiniteMetricSpace, "dist --kind dil-plus")
+        _expect(b, _cli.FiniteMetricSpace, "dist --kind dil-plus")
+        return [("dil_plus_distance", _cli.dil_distance(a, b, symmetrize="plus"))]
     if kind == "prokhorov":
-        _expect(a, FiniteMMSpace, "dist --kind prokhorov")
-        _expect(b, FiniteMMSpace, "dist --kind prokhorov")
-        return [("prokhorov_distance", prokhorov_distance(a, b))]
+        _expect(a, _cli.FiniteMMSpace, "dist --kind prokhorov")
+        _expect(b, _cli.FiniteMMSpace, "dist --kind prokhorov")
+        return [("prokhorov_distance", _cli.prokhorov_distance(a, b))]
     if kind == "w1":
-        _expect(a, FiniteMMSpace, "dist --kind w1")
-        _expect(b, FiniteMMSpace, "dist --kind w1")
+        _expect(a, _cli.FiniteMMSpace, "dist --kind w1")
+        _expect(b, _cli.FiniteMMSpace, "dist --kind w1")
         if (a.base.points != b.base.points or a.base.dist != b.base.dist):
-            raise BaseMismatch("the two measures must share one base metric space")
-        ident = MMSpaceMap(a, b, {p: p for p in a.base.points})
-        return [("w1_cost", w1_transport(ident)["cost"])]
+            raise _cli.BaseMismatch("the two measures must share one base metric space")
+        ident = _cli.MMSpaceMap(a, b, {p: p for p in a.base.points})
+        return [("w1_cost", _cli.w1_transport(ident)["cost"])]
     raise SchemaError("unknown dist kind %r" % (kind,))
 
 
@@ -226,6 +225,9 @@ def _report(command, results, seed=None, **extra):
 
 
 def _cmd_norm(args):
+    if args.space is not None and args.kind != "top":
+        raise SchemaError("norm --kind %s takes no --space; only --kind top reads "
+                          "a second instance" % (args.kind,))
     t0 = time.perf_counter()
     inst = parse_instance(args.map)
     aux = parse_instance(args.space) if args.space else None
@@ -254,7 +256,7 @@ def _cmd_check(args):
     if args.cases < 1:
         raise SizeOutOfBounds("--cases must be at least 1, got %d" % args.cases)
     t0 = time.perf_counter()
-    rows = run_suite(args.suite, args.seed, args.cases)
+    rows = _cli.run_suite(args.suite, args.seed, args.cases)
     ok = all(r["ok"] for r in rows)
     _emit(_report("check", rows, seed=args.seed, suite=args.suite,
                   cases=args.cases, ok=ok,
@@ -269,13 +271,13 @@ def _cmd_generate(args):
                               % (args.kind, lo, hi, args.size))
     rng = random.Random(args.seed)
     if args.kind == "metric":
-        obj = random_metric_space(rng, args.size)
+        obj = _cli.random_metric_space(rng, args.size)
     elif args.kind == "mm":
-        obj = random_mm_space(rng, args.size, normalize=True)
+        obj = _cli.random_mm_space(rng, args.size, normalize=True)
     elif args.kind == "poset":
-        obj = random_poset(rng, args.size)
+        obj = _cli.random_poset(rng, args.size)
     else:
-        obj = random_simplicial(rng, args.size)
+        obj = _cli.random_simplicial(rng, args.size)
     if args.out:
         write_instance(obj, args.out)
         _emit(_report("generate", [], seed=args.seed, kind=args.kind,

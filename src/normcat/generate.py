@@ -1,15 +1,11 @@
 """Seeded random instance builders shared by the test suites and the CLI.
 
 All builders draw from a caller-supplied random.Random, so the same seed
-reproduces the same instance everywhere.
+reproduces the same instance everywhere.  Each builder imports the
+module of what it builds, so generating one kind loads no other.
 """
 
 import math
-
-from .discrete import SimplicialComplex
-from .measure import FiniteMMSpace, MMSpaceMap
-from .metric import FiniteMetricSpace, MultiMap
-from .topo import FiniteTopSpace, transitive_closure
 
 
 def default_labels(n, prefix="x"):
@@ -19,6 +15,7 @@ def default_labels(n, prefix="x"):
 def random_metric_space(rng, n, prefix="x"):
     """A random n-point metric space: vertices drawn in the unit cube
     with the Euclidean distance."""
+    from .metric import FiniteMetricSpace
     if n < 1:
         raise ValueError("need at least one point")
     labels = default_labels(n, prefix)
@@ -31,6 +28,7 @@ def random_metric_space(rng, n, prefix="x"):
 
 def random_multimap(rng, source, target):
     """A random multi-valued map; every point gets a nonempty value set."""
+    from .metric import MultiMap
     pts = list(target.points)
     assign = {}
     for x in source.points:
@@ -41,6 +39,7 @@ def random_multimap(rng, source, target):
 
 def random_function_map(rng, source, target):
     """A random single-valued map as a MultiMap."""
+    from .metric import MultiMap
     pts = list(target.points)
     return MultiMap.from_function(source, target,
                                   {x: rng.choice(pts) for x in source.points})
@@ -82,6 +81,7 @@ def random_testfn_values(rng, labels, grid=None):
 def random_poset(rng, n, prefix="p"):
     """A random poset: acyclic edges along a shuffled order, each with
     probability 0.4, closed up."""
+    from .topo import FiniteTopSpace, transitive_closure
     if n < 1:
         raise ValueError("need at least one point")
     labels = default_labels(n, prefix)
@@ -97,6 +97,7 @@ def random_poset(rng, n, prefix="p"):
 
 def random_simplicial(rng, n, prefix="v"):
     """A random simplicial complex from at most n random facets."""
+    from .discrete import SimplicialComplex
     if n < 1:
         raise ValueError("need at least one vertex")
     labels = default_labels(n, prefix)
@@ -109,6 +110,7 @@ def random_simplicial(rng, n, prefix="v"):
 
 def random_mm_space(rng, n, prefix="x", normalize=False, fully_supported=False):
     """A random metric measure space on a random metric base."""
+    from .measure import FiniteMMSpace
     base = random_metric_space(rng, n, prefix)
     mass = random_masses(rng, base.points, normalize=normalize,
                          allow_zero=not fully_supported)
@@ -117,6 +119,7 @@ def random_mm_space(rng, n, prefix="x", normalize=False, fully_supported=False):
 
 def random_mm_map(rng, source, target):
     """A random total point map between two mm-spaces."""
+    from .measure import MMSpaceMap
     pts = list(target.base.points)
     return MMSpaceMap(source, target,
                       {x: rng.choice(pts) for x in source.base.points})

@@ -3,17 +3,16 @@
 Every serializer emits canonical JSON (sorted keys, two-space indent,
 trailing newline), so generate -> parse -> serialize round-trips
 byte-for-byte.  Infinite values travel as the strings "inf" and "-inf".
+
+Parsing imports only the modules of the kinds it reads, and serializing
+imports none: an object can only be an instance of a class whose module
+is already loaded.
 """
 
 import json
+import sys
 
-from .category import FiniteMap, carrier
 from .extreal import INF, NEG_INF
-from .discrete import FiniteFunction, SimplicialComplex, SimplicialMap, CostSystem
-from .metric import FiniteMetricSpace, MultiMap
-from .topo import FiniteTopSpace, ContinuousPosetMap
-from .measure import FiniteMMSpace, MMSpaceMap
-from .wasserstein import TestFunction
 
 
 class SchemaError(ValueError):
@@ -73,27 +72,33 @@ def _distinct(points):
     return points
 
 
+def _isinstance(obj, module, cls):
+    """isinstance(obj, normcat.<module>.<cls>), loading no module."""
+    mod = sys.modules.get("%s.%s" % (__package__, module))
+    return mod is not None and isinstance(obj, getattr(mod, cls))
+
+
 def space_to_json(obj):
-    if isinstance(obj, FiniteMMSpace):
+    if _isinstance(obj, "measure", "FiniteMMSpace"):
         return {
             "kind": "mm_space",
             "points": list(obj.base.points),
             "dist": [list(row) for row in obj.base.dist],
             "mass": [obj.mass[p] for p in obj.base.points],
         }
-    if isinstance(obj, FiniteMetricSpace):
+    if _isinstance(obj, "metric", "FiniteMetricSpace"):
         return {
             "kind": "metric_space",
             "points": list(obj.points),
             "dist": [list(row) for row in obj.dist],
         }
-    if isinstance(obj, FiniteTopSpace):
+    if _isinstance(obj, "topo", "FiniteTopSpace"):
         return {
             "kind": "top_space",
             "points": list(obj.points),
             "leq": [[bool(v) for v in row] for row in obj.leq],
         }
-    if isinstance(obj, SimplicialComplex):
+    if _isinstance(obj, "discrete", "SimplicialComplex"):
         simplices = sorted(
             (sorted(s, key=obj.vertices.index) for s in obj.simplices),
             key=lambda s: (len(s), [obj.vertices.index(v) for v in s]))
@@ -110,9 +115,12 @@ def space_to_json(obj):
 def space_from_json(d):
     kind = _require(d, "kind", "space")
     if kind == "metric_space":
+        from .metric import FiniteMetricSpace
         pts = tuple(_require(d, "points", kind))
         return _guard(FiniteMetricSpace, pts, _require(d, "dist", kind))
     if kind == "mm_space":
+        from .measure import FiniteMMSpace
+        from .metric import FiniteMetricSpace
         pts = tuple(_require(d, "points", kind))
         base = _guard(FiniteMetricSpace, pts, _require(d, "dist", kind))
         mass = _require(d, "mass", kind)
@@ -120,10 +128,12 @@ def space_from_json(d):
             raise SchemaError("mass list length does not match points")
         return _guard(FiniteMMSpace, base, dict(zip(pts, map(float, mass))))
     if kind == "top_space":
+        from .topo import FiniteTopSpace
         pts = tuple(_require(d, "points", kind))
         leq = [[bool(v) for v in row] for row in _require(d, "leq", kind)]
         return _guard(FiniteTopSpace, pts, leq)
     if kind == "simplicial":
+        from .discrete import SimplicialComplex
         verts = tuple(_require(d, "vertices", kind))
         simps = [frozenset(s) for s in _require(d, "simplices", kind)]
         return _guard(SimplicialComplex, verts, frozenset(simps))
@@ -133,7 +143,7 @@ def space_from_json(d):
 
 
 def map_to_json(m):
-    if not isinstance(m, FiniteMap):
+    if not _isinstance(m, "category", "FiniteMap"):
         raise UnknownKind("no schema for %r" % type(m).__name__)
     # a MultiMap's value tuples serialize as JSON lists
     return {
@@ -156,23 +166,31 @@ def _keys_to_points(obj, points, what):
     return {by_str.get(k, k): v for k, v in obj.items()}
 
 
-# the map class of each endpoint type; both endpoints must share one type
+# the module and map class of each endpoint kind; both endpoints must
+# share one kind
 MAP_CLASSES = {
-    FiniteMetricSpace: MultiMap,
-    FiniteMMSpace: MMSpaceMap,
-    FiniteTopSpace: ContinuousPosetMap,
-    SimplicialComplex: SimplicialMap,
-    tuple: FiniteFunction,
+    "metric_space": ("metric", "MultiMap"),
+    "mm_space": ("measure", "MMSpaceMap"),
+    "top_space": ("topo", "ContinuousPosetMap"),
+    "simplicial": ("discrete", "SimplicialMap"),
+    "finite_set": ("discrete", "FiniteFunction"),
 }
 
 
 def map_from_json(d):
-    src = space_from_json(_require(d, "source", "map"))
-    tgt = space_from_json(_require(d, "target", "map"))
+    from .category import carrier
+    src_d = _require(d, "source", "map")
+    src = space_from_json(src_d)
+    tgt_d = _require(d, "target", "map")
+    tgt = space_from_json(tgt_d)
     assign = _keys_to_points(_require(d, "assign", "map"), carrier(src), "map 'assign'")
-    cls = MAP_CLASSES.get(type(src)) if type(src) is type(tgt) else None
-    if cls is MultiMap:
-        return _guard(MultiMap, src, tgt, {x: tuple(ys) if isinstance(ys, list) else (ys,)
+    kind = src_d["kind"] if src_d["kind"] == tgt_d["kind"] else None
+    cls = None
+    if kind is not None:
+        module, name = MAP_CLASSES[kind]
+        cls = getattr(__import__(module, globals(), None, (name,), 1), name)
+    if kind == "metric_space":
+        return _guard(cls, src, tgt, {x: tuple(ys) if isinstance(ys, list) else (ys,)
                                            for x, ys in assign.items()})
     if any(isinstance(ys, list) and len(ys) != 1 for ys in assign.values()):
         raise SchemaError("a single-valued map takes one point per source point")
@@ -186,6 +204,7 @@ def map_from_json(d):
 
 def cost_system_from_json(d, kind="cost_system"):
     """The CostSystem of a cost_system or word instance."""
+    from .discrete import CostSystem
     pts = tuple(_require(d, "points", kind))
     cost = {}
     rows = _keys_to_points(_require(d, "cost", kind), pts, "%s 'cost'" % (kind,))
@@ -196,15 +215,15 @@ def cost_system_from_json(d, kind="cost_system"):
 
 
 def instance_to_json(obj):
-    if isinstance(obj, FiniteMap):
+    if _isinstance(obj, "category", "FiniteMap"):
         return map_to_json(obj)
-    if isinstance(obj, TestFunction):
+    if _isinstance(obj, "wasserstein", "TestFunction"):
         return {
             "kind": "testfn",
             "space": space_to_json(obj.space),
             "values": dict(obj.values),
         }
-    if isinstance(obj, CostSystem):
+    if _isinstance(obj, "discrete", "CostSystem"):
         nested = {}
         for (a, b), c in obj.cost.items():
             nested.setdefault(a, {})[b] = ext_to_json(c)
@@ -225,8 +244,9 @@ def instance_from_json(d):
     if kind == "map":
         return map_from_json(d)
     if kind == "testfn":
+        from .wasserstein import TestFunction
         sp = space_from_json(_require(d, "space", kind))
-        if not isinstance(sp, FiniteMetricSpace):
+        if not _isinstance(sp, "metric", "FiniteMetricSpace"):
             raise SchemaError("testfn 'space' must be a metric_space")
         vals = _keys_to_points(_require(d, "values", kind), sp.points, "testfn 'values'")
         return _guard(TestFunction, sp, {p: float(v) for p, v in vals.items()})

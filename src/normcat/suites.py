@@ -8,6 +8,7 @@ reproducible.
 
 import random
 
+from . import SUITE_NAMES
 from .extreal import INF
 from .category import check_seminorm_axioms, dual_seminorm
 from .capacity import check_capacity_monotone, dual_inequality_report
@@ -54,8 +55,6 @@ from .generate import (
     random_poset,
     random_testfn_values,
 )
-
-SUITE_NAMES = ("core", "metric", "topo", "measure", "wasserstein")
 
 
 def _row(name, ok, detail):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -378,9 +379,19 @@ def test_points_with_one_string_form_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("name, exc", [
     ("operator_seminorm", ConventionError("inf + (-inf) is undefined")),
     ("w1_transport", RuntimeError("optimality certificate failed")),
+    ("dilatation_norm", OverflowError("value too large")),
+    ("dilatation_left_dual", ConventionError("inf - inf is undefined")),
+    ("codiameter_seminorm", ValueError("too many target points")),
+    ("dil_distance", RuntimeError("node budget exhausted")),
+    ("gh_distance", OverflowError("value too large")),
+    ("component_seminorm", ValueError("too many target points")),
+    ("dimension_seminorm", RuntimeError("broken invariant")),
+    ("prokhorov_seminorm", ConventionError("inf - inf is undefined")),
+    ("prokhorov_distance", RuntimeError("broken invariant")),
 ])
 def test_computation_failures_exit_2_without_traceback(tmp_path, capsys, monkeypatch,
                                                         name, exc):
+    # a name patched on normcat.cli reaches its call, loaded or not
     def fail(*args, **kwargs):
         raise exc
 
@@ -388,12 +399,36 @@ def test_computation_failures_exit_2_without_traceback(tmp_path, capsys, monkeyp
     op = write_json(tmp_path / "op.json", {"kind": "linear_map", "entries": [[1.0]]})
     mu = write_json(tmp_path / "mu.json", {
         "kind": "mm_space", "points": ["p"], "dist": [[0.0]], "mass": [1.0]})
+    ab = write_json(tmp_path / "ab.json", METRIC_AB)
+    maps = {kind: write_json(tmp_path / ("%s.json" % kind), {
+        "kind": "map", "source": space, "target": space, "assign": {"a": "a", "b": "b"}})
+        for kind, space in MAP_ENDPOINTS.items()}
     argv = {"operator_seminorm": ("norm", "--kind", "op", "--map", op),
-            "w1_transport": ("dist", "--kind", "w1", mu, mu)}[name]
+            "w1_transport": ("dist", "--kind", "w1", mu, mu),
+            "dilatation_norm": ("norm", "--kind", "dil", "--map", maps["dil"]),
+            "dilatation_left_dual": ("norm", "--kind", "dil-dual", "--map", maps["dil"]),
+            "codiameter_seminorm": ("norm", "--kind", "codiam", "--map", maps["dil"]),
+            "dil_distance": ("dist", "--kind", "dil", ab, ab),
+            "gh_distance": ("dist", "--kind", "gh", ab, ab),
+            "component_seminorm": ("norm", "--kind", "comp", "--map", maps["comp"]),
+            "dimension_seminorm": ("norm", "--kind", "dim", "--map", maps["dim"]),
+            "prokhorov_seminorm": ("norm", "--kind", "prokhorov", "--map", maps["prokhorov"]),
+            "prokhorov_distance": ("dist", "--kind", "prokhorov", mu, mu)}[name]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % (exc,)
+
+
+def test_unknown_cli_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+    assert not hasattr(cli, "no_such_name")
+
+
+def test_every_lazy_cli_name_is_its_module_attribute():
+    for name, module in cli._LAZY.items():
+        assert getattr(cli, name) is getattr(importlib.import_module("normcat." + module), name)
 
 
 def line_file(tmp_path, name, values):
@@ -551,3 +586,56 @@ def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys,
             (want.returncode, untimed(want.stdout), want.stderr), argv
         codes.append(code)
     assert codes == [0, 0, 0, 2, 0]
+
+
+def test_space_outside_kind_top_exits_2_before_parsing(tmp_path, capsys):
+    op = write_json(tmp_path / "op.json", {"kind": "linear_map", "entries": [[1.0]]})
+    missing = str(tmp_path / "missing.json")
+    for space in (op, missing):
+        for path in (op, missing):
+            code, out, err = run(capsys, "norm", "--kind", "op", "--map", path, "--space", space)
+            assert (code, out) == (2, "")
+            assert err == ("error: norm --kind op takes no --space; only --kind top reads "
+                           "a second instance\n")
+
+
+def test_suite_choices_are_the_suites_run_suite_runs():
+    from normcat.suites import run_suite
+    check = cli.PARSER._subparsers._group_actions[0].choices["check"]
+    choices = next(a.choices for a in check._actions if a.dest == "suite")
+    rows = run_suite("all", 0, 1)
+    ran = list(dict.fromkeys(r["name"].split("/")[0] for r in rows))
+    assert list(choices) == ran + ["all"]
+    for name in ran:
+        assert [r for r in rows if r["name"].startswith(name + "/")] == \
+            [dict(r, name="%s/%s" % (name, r["name"])) for r in run_suite(name, 0, 1)]
+
+
+LOADS = "cli extreal io"
+METRIC_LOADS = LOADS + " capacity category metric search"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["norm", "--kind", "op", "--map", "op.json"], LOADS + " linear"),
+    (["norm", "--kind", "dil", "--map", "dil.json"], METRIC_LOADS),
+    (["dist", "--kind", "w1", "mu.json", "mu.json"], METRIC_LOADS + " measure wasserstein"),
+    (["generate", "--kind", "metric", "--size", "3"], METRIC_LOADS + " generate"),
+    (["generate", "--kind", "poset", "--size", "3"],
+     LOADS + " capacity category generate search topo"),
+    (["check", "--suite", "core", "--cases", "1", "--seed", "0"],
+     METRIC_LOADS + " discrete generate measure suites topo wasserstein"),
+], ids=["op", "dil", "w1", "generate-metric", "generate-poset", "check"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    write_json(tmp_path / "op.json", {"kind": "linear_map", "entries": [[1.0]]})
+    write_json(tmp_path / "mu.json", MAP_ENDPOINTS["prokhorov"])
+    write_json(tmp_path / "dil.json", {"kind": "map", "source": METRIC_AB, "target": METRIC_AB,
+                                       "assign": {"a": "a", "b": "b"}})
+    code = ("import json, sys\nimport normcat.cli\nnormcat.cli.main(%r)\n"
+            "print(json.dumps(sorted(k for k in sys.modules if k.startswith('normcat.'))))"
+            % (argv,))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == \
+        sorted("normcat." + m for m in loaded.split())
