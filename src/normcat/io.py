@@ -56,6 +56,15 @@ def _integer(d, key, kind):
     return v
 
 
+def _list(d, key, kind, of):
+    """d[key], a JSON list (of lists when `of` is "lists"), not a string,
+    which would be read as its characters; one check per row, none per entry."""
+    v = _require(d, key, kind)
+    if not isinstance(v, list) or of == "lists" and not all(isinstance(r, list) for r in v):
+        raise SchemaError("%s %r must be a list of %s" % (kind, key, of))
+    return v
+
+
 def _guard(builder, *args):
     """Run a validating constructor, reporting failures as InvariantError."""
     try:
@@ -116,29 +125,29 @@ def space_from_json(d):
     kind = _require(d, "kind", "space")
     if kind == "metric_space":
         from .metric import FiniteMetricSpace
-        pts = tuple(_require(d, "points", kind))
-        return _guard(FiniteMetricSpace, pts, _require(d, "dist", kind))
+        pts = tuple(_list(d, "points", kind, "points"))
+        return _guard(FiniteMetricSpace, pts, _list(d, "dist", kind, "lists"))
     if kind == "mm_space":
         from .measure import FiniteMMSpace
         from .metric import FiniteMetricSpace
-        pts = tuple(_require(d, "points", kind))
-        base = _guard(FiniteMetricSpace, pts, _require(d, "dist", kind))
-        mass = _require(d, "mass", kind)
+        pts = tuple(_list(d, "points", kind, "points"))
+        base = _guard(FiniteMetricSpace, pts, _list(d, "dist", kind, "lists"))
+        mass = _list(d, "mass", kind, "masses")
         if len(mass) != len(pts):
             raise SchemaError("mass list length does not match points")
         return _guard(FiniteMMSpace, base, dict(zip(pts, map(float, mass))))
     if kind == "top_space":
         from .topo import FiniteTopSpace
-        pts = tuple(_require(d, "points", kind))
-        leq = [[bool(v) for v in row] for row in _require(d, "leq", kind)]
+        pts = tuple(_list(d, "points", kind, "points"))
+        leq = [[bool(v) for v in row] for row in _list(d, "leq", kind, "lists")]
         return _guard(FiniteTopSpace, pts, leq)
     if kind == "simplicial":
         from .discrete import SimplicialComplex
-        verts = tuple(_require(d, "vertices", kind))
-        simps = [frozenset(s) for s in _require(d, "simplices", kind)]
+        verts = tuple(_list(d, "vertices", kind, "vertices"))
+        simps = [frozenset(s) for s in _list(d, "simplices", kind, "lists")]
         return _guard(SimplicialComplex, verts, frozenset(simps))
     if kind == "finite_set":
-        return _guard(_distinct, tuple(_require(d, "points", kind)))
+        return _guard(_distinct, tuple(_list(d, "points", kind, "points")))
     raise UnknownKind("unknown space kind %r" % (kind,))
 
 
@@ -205,7 +214,7 @@ def map_from_json(d):
 def cost_system_from_json(d, kind="cost_system"):
     """The CostSystem of a cost_system or word instance."""
     from .discrete import CostSystem
-    pts = tuple(_require(d, "points", kind))
+    pts = tuple(_list(d, "points", kind, "points"))
     cost = {}
     rows = _keys_to_points(_require(d, "cost", kind), pts, "%s 'cost'" % (kind,))
     for a, row in rows.items():
@@ -253,7 +262,7 @@ def instance_from_json(d):
     if kind == "cost_system":
         return cost_system_from_json(d)
     if kind == "linear_map":
-        entries = _require(d, "entries", kind)
+        entries = _list(d, "entries", kind, "lists")
         if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise InvariantError("entries must form a nonempty rectangle")
         return [[float(v) for v in row] for row in entries]
@@ -264,9 +273,7 @@ def instance_from_json(d):
         return dict(out, kind=kind)
     if kind == "word":
         cs = cost_system_from_json(d, kind)
-        word = _require(d, "word", kind)
-        if not isinstance(word, list):
-            raise SchemaError("word 'word' must be a list of points")
+        word = _list(d, "word", kind, "points")
         for w in word:
             if w not in cs.points:
                 raise SchemaError("word 'word' names %r, which is not a point" % (w,))

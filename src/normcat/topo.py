@@ -243,47 +243,39 @@ def monotone_light_report(f):
 
 # -- dimension seminorm on simplicial complexes ------------------------------
 
-def _subcomplexes(complex_):
-    """Every downward-closed simplex subset, the empty one first: the
-    down-sets of the face order, yielded one at a time."""
-    simp = sorted(complex_.simplices, key=lambda s: (len(s), sorted(map(str, s))))
-    pos = {s: k for k, s in enumerate(simp)}
-    below = [[pos[s - {v}] for v in s if len(s) > 1] for s in simp]
-    for down in down_sets(below):
-        yield frozenset(simp[k] for k in down)
-
-
 def _dim_value(simplices):
-    """log(1 + max simplex dimension); the empty subcomplex counts 0."""
-    if not simplices:
-        return 0.0
-    return math.log(1 + max(len(s) for s in simplices) - 1)
+    """log(1 + max simplex dimension) of a simplex set; empty counts 0."""
+    return math.log(max(map(len, simplices), default=1))
 
 
 def dimension_seminorm(vmap):
     """Fiber and capacity forms of the dimension seminorm of a simplicial map.
 
-    fiber_form: sup0 over target vertices of log(1 + dim) of the full
-    preimage subcomplex of that vertex.  capacity_form: the seminorm of
-    the dim value capacity over the subcomplexes A, sup0 of dim value of
-    preimage minus dim value of A (the empty A adds 0).  Empty preimages
-    count 0 (a non-surjective inclusion should not be infinitely
-    singular for dimension reasons).
+    fiber_form: sup0 over target vertices y of the dim value of f^-1(y).
+    capacity_form: sup0 over the subcomplexes C of the dim value of
+    f^-1(C) minus that of C.  Empty preimages count 0 (a non-surjective
+    inclusion should not be infinitely singular for dimension reasons).
+
+    Only the empty C and the principal subcomplexes cl(t), the faces of
+    one target simplex t, are read, each as the handle (t,): its preimage
+    is {s : f(s) <= t} and its dim value log|t|.  Lemma: the sup is the
+    same, bit for bit.  For C with a nonempty preimage, let s* be a
+    largest simplex of f^-1(C) and t = f(s*).  Then cl(t) <= C and s* is
+    largest in f^-1(cl t) too, so cl(t)'s term fl(log|s*| - log|t|) is
+    >= C's, as log is monotone on integers and fl(a - b) is monotone in
+    b.  A C with an empty preimage has a term <= 0, the empty handle's.
     """
     src, tgt = vmap.source, vmap.target
 
     images = [(s, frozenset(vmap.assign[v] for v in s)) for s in src.simplices]
 
-    def preimage_simplices(simplex_set):
-        return frozenset(s for s, image in images if image in simplex_set)
+    def preimage_simplices(handle):
+        return frozenset(s for s, image in images for t in handle if image <= t)
 
-    fiber_terms = []
-    for y in tgt.vertices:
-        fib = preimage_simplices(frozenset([frozenset([y])]))
-        fiber_terms.append(_dim_value(fib))
-    fiber_form = sup0(fiber_terms)
-
-    capacity_form = capacity_norms(_subcomplexes(tgt), preimage_simplices,
+    fiber_form = sup0([_dim_value(preimage_simplices((frozenset([y]),)))
+                       for y in tgt.vertices])
+    handles = [()] + [(t,) for t in tgt.simplices]
+    capacity_form = capacity_norms(handles, preimage_simplices,
                                    _dim_value, _dim_value)[0]
     return {"fiber_form": fiber_form, "capacity_form": capacity_form}
 

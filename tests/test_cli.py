@@ -495,6 +495,12 @@ WORD = {"kind": "word", "points": ["a", "b"],
     ("groth", dict(GROUP, n=0), "group_morphism needs n >= 1"),
     ("word", dict(WORD, word=5), "word 'word' must be a list of points"),
     ("word", dict(WORD, word=["a", "c"]), "word 'word' names 'c', which is not a point"),
+    # a string where a list belongs used to be read as its characters
+    ("word", dict(WORD, points="ab"), "word 'points' must be a list of points"),
+    ("word", dict(WORD, word="ab"), "word 'word' must be a list of points"),
+    ("op", {"kind": "linear_map", "entries": "12"}, "linear_map 'entries' must be a list of lists"),
+    ("op", {"kind": "linear_map", "entries": ["12", "34"]},
+     "linear_map 'entries' must be a list of lists"),
 ])
 def test_malformed_group_and_word_fields_exit_2(tmp_path, capsys, kind, inst, message):
     f = write_json(tmp_path / "f.json", inst)
@@ -523,6 +529,35 @@ def test_every_map_kind_shares_one_validation(tmp_path, capsys, kind, assign, me
     space = MAP_ENDPOINTS[kind]
     f = write_json(tmp_path / "f.json", {"kind": "map", "source": space,
                                           "target": space, "assign": assign})
+    code, out, err = run(capsys, "norm", "--kind", kind, "--map", f)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: " + message]
+
+
+# a JSON string or null where the schema wants a list: a string used to
+# be read as its characters, so "ab" built the points a and b
+@pytest.mark.parametrize("kind, fields, message", [
+    ("dil", {"points": "ab"}, "metric_space 'points' must be a list of points"),
+    ("dil", {"dist": "0110"}, "metric_space 'dist' must be a list of lists"),
+    ("dil", {"dist": ["01", "10"]}, "metric_space 'dist' must be a list of lists"),
+    ("prokhorov", {"points": "ab"}, "mm_space 'points' must be a list of points"),
+    ("prokhorov", {"dist": ["01", "10"]}, "mm_space 'dist' must be a list of lists"),
+    ("prokhorov", {"mass": "11"}, "mm_space 'mass' must be a list of masses"),
+    ("comp", {"points": "ab"}, "top_space 'points' must be a list of points"),
+    ("comp", {"leq": "1101"}, "top_space 'leq' must be a list of lists"),
+    ("comp", {"leq": ["11", "01"]}, "top_space 'leq' must be a list of lists"),
+    ("dim", {"vertices": "ab"}, "simplicial 'vertices' must be a list of vertices"),
+    ("dim", {"simplices": "ab"}, "simplicial 'simplices' must be a list of lists"),
+    ("dim", {"simplices": None}, "simplicial 'simplices' must be a list of lists"),
+    ("dim", {"simplices": [["a"], ["b"], "ab"]}, "simplicial 'simplices' must be a list of lists"),
+    ("set", {"points": "ab"}, "finite_set 'points' must be a list of points"),
+])
+def test_a_string_for_a_list_exits_2(tmp_path, capsys, kind, fields, message):
+    space = dict(MAP_ENDPOINTS[kind], **fields)
+    f = write_json(tmp_path / "f.json", {"kind": "map", "source": space,
+                                          "target": MAP_ENDPOINTS[kind],
+                                          "assign": {"a": "a", "b": "b"}})
     code, out, err = run(capsys, "norm", "--kind", kind, "--map", f)
     assert code == 2
     assert out == ""

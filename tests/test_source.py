@@ -49,6 +49,7 @@ UNREACHED = {
     "metric.two_point_probe_dual": ORACLE,
     "metric.two_point_space": BUILDER,
     "metric.zero_dilatation_endos": AXIOMS,
+    "search.down_sets": BUILDER,
     "topo.FiniteTopSpace.is_closed": ORACLE,
     "topo.all_posets": BUILDER,
     "topo.compose_poset_maps": FACTORIZATION,

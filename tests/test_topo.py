@@ -6,6 +6,7 @@ import random
 import pytest
 
 from normcat import search, topo
+from normcat.capacity import capacity_norms
 from normcat.cli import main
 from normcat.extreal import INF, sup0
 from normcat.discrete import NotSimplicial, SimplicialComplex, SimplicialMap
@@ -28,7 +29,6 @@ from normcat.topo import (
     sierpinski_space,
     topological_norm,
     _dim_value,
-    _subcomplexes,
 )
 from normcat.search import subsets
 
@@ -396,6 +396,32 @@ def walked_subcomplexes(complex_):
     return out
 
 
+def down_set_subcomplexes(complex_):
+    """Every subcomplex, the empty one first: the down-sets of the face
+    order, walked by search.down_sets as the capacity form walked them
+    before it read only the principal subcomplexes."""
+    simp = sorted(complex_.simplices, key=lambda s: (len(s), sorted(map(str, s))))
+    pos = {s: k for k, s in enumerate(simp)}
+    below = [[pos[s - {v}] for v in s if len(s) > 1] for s in simp]
+    for down in search.down_sets(below):
+        yield frozenset(simp[k] for k in down)
+
+
+def down_set_dimension_seminorm(vmap):
+    """dimension_seminorm with the capacity form taken over every
+    subcomplex of the down-set walk, as it was computed before."""
+    images = [(s, frozenset(vmap.assign[v] for v in s)) for s in vmap.source.simplices]
+
+    def preimage_simplices(simplex_set):
+        return frozenset(s for s, image in images if image in simplex_set)
+
+    fiber_form = sup0([_dim_value(preimage_simplices(frozenset([frozenset([y])])))
+                       for y in vmap.target.vertices])
+    capacity_form = capacity_norms(down_set_subcomplexes(vmap.target), preimage_simplices,
+                                   _dim_value, _dim_value)[0]
+    return {"fiber_form": fiber_form, "capacity_form": capacity_form}
+
+
 def looped_dimension_seminorm(vmap):
     """dimension_seminorm with each source simplex's image rebuilt for
     every target subcomplex of the subset walk, as it was computed
@@ -466,7 +492,7 @@ def hand_capacity_form(vmap):
     as it was written before it became one capacity_norms call."""
     images = [(s, frozenset(vmap.assign[v] for v in s)) for s in vmap.source.simplices]
     terms = []
-    for sub in _subcomplexes(vmap.target):
+    for sub in down_set_subcomplexes(vmap.target):
         if not sub:
             continue
         pre = frozenset(s for s, image in images if image in sub)
@@ -520,7 +546,7 @@ def test_subcomplexes_are_the_closed_simplex_subsets():
     complexes = [surjective_simplicial_map(rng, 10, 6, 7, 2).target]
     complexes += [random_simplicial(rng, rng.randint(1, 5), "y") for _ in range(20)]
     for c in complexes:
-        got = list(_subcomplexes(c))
+        got = list(down_set_subcomplexes(c))
         assert got[0] == frozenset()
         assert len(got) == len(set(got))
         assert set(got) == set(walked_subcomplexes(c))
@@ -546,30 +572,47 @@ def dim_map_file(tmp_path, src, tgt, assign):
     return str(path)
 
 
-def test_norm_dim_answers_a_24_simplex_target(tmp_path, capsys):
+def twenty_four_simplex_map():
+    """The disjoint union of two 12-simplex complexes a and b, and the
+    map onto it from the union plus a vertex x and an edge x-a0, both
+    sent onto a0."""
     rng = random.Random(70708)
     a, b = twelve_simplices(rng, "a"), twelve_simplices(rng, "b")
     assert len(a.simplices) == len(b.simplices) == 12
     tgt = SimplicialComplex(a.vertices + b.vertices, a.simplices | b.simplices)
-    # a subcomplex of a disjoint union is one of each part
-    count = sum(1 for _ in _subcomplexes(tgt))
-    assert count == len(walked_subcomplexes(a)) * len(walked_subcomplexes(b))
-    # the source adds a vertex x and an edge x-a0, both sent onto a0
     a0 = a.vertices[0]
     src = SimplicialComplex(tgt.vertices + ("x",),
                             set(tgt.simplices) | {frozenset(["x"]), frozenset(["x", a0])})
     assign = dict({v: v for v in tgt.vertices}, x=a0)
-    assert main(["norm", "--kind", "dim", "--map", dim_map_file(tmp_path, src, tgt, assign)]) == 0
+    return a, b, SimplicialMap(src, tgt, assign)
+
+
+def test_dimension_seminorm_matches_the_down_set_walk():
+    # the sup over all subcomplexes is reached on a principal one, so the
+    # two routes print the same floats, not merely close ones
+    maps = seeded_simplicial_maps(70709) + [twenty_four_simplex_map()[2]]
+    for f in maps:
+        assert repr(dimension_seminorm(f)) == repr(down_set_dimension_seminorm(f))
+
+
+def test_norm_dim_answers_a_24_simplex_target(tmp_path, capsys):
+    a, b, f = twenty_four_simplex_map()
+    # a subcomplex of a disjoint union is one of each part
+    count = sum(1 for _ in down_set_subcomplexes(f.target))
+    assert count == len(walked_subcomplexes(a)) * len(walked_subcomplexes(b))
+    assert main(["norm", "--kind", "dim",
+                 "--map", dim_map_file(tmp_path, f.source, f.target, f.assign)]) == 0
     rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
     assert rows == {"fiber_form": LOG2, "capacity_form": LOG2}
 
 
-def test_norm_dim_gives_up_at_the_node_budget(tmp_path, capsys, monkeypatch):
-    # a full simplex on 10 vertices has 1,023 simplices and too many
-    # subcomplexes to walk; the real budget gives up after a few seconds
+def test_norm_dim_answers_the_full_simplex_on_10_vertices(tmp_path, capsys, monkeypatch):
+    # 1,023 target simplices, too many subcomplexes to walk: the principal
+    # subcomplexes need no search and so no node budget
     ws = ["w%d" % i for i in range(10)]
     tgt = SimplicialComplex(ws, [c for k in range(1, 11) for c in itertools.combinations(ws, k)])
     src = SimplicialComplex.from_facets(("v",), [])
-    monkeypatch.setattr(search, "MAX_NODES", 20_000)
-    assert main(["norm", "--kind", "dim", "--map", dim_map_file(tmp_path, src, tgt, {"v": "w0"})]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: search is limited to 20000 nodes"]
+    monkeypatch.setattr(search, "MAX_NODES", 0)
+    assert main(["norm", "--kind", "dim", "--map", dim_map_file(tmp_path, src, tgt, {"v": "w0"})]) == 0
+    rows = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert rows == {"fiber_form": 0.0, "capacity_form": 0.0}
