@@ -66,8 +66,13 @@ class FiniteMap:
         s = set(subset)
         return frozenset(x for x in self.assign if not s.isdisjoint(self.values(x)))
 
-    def fiber(self, y):
-        return self.preimage((y,))
+    def fibres(self):
+        """{y: the source points with y among their values, a tuple in source order}"""
+        out = {y: [] for y in carrier(self.target)}
+        for x in carrier(self.source):
+            for y in self.values(x):
+                out[y].append(x)
+        return {y: tuple(xs) for y, xs in out.items()}
 
 
 @dataclass(frozen=True)

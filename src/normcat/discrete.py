@@ -41,19 +41,12 @@ def compose_functions(g, f):
     return FiniteFunction(f.source, g.target, {x: g(f(x)) for x in f.source})
 
 
-def fibers(f):
-    out = {y: [] for y in f.target}
-    for x in f.source:
-        out[f(x)].append(x)
-    return {y: tuple(xs) for y, xs in out.items()}
-
-
 def set_norm(f, at=None):
     """log of the largest fiber size (floored at 1); zero iff injective.
 
     With `at` given, the log of the size of the fiber through that point.
     """
-    fib = fibers(f)
+    fib = f.fibres()
     if at is not None:
         return ext_log(len(fib[f(at)]))
     return ext_log(sup1(len(xs) for xs in fib.values()))

@@ -56,13 +56,23 @@ def _integer(d, key, kind):
     return v
 
 
-def _list(d, key, kind, of):
+def _list(d, key, kind, of, scalars=None):
     """d[key], a JSON list (of lists when `of` is "lists"), not a string,
-    which would be read as its characters; one check per row, none per entry."""
+    which would be read as its characters, and with entries (in each
+    row) of the kind scalars; one check per row, none per entry."""
     v = _require(d, key, kind)
     if not isinstance(v, list) or of == "lists" and not all(isinstance(r, list) for r in v):
         raise SchemaError("%s %r must be a list of %s" % (kind, key, of))
+    for row in (v if of == "lists" else [v]) if scalars else ():
+        _scalars(row, kind, key, scalars)
     return v
+
+
+def _scalars(row, kind, key, what):
+    """Raise SchemaError unless row holds only JSON booleans (what is
+    "booleans") or only numbers, where a bool never counts as one."""
+    if not set(map(type, row)) <= ({bool} if what == "booleans" else {int, float}):
+        raise SchemaError("%s %r must hold only %s" % (kind, key, what))
 
 
 def _guard(builder, *args):
@@ -123,24 +133,21 @@ def space_to_json(obj):
 
 def space_from_json(d):
     kind = _require(d, "kind", "space")
-    if kind == "metric_space":
+    if kind in ("metric_space", "mm_space"):
         from .metric import FiniteMetricSpace
         pts = tuple(_list(d, "points", kind, "points"))
-        return _guard(FiniteMetricSpace, pts, _list(d, "dist", kind, "lists"))
-    if kind == "mm_space":
+        base = _guard(FiniteMetricSpace, pts, _list(d, "dist", kind, "lists", "numbers"))
+        if kind == "metric_space":
+            return base
         from .measure import FiniteMMSpace
-        from .metric import FiniteMetricSpace
-        pts = tuple(_list(d, "points", kind, "points"))
-        base = _guard(FiniteMetricSpace, pts, _list(d, "dist", kind, "lists"))
-        mass = _list(d, "mass", kind, "masses")
+        mass = _list(d, "mass", kind, "masses", "numbers")
         if len(mass) != len(pts):
             raise SchemaError("mass list length does not match points")
         return _guard(FiniteMMSpace, base, dict(zip(pts, map(float, mass))))
     if kind == "top_space":
         from .topo import FiniteTopSpace
         pts = tuple(_list(d, "points", kind, "points"))
-        leq = [[bool(v) for v in row] for row in _list(d, "leq", kind, "lists")]
-        return _guard(FiniteTopSpace, pts, leq)
+        return _guard(FiniteTopSpace, pts, _list(d, "leq", kind, "lists", "booleans"))
     if kind == "simplicial":
         from .discrete import SimplicialComplex
         verts = tuple(_list(d, "vertices", kind, "vertices"))
@@ -215,12 +222,12 @@ def cost_system_from_json(d, kind="cost_system"):
     """The CostSystem of a cost_system or word instance."""
     from .discrete import CostSystem
     pts = tuple(_list(d, "points", kind, "points"))
-    cost = {}
     rows = _keys_to_points(_require(d, "cost", kind), pts, "%s 'cost'" % (kind,))
-    for a, row in rows.items():
-        for b, c in _keys_to_points(row, pts, "%s cost row" % (kind,)).items():
-            cost[(a, b)] = json_to_ext(c)
-    return _guard(CostSystem, pts, cost)
+    cost = {(a, b): c for a, row in rows.items()
+            for b, c in _keys_to_points(row, pts, "%s cost row" % (kind,)).items()}
+    _scalars([c for c in cost.values() if c not in ("inf", "-inf")], kind, "cost",
+             'numbers, "inf" or "-inf"')
+    return _guard(CostSystem, pts, {ab: json_to_ext(c) for ab, c in cost.items()})
 
 
 def instance_to_json(obj):
@@ -258,11 +265,12 @@ def instance_from_json(d):
         if not _isinstance(sp, "metric", "FiniteMetricSpace"):
             raise SchemaError("testfn 'space' must be a metric_space")
         vals = _keys_to_points(_require(d, "values", kind), sp.points, "testfn 'values'")
+        _scalars(list(vals.values()), kind, "values", "numbers")
         return _guard(TestFunction, sp, {p: float(v) for p, v in vals.items()})
     if kind == "cost_system":
         return cost_system_from_json(d)
     if kind == "linear_map":
-        entries = _list(d, "entries", kind, "lists")
+        entries = _list(d, "entries", kind, "lists", "numbers")
         if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise InvariantError("entries must form a nonempty rectangle")
         return [[float(v) for v in row] for row in entries]

@@ -161,7 +161,7 @@ def prokhorov_seminorm(f):
                                          dtype=np.intp), src.base.array.T)
     (tw, tsums), (sw, ssums) = _masses(tgt), _masses(src)
     best = 0.0
-    for start, rows in subset_table(cols, np.minimum, max(n * size, n + size)):
+    for start, rows in subset_table(cols, max(n * size, n + size)):
         _, rows = _nonempty(start, rows)
         # points on axis 0 and subsets on axis 1, so the broadcast runs
         # along the subsets
@@ -209,7 +209,7 @@ def prokhorov_distance(mu_sp, nu_sp):
         raise BaseMismatch("the two measures must share one base metric space")
     (mu_w, mu_sums), (_, nu_sums) = _masses(mu_sp), _masses(nu_sp)
     best = 0.0
-    for start, rows in subset_table(mu_sp.base.array.T, np.minimum):
+    for start, rows in subset_table(mu_sp.base.array.T):
         start, rows = _nonempty(start, rows)
         t, m = sorted_sums(np.ascontiguousarray(rows.T), mu_w, mu_sums)
         np.subtract(nu_sums[start:start + len(rows)], m, out=m)

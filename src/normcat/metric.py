@@ -16,7 +16,7 @@ import numpy as np
 from .extreal import INF, NEG_INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import CapacityInstance, capacity_norms
-from .search import least_max, solve, subset_table, subsets
+from .search import least_max, solve, subsets
 
 
 class EmptySpace(ValueError):
@@ -174,23 +174,26 @@ def diameter(sp, subset):
     return sup0(d[i][j] for i in pts for j in pts)
 
 
+def _reduce_groups(red, a, groups):
+    """out[i, j] = red of a[p, q] over p in groups[i] and q in groups[j],
+    for nonempty groups of indices: two reduceat passes, rows then columns."""
+    starts = list(itertools.accumulate([0] + [len(g) for g in groups]))[:-1]
+    flat = [p for g in groups for p in g]
+    return red.reduceat(red.reduceat(a.take(flat, 0), starts).take(flat, 1), starts, axis=1)
+
+
 def _selection_gap(f, sign):
     """sup0 over point pairs and selections of sign * (d(x,y) - d(y1,y2)).
 
     Rounding is monotone (fl(u - v) never rises as v grows), so the
     best selection is the nearest pair for sign 1 and the farthest for
-    sign -1: the target rows, then columns, are reduced over each value
-    set, and one subtraction against the source array is maximized.
+    sign -1: the target distances are reduced over each pair of value
+    sets, and one subtraction against the source array is maximized.
     With K = sum of |f(x)| the temporaries hold K*m, n*K and n*n entries.
     """
     tix = f.target.index
-    starts, flat = [], []
-    for x in f.source.points:
-        starts.append(len(flat))
-        flat.extend([tix[y] for y in f.assign[x]])
-    red = np.minimum if sign > 0 else np.maximum
-    rows = red.reduceat(f.target.array.take(flat, 0), starts)
-    near = red.reduceat(rows.take(flat, 1), starts, axis=1)
+    near = _reduce_groups(np.minimum if sign > 0 else np.maximum, f.target.array,
+                          [[tix[y] for y in f.assign[x]] for x in f.source.points])
     gap = f.source.array - near if sign > 0 else near - f.source.array
     return max(0.0, float(gap.max(initial=0.0)))
 
@@ -247,38 +250,33 @@ def two_point_probe_dual(f):
 
 
 def codiameter_seminorm(f):
-    """How much the diameter can drop along preimages.
+    """How much the diameter can drop along preimages: sup0 over target
+    subsets A with nonempty preimage of diam(A) - diam(preimage of A).
 
-    sup0 over target subsets with nonempty preimage of
-    diam(A) - diam(preimage of A); subsets missing the image entirely
-    are skipped.
-
-    One subset_table carries, for each A, the largest distance (either
-    way round) from A to every target point and from the preimage of A
-    to every source point, and beside it 0 at the points of A and of
-    its preimage and -inf elsewhere.  Their sum keeps the distances
-    from the points of A and of the preimage alone, and its max over
-    each part is the diameter: a max of the very floats that a pairwise
-    recomputation takes, so exact.
+    Subsets of at most three points reach the same float.  For (a, b)
+    attaining diam A either way round, A' = {a, b} if f^-1{a, b} is
+    nonempty, else {a, b, c} for some c in A on the image, has diam A'
+    = diam A as the same float and f^-1 A' inside f^-1 A, and fl(u - v)
+    never rises as v grows.  So the value is the max over image points c
+    and all a, b of D[a, b] - max(G over the pairs of {a, b, c}), D the
+    target distance and G[p, q] the largest source distance between the
+    fibres of p and q (both either way round; -inf at an empty fibre):
+    one (m, m) pass per image point, O(m^3 + n^2) for m target and n
+    source points.
     """
     src, tgt = f.source, f.target
-    n = len(tgt.points)
-    w = n + len(src.points)
-    far_s = np.maximum(src.array, src.array.T)
-    cols = np.full((n, 2 * w), NEG_INF)
-    cols[:, :n] = np.maximum(tgt.array, tgt.array.T)
-    for i, q in enumerate(tgt.points):
-        fib = [src.index[x] for x in f.fiber(q)]
-        cols[i, n:w] = far_s[fib].max(axis=0, initial=NEG_INF)
-        cols[i, [w + i] + [w + n + x for x in fib]] = 0.0
-    best = 0.0
-    for _, rows in subset_table(cols, np.maximum):
-        held = rows[:, :w] + rows[:, w:]
-        diam_pre = held[:, n:].max(axis=1, initial=NEG_INF)
-        hit = diam_pre > NEG_INF
-        gaps = held[hit, :n].max(axis=1, initial=NEG_INF) - diam_pre[hit]
-        best = max(best, float(gaps.max(initial=0.0)))
-    return best
+    # a -inf row and column, put in every fibre, make empty fibres -inf
+    far = np.pad(np.maximum(src.array, src.array.T), (0, 1), constant_values=NEG_INF)
+    G = _reduce_groups(np.maximum, far, [[src.index[x] for x in xs] + [len(src.points)]
+                                         for xs in f.fibres().values()])
+    diag = G.diagonal()
+    # reach[c, a] = max(G[c, a], G[c, c], G[a, a]); c runs over the image
+    reach = np.maximum(np.maximum(G, diag[:, None]), diag)
+    least = np.full(G.shape, INF)
+    for r in reach[diag > NEG_INF]:
+        np.minimum(least, np.maximum.outer(r, r), out=least)
+    gaps = np.maximum(tgt.array, tgt.array.T) - np.maximum(G, least)
+    return max(0.0, float(gaps.max(initial=0.0)))
 
 
 def pullback_metric(f):

@@ -46,38 +46,34 @@ def cap_items(n, limit=MAX_ITEMS):
         raise ValueError("subset enumeration is limited to %d elements, got %d" % (limit, n))
 
 
-def subset_table(cols, combine, width=None):
-    """Every subset's row of an (n, m) array of columns, where
-    rows[mask] = combine(cols[i] for each bit i of mask), combine is
-    np.minimum or np.maximum, and the empty subset's row is its
-    identity (inf or -inf).  Yields (start, block), block =
-    rows[start:start + len(block)], in bitmask order.
+def subset_table(cols, width=None):
+    """Every subset's row of an (n, m) array of columns, rows[mask] the
+    least of cols[i] over the bits i of mask (inf for the empty mask),
+    yielded as blocks (start, rows[start:start + k]) in bitmask order.
 
     The rows of the low items are built by doubling, rows[2^i + S] =
-    combine(rows[S], cols[i]); that table is the first block (read-only)
-    and every later block combines it with the row of one subset of the
-    high items.  A block has 2^k rows for the largest k <= n with
+    min(rows[S], cols[i]); that table is the first block (read-only)
+    and every later block takes its min with the row of one subset of
+    the high items.  A block has 2^k rows for the largest k <= n with
     2^k * width <= BLOCK_FLOATS (or one row), where width, the floats
     per row of the caller's largest array, defaults to m.  Every entry
-    is a min or a max of the columns' own floats, so exact in any
-    order.  Same cap and error as subsets, raised before anything is
-    allocated.
+    is a min of the columns' own floats, so exact in any order.  Same
+    cap and error as subsets, raised before anything is allocated.
     """
     n, m = cols.shape
     cap_items(n)
-    empty = math.inf if combine is np.minimum else -math.inf
     # lo low items, whose 2^lo rows make one block
     lo = min(n, max(1, BLOCK_FLOATS // max(1, width or m)).bit_length() - 1)
 
     def blocks():
-        low = np.full((1 << lo, m), empty)
+        low = np.full((1 << lo, m), math.inf)
         for i in range(lo):
-            combine(low[:1 << i], cols[i], out=low[1 << i:2 << i])
+            np.minimum(low[:1 << i], cols[i], out=low[1 << i:2 << i])
         low.flags.writeable = False
         yield 0, low
         for high in range(1, 1 << (n - lo)):
             picked = cols[[lo + j for j in range(n - lo) if high >> j & 1]]
-            yield high << lo, combine(low, combine.reduce(picked, axis=0))
+            yield high << lo, np.minimum(low, picked.min(axis=0))
 
     return blocks()
 

@@ -145,10 +145,7 @@ def fibre_components(f):
     """The connected components of each target point's fibre, in target
     point order: the points of the middle space of f's monotone-light
     factorization, onto which its monotone part maps each source point."""
-    fibres = {y: [] for y in f.target.points}
-    for x in f.source.points:
-        fibres[f.assign[x]].append(x)
-    return [connected_components(f.source, fib) for fib in fibres.values()]
+    return [connected_components(f.source, fib) for fib in f.fibres().values()]
 
 
 def _adjacency(sp, blocks):

@@ -12,7 +12,7 @@ from normcat.category import (
 )
 from normcat.discrete import (
     NonInjective, NotSimplicial, NotAMorphism, NotSquareFree,
-    FiniteFunction, compose_functions, fibers, set_norm, csb_witness,
+    FiniteFunction, compose_functions, set_norm, csb_witness,
     function_category,
     SimplicialComplex, SimplicialMap,
     find_simplicial_isomorphism, find_injective_simplicial_map,
@@ -121,7 +121,8 @@ def test_fibers_and_composition():
     f = FiniteFunction((1, 2, 3), ("a", "b"), {1: "a", 2: "a", 3: "b"})
     g = FiniteFunction(("a", "b"), ("z",), {"a": "z", "b": "z"})
     gf = compose_functions(g, f)
-    assert fibers(gf)["z"] == (1, 2, 3)
+    assert gf.fibres() == {"z": (1, 2, 3)}
+    assert f.fibres() == {"a": (1, 2), "b": (3,)}
     with pytest.raises(ValueError):
         compose_functions(f, g)
 

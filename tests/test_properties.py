@@ -1,5 +1,5 @@
 """Arbitrary JSON in one field of a valid instance: the CLI answers with
-exit 0, 1 or 2 and never raises."""
+exit 0, 1 or 2 and never raises; a scalar of the wrong JSON type exits 2."""
 
 import json
 
@@ -87,3 +87,38 @@ def test_one_bad_field_never_raises(workdir, case):
     path = workdir / "inst.json"
     path.write_text(json.dumps(inst))
     assert main(argv + [str(path)] * copies) in (0, 1, 2)
+
+
+def scalar_paths(obj, path=()):
+    """The key path to every number and boolean inside a JSON value."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from scalar_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from scalar_paths(v, path + (i,))
+    elif isinstance(obj, (int, float)):
+        yield path
+
+
+@st.composite
+def mistyped_cases(draw):
+    argv, inst, copies = draw(st.sampled_from([c for c in CASES if any(scalar_paths(c[1]))]))
+    inst = json.loads(json.dumps(inst))
+    *path, last = draw(st.sampled_from(list(scalar_paths(inst))))
+    obj = inst
+    for k in path:
+        obj = obj[k]
+    wrong = (st.text(max_size=3).filter(lambda t: t not in ("inf", "-inf")) | st.none()
+             | st.lists(st.integers(0, 1), max_size=2))
+    obj[last] = draw(wrong | (st.integers(0, 1) if isinstance(obj[last], bool) else st.booleans()))
+    return argv, inst, copies
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=mistyped_cases())
+def test_one_mistyped_scalar_exits_2(workdir, case):
+    argv, inst, copies = case
+    path = workdir / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(argv + [str(path)] * copies) == 2

@@ -24,10 +24,11 @@ import normcat
 from normcat import search
 from normcat.cli import main
 from normcat.discrete import find_injective_simplicial_map, find_simplicial_isomorphism
-from normcat.generate import random_poset, random_simplicial
+from normcat.generate import random_metric_space, random_poset, random_simplicial
+from normcat.io import map_to_json
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
-    FiniteMetricSpace, MultiMap, dilatation_norm, find_expansive_map, is_isometry,
+    FiniteMetricSpace, MultiMap, diameter, dilatation_norm, find_expansive_map, is_isometry,
     isometry_search, min_dilatation_map, two_point_space, zero_dilatation_endos,
 )
 from normcat.search import least_max, solve, subsets
@@ -67,40 +68,37 @@ def mask_of(items):
     return sum(2 ** i for i in items)
 
 
-@pytest.mark.parametrize("combine, pick, empty", [(np.minimum, min, math.inf),
-                                                  (np.maximum, max, -math.inf)],
-                         ids=["min", "max"])
-def test_subset_table_combines_over_subsets(combine, pick, empty):
+def test_subset_table_combines_over_subsets():
     rng = random.Random(4201)
     for _ in range(60):
         n, m = rng.randint(0, 7), rng.randint(0, 5)
         cols = np.array([[rng.choice((0.0, 1.0, 2.5, math.inf, -math.inf, rng.random()))
                           for _ in range(m)] for _ in range(n)]).reshape(n, m)
         width = rng.choice((None, 1, 2 ** 13, 2 ** 14, 2 ** 16))
-        table = np.concatenate([rows for _, rows in search.subset_table(cols, combine, width)])
+        table = np.concatenate([rows for _, rows in search.subset_table(cols, width)])
         assert table.shape == (2 ** n, m)
         for s in subsets(range(n), nonempty=False):
-            assert table[mask_of(s)].tolist() == [pick([cols[i, x] for i in s], default=empty)
+            assert table[mask_of(s)].tolist() == [min([cols[i, x] for i in s], default=math.inf)
                                                   for x in range(m)]
 
 
 def test_subset_table_blocks_come_in_bitmask_order():
     # 5 items and room for 4 rows a block: 8 blocks of 4
-    blocks = list(search.subset_table(np.eye(5), np.maximum, search.BLOCK_FLOATS // 4))
+    blocks = list(search.subset_table(-np.eye(5), search.BLOCK_FLOATS // 4))
     assert [(start, len(rows)) for start, rows in blocks] == [(4 * k, 4) for k in range(8)]
     table = np.concatenate([rows for _, rows in blocks])
-    assert table[0].tolist() == [-math.inf] * 5
+    assert table[0].tolist() == [math.inf] * 5
     for mask in range(1, 32):
-        assert table[mask].tolist() == [float(mask >> i & 1) for i in range(5)]
+        assert table[mask].tolist() == [-float(mask >> i & 1) for i in range(5)]
     # a small table is one block
-    assert [start for start, _ in search.subset_table(np.eye(5), np.maximum)] == [0]
+    assert [start for start, _ in search.subset_table(-np.eye(5))] == [0]
 
 
 def test_subset_table_caps_before_allocating():
     with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
-        search.subset_table(np.zeros((17, 3)), np.minimum)
+        search.subset_table(np.zeros((17, 3)))
     with pytest.raises(ValueError, match="limited to 16 elements, got 40"):
-        search.subset_table(np.zeros((40, 1000)), np.maximum)
+        search.subset_table(np.zeros((40, 1000)))
     with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
         search.subset_sums([1.0] * 17)
 
@@ -111,7 +109,7 @@ def test_subset_table_blocks_stay_small():
     cols = np.random.default_rng(4202).random((n, m))
     tracemalloc.start()
     try:
-        table = search.subset_table(cols, np.minimum)
+        table = search.subset_table(cols)
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         count = sum(len(rows) for _, rows in table)
@@ -702,10 +700,7 @@ def oversized_args(kind, n, tmp_path):
         return str(path)
 
     mm = lambda p: line("mm_space", n, p, mass=[1.0 / n] * n)
-    if kind == "codiam":
-        f = {"kind": "map", "source": line("metric_space", 1, "x"),
-             "target": line("metric_space", n, "y"), "assign": {"x0": "y0"}}
-    elif kind == "comp":
+    if kind == "comp":
         f = {"kind": "map", "source": top(1, "x"), "target": top(n, "y"),
              "assign": {"x0": "y0"}}
     elif kind == "prokhorov":
@@ -716,13 +711,61 @@ def oversized_args(kind, n, tmp_path):
     return ["norm", "--kind", kind, "--map", put("f.json", f)]
 
 
-@pytest.mark.parametrize("kind, n", [
-    ("codiam", 17), ("codiam", 30), ("comp", 17), ("prokhorov", 17), ("dist-prokhorov", 17)])
+@pytest.mark.parametrize("kind, n", [("comp", 17), ("prokhorov", 17), ("dist-prokhorov", 17)])
 def test_oversized_subset_walks_exit_2(tmp_path, capsys, kind, n):
     code = main(oversized_args(kind, n, tmp_path))
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == ["error: subset enumeration is limited to 16 elements, got %d" % n]
+
+
+def codiam_on_the_cli(f, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f if isinstance(f, dict) else map_to_json(f)))
+    code = main(["norm", "--kind", "codiam", "--map", str(path)])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"][0]["value"]
+
+
+def one_or_two_values(rng, m, n):
+    """A map from a random m-point space onto one or two of n random points
+    at each source point."""
+    x, y = random_metric_space(rng, m, "x"), random_metric_space(rng, n, "y")
+    return MultiMap(x, y, {p: rng.sample(y.points, rng.randint(1, 2)) for p in x.points})
+
+
+@pytest.mark.parametrize("n", [17, 30, 120])
+def test_codiam_answers_past_16_target_points(tmp_path, capsys, n):
+    # the codiameter reads subsets of at most three target points, so the
+    # subset walks' cap does not bound it
+    if n == 120:
+        f = one_or_two_values(random.Random(2117), 170, n)
+        assert codiam_on_the_cli(f, tmp_path, capsys) > 0.0
+    else:
+        f = {"kind": "map", "source": line("metric_space", 1, "x"),
+             "target": line("metric_space", n, "y"), "assign": {"x0": "y0"}}
+        assert codiam_on_the_cli(f, tmp_path, capsys) == n - 1.0
+
+
+def codiameter_over_three_points(f):
+    """sup0 of diam(A) - diam(preimage of A) over target subsets A of one to
+    three points with a nonempty preimage."""
+    best = 0.0
+    for k in (1, 2, 3):
+        for a in itertools.combinations(f.target.points, k):
+            pre = f.preimage(a)
+            if pre:
+                best = max(best, diameter(f.target, a) - diameter(f.source, pre))
+    return best
+
+
+@pytest.mark.parametrize("n", range(17, 25))
+def test_codiam_past_16_points_matches_the_three_point_subsets(tmp_path, capsys, n):
+    rng = random.Random(2120 + n)
+    f = one_or_two_values(rng, rng.randint(1, 8), n)
+    want = codiameter_over_three_points(f)
+    got = codiam_on_the_cli(f, tmp_path, capsys)
+    assert got == want and repr(got) == repr(want) and want > 0.0
 
 
 def test_only_the_search_module_walks_bitmasks():

@@ -108,7 +108,7 @@ def test_poset_map_validation():
     with pytest.raises(ValueError):
         ContinuousPosetMap(disc, sier, {"a": "0", "b": "7"})
     f = sierpinski_bijection()
-    assert f.fiber("0") == frozenset(["a"])
+    assert f.fibres() == {"0": ("a",), "1": ("b",)}
     assert f.preimage(["0", "1"]) == frozenset(["a", "b"])
 
 
