@@ -329,22 +329,45 @@ def _check_nonempty(x, y):
 def min_dilatation_map(x, y):
     """Smallest dilatation norm over single-valued maps x -> y, exactly,
     and the first map in lexicographic order that attains it: (value,
-    assignment dict), by search.least_max.  When |x| > |y| every map
-    collapses two points, so the least distance in x is a lower bound.
-    Raises ValueError past search.MAX_NODES compatibility checks.
+    assignment dict), by search.least_max.  Its rows are the pairs
+    (x_j, y_v), slot j holding those of x_j, and the term of (x_j, y_v)
+    against (x_i, y_w) reads both ordered pairs, so that a quasi-metric
+    is read in full.  When |x| > |y| every map collapses two points, so
+    the least distance in x is a lower bound.  Raises ValueError past
+    search.MAX_NODES compatibility checks.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
-    dx, dy = x.dist, y.dist
+    dx, dy = x.array, y.array
 
-    def term(j, v, i, w):
-        # both ordered pairs, so that a quasi-metric is read in full
-        t, u = dx[j][i] - dy[v][w], dx[i][j] - dy[w][v]
-        return t if t >= u else u
+    def terms(j, v):
+        t = dx[j, None, :, None] - dy[None, v, None, :]
+        u = dx.T[j, None, :, None] - dy.T[None, v, None, :]
+        return np.maximum(t, u, out=t).reshape(-1, n * m)
 
     floor = _least_distance(x) if n > m else 0.0
-    val, assign = least_max([range(m)] * n, term, floor)
+    val, assign = least_max([range(i * m, i * m + m) for i in range(n)],
+                            lambda lo, hi: _pair_rows(m, lo, hi, terms), floor)
     return val, {x.points[i]: y.points[assign[i]] for i in range(n)}
+
+
+def _pair_rows(m, lo, hi, terms):
+    """Rows lo .. hi - 1 of a table over the pairs (x_j, y_v), numbered
+    j * m + v, where terms(js, vs) gives the rows of the pairs with j in
+    the slice js and v in the slice vs, j-major.  At most three calls:
+    the part of an x point the range starts in, the whole x points, and
+    the part it ends in."""
+    parts = []
+    while lo < hi:
+        j = lo // m
+        if lo % m or hi - lo < m:
+            end = min(hi, j * m + m)
+            parts.append(terms(slice(j, j + 1), slice(lo - j * m, end - j * m)))
+        else:
+            end = hi - hi % m
+            parts.append(terms(slice(j, end // m), slice(None)))
+        lo = end
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _least_distance(sp):
@@ -371,24 +394,24 @@ def gh_distance(x, y):
     Every correspondence contains the graph of a map each way, and the
     union of two such graphs is again a correspondence, so the minimum
     is attained on pairs (phi: x -> y, psi: y -> x), searched exactly by
-    search.least_max as one assignment, phi first.  When the sizes
-    differ, the least distance in the larger space is a lower bound.
-    Raises ValueError past search.MAX_NODES compatibility checks.
+    search.least_max as one assignment, phi first.  Its rows are the
+    pairs (x_a, y_b), phi slot a holding (x_a, .) and psi slot b holding
+    (., y_b), and the term of two pairs is their distortion
+    |d(x_a, x_c) - d(y_b, y_d)|.  When the sizes differ, the least
+    distance in the larger space is a lower bound.  Raises ValueError
+    past search.MAX_NODES compatibility checks.
     """
     _check_nonempty(x, y)
     n, m = len(x.points), len(y.points)
-    dx, dy = x.dist, y.dist
+    dx, dy = x.array, y.array
 
-    def term(j, v, k, w):
-        # slots below n are phi, the rest psi; j < k
-        if k < n:
-            return abs(dx[j][k] - dy[v][w])
-        if j < n:
-            return abs(dx[j][w] - dy[v][k - n])
-        return abs(dy[j - n][k - n] - dx[v][w])
+    def terms(a, b):
+        t = dx[a, None, :, None] - dy[None, b, None, :]
+        return np.abs(t, out=t).reshape(-1, n * m)
 
     floor = 0.0 if n == m else _least_distance(x if n > m else y)
-    return least_max([range(m)] * n + [range(n)] * m, term, floor)[0] / 2.0
+    slots = [range(i * m, i * m + m) for i in range(n)] + [range(k, n * m, m) for k in range(m)]
+    return least_max(slots, lambda lo, hi: _pair_rows(m, lo, hi, terms), floor)[0] / 2.0
 
 
 def gh_correspondence_oracle(x, y):

@@ -9,7 +9,6 @@ distance is a least worst case over maps.  Every walk has a fixed
 order, so every value and every first witness is reproducible.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ MAX_NODES = 5_000_000
 # bound on the items of one subset walk
 MAX_ITEMS = 16
 
-# bound on the floats of one block of a subset table
+# bound on the floats of one block of a subset table or of a term table
 BLOCK_FLOATS = 2 ** 14
 
 
@@ -236,47 +235,164 @@ def solve(domains, compatible, nodes=None):
     return extend([], [list(d) for d in domains])
 
 
-def least_max(domains, term, floor):
-    """The least cost over lists a with a[i] in domains[i], and the first
-    list in lexicographic order that attains it; (inf, None) when a
-    domain is empty.
+def least_max(slots, rows, floor):
+    """The least cost over lists a with a[i] in range(len(slots[i])), and
+    the first list in lexicographic order that attains it; (inf, None)
+    when a slot is empty.
 
-    A list costs max(floor, term(j, a[j], i, a[i]) for j < i), and floor
-    must bound every cost from below.  A greedy dive gives the bound ub
-    from above; unless ub is floor, bisecting the distinct terms between
-    them finds the least r at which solve finds a list with every term
-    at most r, and each list found lowers the upper end to its own cost.
-    The scan of the terms, the decisions and the costs share one count.
+    slots[i] lists the rows of one term table T that slot i's values
+    stand for, in order, and rows(lo, hi) returns T[lo:hi] as a float
+    array, T having a row for each of 0 .. the largest row in slots.  A
+    list costs max(floor, T[p_j, p_i] for j < i), p_i the row of a[i],
+    and floor must bound every cost from below.  A greedy dive, reading
+    the rows of the values it chooses, gives the bound ub from above;
+    unless ub is floor, bisecting the distinct entries of T between them
+    finds the least r at which a list has every term at most r, and each
+    list found lowers the upper end to its own cost.  So an entry that
+    no earlier slot reads against a later one must be at most floor or
+    repeat one that is read.  Rows come in blocks of at most BLOCK_FLOATS
+    floats (or one row), and the dive keeps only its last block.  The
+    table, len(T) ** 2 floats, must fit the node count before it is
+    built; the scan of its terms, the decisions and the costs share that
+    count.
     """
-    if not all(domains):
+    if not all(slots):
         return math.inf, None
-    n = len(domains)
-    a, ub = [], floor
-    for i in range(n):
-        costs = [max([ub] + [term(j, a[j], i, w) for j in range(i)]) for w in domains[i]]
-        ub = min(costs)
-        a.append(domains[i][costs.index(ub)])
+    size = 1 + max(map(max, slots), default=0)
+    step = max(1, BLOCK_FLOATS // size)
+    a, ub, run, start, block = [], floor, None, -step, None
+    for i, slot in enumerate(slots):
+        k = 0
+        if run is not None:
+            # a value costs the worst term of the chosen rows against it,
+            # or ub when none is worse: take the first at ub, if any
+            c = run[slice(slot.start, slot.stop, slot.step) if type(slot) is range
+                    else slot].tolist()
+            k = next((w for w, t in enumerate(c) if t <= ub), None)
+            if k is None:
+                ub = min(c)
+                k = c.index(ub)
+        a.append(k)
+        if i + 1 < len(slots):
+            p = slot[k]
+            if not start <= p < start + step:
+                start = p - p % step
+                block = rows(start, min(size, start + step))
+            run = block[p - start] if run is None else np.maximum(run, block[p - start])
     if ub == floor:
         # the dive took the first value of cost floor at every slot, so it
         # is the first list of cost floor
         return ub, a
-    nodes = [0]
-    _charge(nodes, sum(len(domains[j]) * len(domains[i]) for i in range(n) for j in range(i)))
-    cands = sorted({floor, ub} | {t for i in range(n) for j in range(i) for v in domains[j]
-                                  for w in domains[i] if floor < (t := term(j, v, i, w)) < ub})
+    if size * size > MAX_NODES:
+        raise ValueError("search is limited to %d nodes" % (MAX_NODES,))
+    nodes, lens = [0], [len(slot) for slot in slots]
+    _charge(nodes, (sum(lens) ** 2 - sum(k * k for k in lens)) // 2)
+    # one more column, of inf, stands for the pads of _words
+    table, terms = np.empty((size, size + 1)), []
+    table[:, size] = math.inf
+    for lo in range(0, size, step):
+        rest = block if lo == start else rows(lo, min(size, lo + step))
+        table[lo:lo + step, :size] = rest
+        terms.append(rest[(rest > floor) & (rest < ub)])
+    del block, rest
+    cands = _distinct(floor, np.concatenate(terms), ub)
+    del terms
+    cols, word, spans = _words(slots, size)
+    full = [(1 << k) - 1 for k in lens]
+    n = len(slots)
     # every candidate below lo is infeasible, and hi indexes the cost of
     # the cheapest list found (len(cands) before the first).  A list found
-    # at r is the first with every term at most r, so, solve yielding in
-    # lexicographic order, also the first with every term at most its cost
+    # at r is the first with every term at most r, so, the decision
+    # searching in lexicographic order, also the first with every term at
+    # most its cost
     lo, hi, first = 0, len(cands), None
     while lo < hi:
         mid = (lo + hi) // 2
-        r = cands[mid]
-        a = next(solve(domains, lambda j, v, i, w: term(j, v, i, w) <= r, nodes), None)
+        a = _first_fit(slots, _masks(table, cands[mid], cols, word, spans), full, nodes)
         if a is None:
             lo = mid + 1
         else:
             _charge(nodes, n * (n - 1) // 2)
-            cost = max([floor] + [term(j, a[j], i, a[i]) for i in range(n) for j in range(i)])
-            hi, first = bisect.bisect_left(cands, cost), a
-    return cands[hi], first
+            ps = [slot[k] for slot, k in zip(slots, a)]
+            cost = max([floor] + [table.item(ps[j], ps[i]) for i in range(n) for j in range(i)])
+            hi, first = int(np.searchsorted(cands, cost)), a
+    return float(cands[hi]), first
+
+
+def _distinct(floor, terms, ub):
+    """The array of floor, the distinct values of terms in increasing
+    order, and ub, sorting terms in place."""
+    terms.sort()
+    keep = np.empty(len(terms), dtype=bool)
+    keep[:1] = True
+    np.not_equal(terms[1:], terms[:-1], out=keep[1:])
+    return np.concatenate(([floor], terms[keep], [ub]))
+
+
+def _words(slots, pad):
+    """(cols, word, spans) for _masks.  Each slot is padded to whole words
+    of the least of 8, 16, 32 and 64 bits that holds the largest slot,
+    or of 64 bits past that; cols lists the slots' rows in that layout,
+    the column pad at a pad, word is the numpy type of a word, and
+    spans[k] is slot k's (first word, words)."""
+    longest = max(map(len, slots))
+    bits = next(b for b in (8, 16, 32, 64) if longest <= b or b == 64)
+    cols, spans = [], []
+    for slot in slots:
+        words = -(-len(slot) // bits)
+        spans.append((len(cols) // bits, words))
+        cols += [*slot] + [pad] * (words * bits - len(slot))
+    return np.array(cols), "<u%d" % (bits // 8), spans
+
+
+def _masks(table, r, cols, word, spans):
+    """masks[p][k]: the int with bit w set when table[p, slots[k][w]] <= r,
+    in the layout of _words (its pad column above every r), built from
+    blocks of the table's rows."""
+    step = max(1, BLOCK_FLOATS // len(cols))
+    masks = []
+    for lo in range(0, len(table), step):
+        fits = (table[lo:lo + step] <= r).take(cols, axis=1)
+        masks += np.packbits(fits, axis=1, bitorder="little").view(word).tolist()
+    if len(spans) < len(masks[0]):
+        # a slot of more than 64 values spans several words
+        masks = [[sum(ws[s + t] << 64 * t for t in range(k)) for s, k in spans] for ws in masks]
+    return masks
+
+
+def _first_fit(slots, masks, full, nodes):
+    """The first list in lexicographic order whose every value fits the
+    masks of the rows chosen before it, or None.
+
+    Static order, depth first with an explicit stack: placing value w at
+    slot i ands each later domain with masks[row][k] in turn, charging
+    the values that domain held, and a placement that empties one is not
+    extended.
+    """
+    n = len(slots)
+    a = [0] * n
+    # frame i: (values of slot i still to try, domains of the slots after i)
+    stack = [(full[0], full[1:])]
+    while stack:
+        todo, later = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        low = todo & -todo
+        stack[-1] = (todo ^ low, later)
+        w = a[i] = low.bit_length() - 1
+        if not later:
+            return a
+        mask = masks[slots[i][w]]
+        rest, count = [], 0
+        for k, dom in enumerate(later, i + 1):
+            count += dom.bit_count()
+            dom &= mask[k]
+            if not dom:
+                break
+            rest.append(dom)
+        _charge(nodes, count)
+        if len(rest) == len(later):
+            stack.append((rest[0], rest[1:]))
+    return None

@@ -50,7 +50,7 @@ CASES = [
     (["norm", "--kind", "word", "--map"], WORD, 1),
     (["norm", "--kind", "groth", "--map"], GROUP_MORPHISM, 1),
     (["norm", "--kind", "wasserstein", "--map"], TESTFN, 1),
-    (["norm", "--kind", "word", "--map"], COST_SYSTEM, 1),
+    (["dist", "--kind", "dil"], METRIC, 2),
     (["norm", "--kind", "op", "--map"], LINEAR_MAP, 1),
 ]
 

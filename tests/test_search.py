@@ -21,15 +21,16 @@ import numpy as np
 import pytest
 
 import normcat
-from normcat import search
+from normcat import metric, search
 from normcat.cli import main
 from normcat.discrete import find_injective_simplicial_map, find_simplicial_isomorphism
 from normcat.generate import random_metric_space, random_poset, random_simplicial
 from normcat.io import map_to_json
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
-    FiniteMetricSpace, MultiMap, diameter, dilatation_norm, find_expansive_map, is_isometry,
-    isometry_search, min_dilatation_map, two_point_space, zero_dilatation_endos,
+    FiniteMetricSpace, MultiMap, diameter, dil_distance, dilatation_norm, find_expansive_map,
+    gh_distance, is_isometry, isometry_search, min_dilatation_map, two_point_space,
+    zero_dilatation_endos,
 )
 from normcat.search import least_max, solve, subsets
 from normcat.topo import all_order_preserving_maps, all_posets, connected_components
@@ -318,76 +319,302 @@ def test_solve_counts_every_check(monkeypatch):
 
 # -- least_max -----------------------------------------------------------------
 
-def test_least_max_returns_the_first_optimum():
-    rng = random.Random(4108)
-    for _ in range(60):
-        domains = [rng.sample(range(3), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
-        # few distinct term values, so ties between lists are common
-        table = {(j, v, i, w): rng.choice((-1.0, 0.0, 1.0, 2.0))
-                 for i in range(len(domains)) for j in range(i) for v in range(3) for w in range(3)}
-        term = lambda j, v, i, w: table[j, v, i, w]
+def term_least_max(domains, term, floor):
+    """The term-callback least_max that the table search replaced, kept as
+    the oracle for values, witnesses and node counts: the same dive,
+    candidates and bisection, with one solve per decision."""
+    if not all(domains):
+        return math.inf, None
+    n = len(domains)
+    a, ub = [], floor
+    for i in range(n):
+        costs = [max([ub] + [term(j, a[j], i, w) for j in range(i)]) for w in domains[i]]
+        ub = min(costs)
+        a.append(domains[i][costs.index(ub)])
+    if ub == floor:
+        return ub, a
+    nodes = [0]
+    search._charge(nodes, sum(len(domains[j]) * len(domains[i])
+                              for i in range(n) for j in range(i)))
+    cands = sorted({floor, ub} | {t for i in range(n) for j in range(i) for v in domains[j]
+                                  for w in domains[i] if floor < (t := term(j, v, i, w)) < ub})
+    lo, hi, first = 0, len(cands), None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = cands[mid]
+        a = next(solve(domains, lambda j, v, i, w: term(j, v, i, w) <= r, nodes), None)
+        if a is None:
+            lo = mid + 1
+        else:
+            search._charge(nodes, n * (n - 1) // 2)
+            cost = max([floor] + [term(j, a[j], i, a[i]) for i in range(n) for j in range(i)])
+            hi, first = bisect.bisect_left(cands, cost), a
+    return cands[hi], first
+
+
+def term_min_dilatation_map(x, y):
+    n, m = len(x.points), len(y.points)
+    dx, dy = x.dist, y.dist
+
+    def term(j, v, i, w):
+        t, u = dx[j][i] - dy[v][w], dx[i][j] - dy[w][v]
+        return t if t >= u else u
+
+    floor = min(v for i, row in enumerate(dx) for j, v in enumerate(row) if i != j) \
+        if n > m else 0.0
+    val, assign = term_least_max([range(m)] * n, term, floor)
+    return val, {x.points[i]: y.points[assign[i]] for i in range(n)}
+
+
+def term_gh_distance(x, y):
+    n, m = len(x.points), len(y.points)
+    dx, dy = x.dist, y.dist
+
+    def term(j, v, k, w):
+        if k < n:
+            return abs(dx[j][k] - dy[v][w])
+        if j < n:
+            return abs(dx[j][w] - dy[v][k - n])
+        return abs(dy[j - n][k - n] - dx[v][w])
+
+    big = x if n > m else y
+    floor = 0.0 if n == m else min(
+        v for i, row in enumerate(big.dist) for j, v in enumerate(row) if i != j)
+    return term_least_max([range(m)] * n + [range(n)] * m, term, floor)[0] / 2.0
+
+
+def counting_nodes(monkeypatch):
+    """A one-item list that every later charge of the searches adds to."""
+    total, charge = [0], search._charge
+
+    def counted(nodes, k):
+        total[0] += k
+        charge(nodes, k)
+
+    monkeypatch.setattr(search, "_charge", counted)
+    return total
+
+
+def planar(rng, n, prefix, scale=1.0):
+    pts = [(scale * rng.random(), scale * rng.random()) for _ in range(n)]
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)],
+                             [[math.dist(p, q) for q in pts] for p in pts])
+
+
+def int_line(rng, n, prefix, quasi=False):
+    """n points at distinct integers in [0, 9], read as the line metric or,
+    with quasi, with one direction costing twice the other: many ties."""
+    xs = rng.sample(range(10), n)
+    d = [[float(abs(a - b)) * (2.0 if quasi and a < b else 1.0) for b in xs] for a in xs]
+    return FiniteMetricSpace(["%s%d" % (prefix, i) for i in range(n)], d, allow_quasi=quasi)
+
+
+def space_pairs(seed, count, quasi=True, most=49):
+    """Seeded pairs of 1-7 points, at most `most` pairs of points between
+    them: planar, integer and (with quasi) quasi-metric spaces, of
+    unequal sizes both ways round."""
+    rng = random.Random(seed)
+    kinds = [lambda k, p: planar(rng, k, p), lambda k, p: int_line(rng, k, p)]
+    if quasi:
+        kinds += [lambda k, p: quasi_metric(rng, k, p),
+                  lambda k, p: int_line(rng, k, p, quasi=True)]
+    for t in range(count):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        while n * m > most:
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+        if t % 3 == 0:
+            n, m = min(n, m), max(n, m)
+        elif t % 3 == 1:
+            n, m = max(n, m), min(n, m)
+        yield rng.choice(kinds)(n, "x"), rng.choice(kinds)(m, "y")
+
+
+# whole tables, and blocks of rows that split a table, down to one row a block
+@pytest.mark.parametrize("block", [search.BLOCK_FLOATS, 49 * 3, 30, 1])
+def test_table_search_matches_the_term_search_on_dil(monkeypatch, block):
+    nodes = counting_nodes(monkeypatch)
+    monkeypatch.setattr(search, "BLOCK_FLOATS", block)
+    for x, y in space_pairs(4111, 300 if block == search.BLOCK_FLOATS else 60):
+        nodes[0] = 0
+        ref = term_min_dilatation_map(x, y)
+        ref_nodes, nodes[0] = nodes[0], 0
+        got = min_dilatation_map(x, y)
+        assert (repr(got[0]), got[1], nodes[0]) == (repr(ref[0]), ref[1], ref_nodes)
+        nodes[0] = 0
+        ref = (term_min_dilatation_map(x, y)[0] + term_min_dilatation_map(y, x)[0]) / 2.0
+        ref_nodes, nodes[0] = nodes[0], 0
+        assert repr(dil_distance(x, y, "plus")) == repr(ref)
+        assert nodes[0] == ref_nodes
+
+
+@pytest.mark.parametrize("block", [search.BLOCK_FLOATS, 30, 1])
+def test_table_search_matches_the_term_search_on_gh(monkeypatch, block):
+    nodes = counting_nodes(monkeypatch)
+    monkeypatch.setattr(search, "BLOCK_FLOATS", block)
+    for x, y in space_pairs(4112, 150 if block == search.BLOCK_FLOATS else 40, False, 28):
+        nodes[0] = 0
+        ref = term_gh_distance(x, y)
+        ref_nodes, nodes[0] = nodes[0], 0
+        assert repr(gh_distance(x, y)) == repr(ref)
+        assert nodes[0] == ref_nodes
+
+
+def test_table_search_reads_values_past_64(monkeypatch):
+    # three points spread over [0, 10]^2 into 70 in [0, 1]^2: every map
+    # shrinks, so the dive misses the floor (nodes are charged only past
+    # it), and the first optimal map sends x0 to y68
+    rng = random.Random(7)
+    x, y = planar(rng, 3, "x", 10.0), planar(rng, 70, "y")
+    nodes = counting_nodes(monkeypatch)
+    ref = term_min_dilatation_map(x, y)
+    ref_nodes, nodes[0] = nodes[0], 0
+    assert min_dilatation_map(x, y) == ref
+    assert nodes[0] == ref_nodes > 0
+    assert ref[1]["x0"] == "y68"
+    # two points 9.5 apart against a unit cloud of 69 with y66 at (10, 0):
+    # the phi slots hold 70 values and the first optimum sends x1 to y66
+    rng = random.Random(2)
+    pts = [(rng.random(), rng.random()) for _ in range(70)]
+    pts[66] = (10.0, 0.0)
+    y = FiniteMetricSpace(["y%d" % i for i in range(70)],
+                          [[math.dist(p, q) for q in pts] for p in pts])
+    x = two_point_space(9.5, ("x0", "x1"))
+    found = []
+
+    def spy(*args):
+        found.append(least_max(*args))
+        return found[-1]
+
+    monkeypatch.setattr(metric, "least_max", spy)
+    nodes[0] = 0
+    ref = term_gh_distance(x, y)
+    ref_nodes, nodes[0] = nodes[0], 0
+    assert repr(gh_distance(x, y)) == repr(ref)
+    assert nodes[0] == ref_nodes > 0
+    assert found[0][1][:2] == [0, 66]
+
+
+def test_table_search_gives_up_before_building_a_large_table():
+    # 50 x 50 planar points: a 2500 x 2500 table, 50 MB of floats, is past
+    # the node count, so the search stops after the dive
+    rng = random.Random(9)
+    x, y = planar(rng, 50, "x"), planar(rng, 50, "y")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^search is limited to 5000000 nodes$"):
+            min_dilatation_map(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dive holds a block of rows or two, each at most BLOCK_FLOATS floats
+    assert peak < 8 * 8 * search.BLOCK_FLOATS, peak
+    # a dive that reaches the floor needs no table
+    copy = FiniteMetricSpace(["z%d" % i for i in range(50)], x.dist)
+    value, witness = min_dilatation_map(x, copy)
+    assert value == 0.0 and dilatation_norm(MultiMap.from_function(x, copy, witness)) == 0.0
+    assert gh_distance(x, copy) == 0.0
+
+
+def table_rows(table, reads=None):
+    """rows(lo, hi) over a fixed table, noting each call in reads."""
+    def rows(lo, hi):
+        if reads is not None:
+            reads.append((lo, hi))
+        return table[lo:hi].copy()
+    return rows
+
+
+def random_term_table(rng, sizes, values, floor):
+    """(slots, table): slot i's values at rows in a random order, and a
+    table whose term for two slots is drawn from values, the same either
+    way round, and floor within a slot."""
+    order = rng.sample(range(sum(sizes)), sum(sizes))
+    slots, k = [], 0
+    for size in sizes:
+        slots.append(order[k:k + size])
+        k += size
+    table = np.full((k, k), floor)
+    for i in range(len(slots)):
+        for j in range(i):
+            for p in slots[j]:
+                for q in slots[i]:
+                    table[p, q] = table[q, p] = rng.choice(values)
+    return slots, table
+
+
+def brute_least_max(slots, table, floor):
+    def cost(a):
+        ps = [slot[w] for slot, w in zip(slots, a)]
+        return max([floor] + [table[ps[j], ps[i]] for i in range(len(a)) for j in range(i)])
+
+    every = [list(a) for a in itertools.product(*[range(len(s)) for s in slots])]
+    low = min(map(cost, every))
+    return low, next(a for a in every if cost(a) == low)
+
+
+def test_least_max_returns_the_first_optimum(monkeypatch):
+    rng, whole = random.Random(4108), search.BLOCK_FLOATS
+    for t in range(120):
+        # whole tables, then blocks of one row
+        monkeypatch.setattr(search, "BLOCK_FLOATS", whole if t < 60 else 1)
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
         floor = rng.choice((-1.0, 0.0))
-
-        def cost(a):
-            return max([floor] + [term(j, a[j], i, a[i]) for i in range(len(a)) for j in range(i)])
-
-        every = [list(a) for a in itertools.product(*domains)]
-        low = min(map(cost, every))
-        assert least_max(domains, term, floor) == (low, next(a for a in every if cost(a) == low))
-    assert least_max([[0, 1], [], [0]], term, 0.0) == (float("inf"), None)
+        # few distinct term values, so ties between lists are common
+        slots, table = random_term_table(rng, sizes, (-1.0, 0.0, 1.0, 2.0), floor)
+        if rng.random() < 0.5:
+            slots = [range(slot[0], slot[0] + 1) if len(slot) == 1 else slot for slot in slots]
+        assert least_max(slots, table_rows(table), floor) == brute_least_max(slots, table, floor)
+    assert least_max([[0, 1], [], [2]], table_rows(np.zeros((3, 3))), 0.0) == (math.inf, None)
 
 
 def test_least_max_lowers_the_bracket_to_each_list_found(monkeypatch):
     decisions, seen = [], []
 
-    def counted(domains, compatible, nodes=None):
+    def decide(*args):
         decisions.append(1)
-        return solve(domains, compatible, nodes)
+        return first_fit(*args)
 
-    def index(cands, cost):
-        seen.append(list(cands))
-        return find(cands, cost)
+    def distinct(*args):
+        seen.append(distinct_of(*args).tolist())
+        return np.array(seen[-1])
 
-    find = bisect.bisect_left
-    monkeypatch.setattr(search, "solve", counted)
-    monkeypatch.setattr(search.bisect, "bisect_left", index)
+    first_fit, distinct_of = search._first_fit, search._distinct
+    monkeypatch.setattr(search, "_first_fit", decide)
+    monkeypatch.setattr(search, "_distinct", distinct)
     rng = random.Random(4109)
     fewer = 0
     for _ in range(200):
-        n = rng.randint(2, 5)
-        table = {(j, v, i, w): float(rng.randint(0, 9))
-                 for i in range(n) for j in range(i) for v in range(3) for w in range(3)}
-        term = lambda j, v, i, w: table[j, v, i, w]
-        low = min(max(term(j, a[j], i, a[i]) for i in range(n) for j in range(i))
-                  for a in itertools.product(range(3), repeat=n))
+        slots, table = random_term_table(rng, [3] * rng.randint(2, 5),
+                                    [float(t) for t in range(10)], 0.0)
+        low = brute_least_max(slots, table, 0.0)[0]
         decisions.clear()
         seen.clear()
-        assert least_max([range(3)] * n, term, 0.0)[0] == low
+        assert least_max(slots, table_rows(table), 0.0)[0] == low
         if not seen:
             continue
         # a bisection of the same candidates that learns only yes or no
         plain = []
-        find(seen[0], True, key=lambda r: plain.append(r) or low <= r)
+        bisect.bisect_left(seen[0], True, key=lambda r: plain.append(r) or low <= r)
         assert len(decisions) <= len(plain)
         fewer += len(decisions) < len(plain)
     assert fewer > 20
 
 
 def test_least_max_stops_at_the_floor(monkeypatch):
-    calls = []
-
-    def term(j, v, i, w):
-        calls.append((j, v, i, w))
-        return float(v == w)
-
+    # three slots of two values, the term 1.0 when two values are equal
+    table = np.array([[float(j != i and v == w) for i in range(3) for w in range(2)]
+                      for j in range(3) for v in range(2)])
+    slots = [range(0, 2), range(2, 4), range(4, 6)]
+    reads = []
     monkeypatch.setattr(search, "MAX_NODES", 0)
     # three slots over two values always repeat a value, so 1.0 is a lower bound
-    assert least_max([range(2)] * 3, term, 1.0) == (1.0, [0, 0, 0])
-    # the greedy dive alone: one term per earlier slot and value
-    assert len(calls) == 2 * (0 + 1 + 2)
-    # without the floor the dive's 1.0 must be proved by a search
+    assert least_max(slots, table_rows(table, reads), 1.0) == (1.0, [0, 0, 0])
+    # the greedy dive alone: one block holds the table, read once
+    assert reads == [(0, 6)]
+    # without the floor the dive's 1.0 must be proved by a search, and
+    # even the table is past the count
     with pytest.raises(ValueError, match="^search is limited to 0 nodes$"):
-        least_max([range(2)] * 3, term, 0.0)
+        least_max(slots, table_rows(table), 0.0)
 
 
 def equilateral(n, prefix):
