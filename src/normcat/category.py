@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import search
 from .extreal import INF, is_norm_value, sup0
 
 
@@ -150,8 +151,8 @@ class FiniteCategory:
         morphism order.  The table holds composites as morphism indices
         (-1 off the composable pairs).  Pairs (g, f) are grouped by
         tgt(g), so h runs over one outof list per group, and taken in
-        blocks whose int32 temporaries hold at most 2**14 elements,
-        which keeps peak memory flat.
+        blocks whose int32 temporaries hold at most search.BLOCK_FLOATS
+        elements, which keeps peak memory flat.
         """
         index = {name: i for i, name in enumerate(self._mor)}
         table = np.full((len(index), len(index)), -1, dtype=np.int32)
@@ -167,7 +168,7 @@ class FiniteCategory:
             # composable (f, g) with tgt(g) = x, f-major as in the loop
             fs, gi = np.nonzero(ends[:, 1, None] == ends[into, 0][None, :])
             gs = into[gi]
-            step = max(1, 2 ** 14 // len(hs))
+            step = max(1, search.BLOCK_FLOATS // len(hs))
             for lo in range(0, len(fs), step):
                 f = fs[lo:lo + step, None]
                 g = gs[lo:lo + step, None]
@@ -334,20 +335,35 @@ def first_triangle_violation(dist, tol):
     """The lexicographically first (i, j, k) with d[i][k] > d[i][j] + d[j][k] + tol, or None.
 
     Rows i are taken in blocks whose (block, n, n) temporaries hold at
-    most 2**14 elements, so memory stays flat as n grows.
+    most search.BLOCK_FLOATS elements, so memory stays flat as n grows.
+
+    When d spans several blocks and equals its transpose exactly, the
+    block of rows lo.. reads only the columns k >= lo.  For k < i the
+    triple (i, j, k) is the same float comparison as its mirror
+    (k, j, i), since d[k][i] = d[i][k], fl(d[k][j] + d[j][i]) =
+    fl(d[i][j] + d[j][k]), and the same tol is added; the mirror comes
+    first, so the first violation has k >= i, whatever the signs of the
+    entries.
     """
     d = np.asarray(dist, dtype=float)
     n = len(d)
-    step = max(1, 2 ** 14 // max(1, n * n))
+    step = max(1, search.BLOCK_FLOATS // max(1, n * n))
+    mirror = step < n and np.array_equal(d, d.T)
     for lo in range(0, n, step):
         rows = d[lo:lo + step]
-        # on its own line: as one expression with the comparison this
-        # ran 3x slower at n = 170 under numpy 2.4
-        bound = rows[:, :, None] + d[None, :, :] + tol
-        bad = rows[:, None, :] > bound
+        if mirror:
+            # laid out as (i, k, j) for k >= lo, reading d[j][k] as d[k][j],
+            # so that the rows of d are read whole
+            bound, left = rows[:, None, :] + d[None, lo:, :], rows[:, lo:, None]
+        else:
+            bound, left = rows[:, :, None] + d[None, :, :], rows[:, None, :]
+        # d[i][j] + d[j][k] + tol, rounded as the triple loop rounds it;
+        # tol goes in place, so that a block holds one float temporary
+        bound += tol
+        bad = left > bound
         if np.count_nonzero(bad):
-            i, j, k = np.argwhere(bad)[0].tolist()
-            return lo + i, j, k
+            i, j, k = np.argwhere(bad.transpose(0, 2, 1) if mirror else bad)[0].tolist()
+            return lo + i, j, k + (lo if mirror else 0)
     return None
 
 

@@ -253,8 +253,8 @@ def least_max(slots, rows, floor):
     repeat one that is read.  Rows come in blocks of at most BLOCK_FLOATS
     floats (or one row), and the dive keeps only its last block.  The
     table, len(T) ** 2 floats, must fit the node count before it is
-    built; the scan of its terms, the decisions and the costs share that
-    count.
+    built; the scan of its terms, which merges them into the distinct
+    ones as it goes, the decisions and the costs share that count.
     """
     if not all(slots):
         return math.inf, None
@@ -290,10 +290,22 @@ def least_max(slots, rows, floor):
     # one more column, of inf, stands for the pads of _words
     table, terms = np.empty((size, size + 1)), []
     table[:, size] = math.inf
+    # terms: the in-range entries of each block, held in all; after a
+    # merge, terms[0] holds the distinct ones of the blocks before it,
+    # merged of them
+    held = merged = 0
     for lo in range(0, size, step):
         rest = block if lo == start else rows(lo, min(size, lo + step))
         table[lo:lo + step, :size] = rest
         terms.append(rest[(rest > floor) & (rest < ub)])
+        held += len(terms[-1])
+        # a term recurs in many rows: merging whenever the pending
+        # entries outnumber the distinct ones holds about those only.
+        # The blocks are let go before the sort, which then works in place
+        if held - merged > max(merged, BLOCK_FLOATS):
+            terms = [np.concatenate(terms)]
+            terms[0] = _unique(terms[0])
+            held = merged = len(terms[0])
     del block, rest
     cands = _distinct(floor, np.concatenate(terms), ub)
     del terms
@@ -322,11 +334,17 @@ def least_max(slots, rows, floor):
 def _distinct(floor, terms, ub):
     """The array of floor, the distinct values of terms in increasing
     order, and ub, sorting terms in place."""
+    return np.concatenate(([floor], _unique(terms), [ub]))
+
+
+def _unique(terms):
+    """The distinct values of the float array terms in increasing order,
+    sorting terms in place."""
     terms.sort()
     keep = np.empty(len(terms), dtype=bool)
     keep[:1] = True
     np.not_equal(terms[1:], terms[:-1], out=keep[1:])
-    return np.concatenate(([floor], terms[keep], [ub]))
+    return terms[keep]
 
 
 def _words(slots, pad):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from normcat import search
 from normcat.extreal import INF
 from normcat.category import (
     CategoryError, FiniteCategory,
@@ -177,7 +178,7 @@ def test_degenerate_categories_build():
 def test_associativity_check_memory_stays_within_a_few_blocks():
     cat, _ = group_norm_category(8)
     m = len(cat.morphisms)
-    block = 4 * 2 ** 14   # bytes of one 2**14-element int32 block
+    block = 4 * search.BLOCK_FLOATS   # bytes of one int32 block
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -455,7 +456,11 @@ def brute_force_violation(d, tol):
     return None
 
 
-def test_triangle_helper_matches_the_triple_loop():
+# whole matrices, and blocks of rows that split one, down to one row a block
+TRIANGLE_BLOCKS = (search.BLOCK_FLOATS, 147, 30, 1)
+
+
+def test_triangle_helper_matches_the_triple_loop(monkeypatch):
     rng = random.Random(20)
     verdicts = set()
     for trial in range(300):
@@ -472,9 +477,107 @@ def test_triangle_helper_matches_the_triple_loop():
             d[i][k] = rng.choice([d[i][k] * rng.uniform(0.5, 1.5),
                                   d[i][k] + 1e-10, d[i][k] + 1e-8, INF])
         want = brute_force_violation(d, 1e-9)
-        assert first_triangle_violation(d, 1e-9) == want
+        for block in TRIANGLE_BLOCKS:
+            monkeypatch.setattr(search, "BLOCK_FLOATS", block)
+            assert first_triangle_violation(d, 1e-9) == want, block
         verdicts.add(want is None)
     assert verdicts == {True, False}
+
+
+def planted_triangle_rows(rng, n):
+    """A quarter-rounded planar distance matrix on n points (many ties),
+    with a few entries changed, each together with its mirror unless the
+    matrix is to come out asymmetric: raised or lowered, inf, negative,
+    a nonzero diagonal, or off by 1e-12."""
+    ps = [(rng.random(), rng.random()) for _ in range(n)]
+    d = np.array([[round(4 * math.dist(a, b)) / 4 for b in ps] for a in ps]).reshape(n, n)
+    mirrored = rng.random() < 0.8
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        kind = rng.randrange(6)
+        if kind == 5:
+            d[i, i] = rng.choice([0.25, -0.25])
+            continue
+        v = [d[i, k] * rng.uniform(0.3, 1.7), d[i, k] + 0.5, INF, -0.25,
+             d[i, k] + 1e-12][kind]
+        d[i, k] = v
+        if mirrored:
+            d[k, i] = v
+    return d
+
+
+def test_triangle_helper_matches_the_triple_loop_on_planted_entries(monkeypatch):
+    rng = random.Random(23)
+    verdicts, routes = set(), set()
+    for trial in range(400):
+        d = planted_triangle_rows(rng, rng.randint(0, 20))
+        # without slack, quarters add up exactly and 1e-12 breaks a tie
+        tol = scale_tolerance(d) if trial % 2 else 0.0
+        want = brute_force_violation(d, tol)
+        for block in TRIANGLE_BLOCKS:
+            monkeypatch.setattr(search, "BLOCK_FLOATS", block)
+            assert first_triangle_violation(d, tol) == want, (block, tol, d.tolist())
+        verdicts.add(want is None)
+        routes.add(bool(np.array_equal(d, d.T)))
+    assert verdicts == {True, False} and routes == {True, False}
+
+
+def full_triangle_scan(dist, tol):
+    """The reference scan: every block of rows reads every (j, k), laid
+    out as (i, j, k), so its first hit is the first violation."""
+    d = np.asarray(dist, dtype=float)
+    n = len(d)
+    step = max(1, 2 ** 14 // max(1, n * n))
+    for lo in range(0, n, step):
+        rows = d[lo:lo + step]
+        bound = rows[:, :, None] + d[None, :, :] + tol
+        bad = rows[:, None, :] > bound
+        if np.count_nonzero(bad):
+            i, j, k = np.argwhere(bad)[0].tolist()
+            return lo + i, j, k
+    return None
+
+
+@pytest.mark.parametrize("n", [130, 170])
+def test_mirrored_blocks_name_the_full_scans_triple_on_large_inputs(n):
+    rng = random.Random(n)
+    ps = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+    base = np.array([[math.dist(a, b) for b in ps] for a in ps])
+    tol = scale_tolerance(base)
+    assert first_triangle_violation(base, tol) is None
+    found = 0
+    for trial in range(12):
+        d = base.copy()
+        # entries among the last 20 points raised, so every violation lies
+        # in the late rows; mirrored in all but every fourth matrix
+        for _ in range(rng.randint(1, 3)):
+            i, k = rng.sample(range(n - 20, n), 2)
+            d[i, k] = rng.choice([2 * d[i, k] + 0.5, d[i, k] + 1e-8])
+            if trial % 4:
+                d[k, i] = d[i, k]
+        want = full_triangle_scan(d, tol)
+        assert first_triangle_violation(d, tol) == want
+        found += want is not None
+    assert found >= 6
+
+
+def test_triangle_check_peaks_no_higher_than_the_full_scan():
+    rng = random.Random(170)
+    ps = [(rng.random(), rng.random(), rng.random()) for _ in range(170)]
+    d = np.array([[math.dist(a, b) for b in ps] for a in ps])
+    tol = scale_tolerance(d)
+    skew = d.copy()
+    skew[3, 7] += 1e-12
+    for m in (d, skew):
+        peaks = []
+        for check in (full_triangle_scan, first_triangle_violation):
+            tracemalloc.start()
+            try:
+                assert check(m, tol) is None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], peaks
 
 
 def test_p_symmetrization_needs_p_at_least_one():

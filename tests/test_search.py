@@ -515,6 +515,35 @@ def test_table_search_gives_up_before_building_a_large_table():
     assert gh_distance(x, copy) == 0.0
 
 
+def test_table_scan_holds_about_the_distinct_terms(monkeypatch):
+    # 45 x 45 planar points: the 2025 x 2025 table fits the node count, and
+    # its 1.4 M entries between the floor and the dive's bound hold 0.34 M
+    # distinct terms, since each term of a symmetric table recurs
+    rng = random.Random(9)
+    x, y = planar(rng, 45, "x"), planar(rng, 45, "y")
+    distinct_terms = []
+
+    def distinct(floor, terms, ub):
+        cands = distinct_of(floor, terms, ub)
+        distinct_terms.append(len(cands) - 2)
+        return cands
+
+    distinct_of = search._distinct
+    monkeypatch.setattr(search, "_distinct", distinct)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^search is limited to 5000000 nodes$"):
+            min_dilatation_map(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the table (one inf column more): a few copies of the distinct
+    # terms, where keeping every in-range entry to the end held over ten
+    table = 8 * 2025 * 2026
+    assert 300_000 < distinct_terms[0] < 400_000, distinct_terms
+    assert peak - table < 6 * 8 * distinct_terms[0], (peak, distinct_terms)
+
+
 def table_rows(table, reads=None):
     """rows(lo, hi) over a fixed table, noting each call in reads."""
     def rows(lo, hi):
