@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Record a before/after benchmark of a change as one BENCH_<n>.json.
 
-    python3 bench/record.py --out BENCH_23.json [--base HEAD] [--pairs 3]
-        [--workloads large-inputs combinatorial] [--seed 4] [--seconds 20]
+    python3 bench/record.py --out BENCH_23.json [--base HEAD] [--seed 4]
 
 Run it from the root of a checkout.  The child is a copy of this
 checkout as it stands (its tracked and untracked files, not the ignored
 ones); the parent is `git archive --base`.  Both go into one temporary
 directory, so that neither tree runs from another location.  For each
-workload the recorder runs the unchanged `perfbench/run.py` of each
-tree, parent and child in turn, for --pairs pairs (the first of a pair
-alternates, so that a drift of the host speed falls on both sides).  It then times the micro-workloads below in
-process on each tree, runs the child's tier-1 suite, and writes the
-medians, the quartiles and the raw pairs with the host, Python and
-numpy versions.  See bench/README.md.
+workload of BENCHMARK.json the recorder runs the unchanged
+`perfbench/run.py` of each tree for the run length BENCHMARK.json sets,
+parent and child in turn, for PAIRS pairs (the first of a pair
+alternates, so that a drift of the host speed falls on both sides).  It
+then times the micro-workloads below in process on each tree, runs the
+child's tier-1 suite, and writes the medians, the quartiles and the raw
+pairs with the host, Python and numpy versions.  See bench/README.md.
 """
 
 import argparse
@@ -33,6 +33,9 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# end-to-end pairs per workload: the count a claimed gain is judged on
+PAIRS = 10
 
 # in-process micro-workloads: name -> (sizes, code run in the tree's
 # interpreter with `n` and `reps` bound; it prints one time in seconds,
@@ -149,23 +152,22 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="file to write, e.g. BENCH_23.json")
     p.add_argument("--base", default="HEAD", help="the parent revision (default HEAD)")
-    p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--workloads", nargs="+", default=["large-inputs", "combinatorial"])
     p.add_argument("--seed", type=int, default=4)
-    p.add_argument("--seconds", type=float, default=20.0)
     args = p.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         commit, parent = export(args.base, tmp)
         trees = {"parent": parent, "child": copy_checkout(tmp)}
         record = {"base": commit, "host": host(), "seed": args.seed,
-                  "seconds": args.seconds, "workloads": {}, "micro": {}}
-        for workload in args.workloads:
+                  "seconds": seconds, "workloads": {}, "micro": {}}
+        for workload in [w["name"] for w in bench["workloads"]]:
             runs = {"parent": [], "child": []}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 for side in sides(k):
-                    run = perfbench(trees[side], workload, args.seed, args.seconds)
+                    run = perfbench(trees[side], workload, args.seed, seconds)
                     runs[side].append(run)
                     print("%s %s pair %d: %s" % (workload, side, k, json.dumps(run["metrics"])),
                           file=sys.stderr)

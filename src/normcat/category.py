@@ -349,21 +349,19 @@ def first_triangle_violation(dist, tol):
     n = len(d)
     step = max(1, search.BLOCK_FLOATS // max(1, n * n))
     mirror = step < n and np.array_equal(d, d.T)
+    # a block is laid out as (i, k, j), k from c on, and reads
+    # src[k][j] = d[j][k]; a symmetric d is read as itself, row by row
+    src = d if mirror else d.T
     for lo in range(0, n, step):
-        rows = d[lo:lo + step]
-        if mirror:
-            # laid out as (i, k, j) for k >= lo, reading d[j][k] as d[k][j],
-            # so that the rows of d are read whole
-            bound, left = rows[:, None, :] + d[None, lo:, :], rows[:, lo:, None]
-        else:
-            bound, left = rows[:, :, None] + d[None, :, :], rows[:, None, :]
+        rows, c = d[lo:lo + step], lo if mirror else 0
         # d[i][j] + d[j][k] + tol, rounded as the triple loop rounds it;
         # tol goes in place, so that a block holds one float temporary
+        bound = rows[:, None, :] + src[None, c:, :]
         bound += tol
-        bad = left > bound
+        bad = rows[:, c:, None] > bound
         if np.count_nonzero(bad):
-            i, j, k = np.argwhere(bad.transpose(0, 2, 1) if mirror else bad)[0].tolist()
-            return lo + i, j, k + (lo if mirror else 0)
+            i, j, k = np.argwhere(bad.transpose(0, 2, 1))[0].tolist()
+            return lo + i, j, k + c
     return None
 
 
