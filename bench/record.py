@@ -42,6 +42,22 @@ PAIRS = 10
 # the median over reps calls, on seeded inputs that do not depend on
 # the tree).  Each size runs MICRO_ROUNDS times a side, alternating.
 MICRO_REPS, MICRO_ROUNDS = 30, 5
+# the threshold searches on one seeded pair of n planar points a side,
+# timed as f(x, y)
+PLANAR_PAIR = """
+import math, random, statistics, time
+from normcat.metric import FiniteMetricSpace, gh_distance, min_dilatation_map
+rng = random.Random(n)
+x, y = [FiniteMetricSpace([p + str(i) for i in range(n)], [[math.dist(a, b) for b in ps] for a in ps])
+        for p, ps in (("x", [(rng.random(), rng.random()) for _ in range(n)]),
+                      ("y", [(rng.random(), rng.random()) for _ in range(n)]))]
+ts = []
+for _ in range(reps):
+    t0 = time.perf_counter()
+    f(x, y)
+    ts.append(time.perf_counter() - t0)
+print(statistics.median(ts))
+"""
 MICRO = {
     "category.first_triangle_violation": ((30, 60, 120, 170), """
 import math, random, statistics, time
@@ -58,6 +74,9 @@ for _ in range(reps):
     ts.append(time.perf_counter() - t0)
 print(statistics.median(ts))
 """),
+    "metric.gh_distance": ((8, 10, 12, 14), "f = lambda x, y: gh_distance(x, y)" + PLANAR_PAIR),
+    "metric.min_dilatation_map": ((8, 10, 12, 14),
+                                  "f = lambda x, y: min_dilatation_map(x, y)" + PLANAR_PAIR),
 }
 
 

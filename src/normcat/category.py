@@ -331,6 +331,8 @@ def scale_tolerance(d):
     return 1e-9 * max(1.0, float(d[np.isfinite(d)].max(initial=0.0)))
 
 
+# a bound past the largest float is inf, as in the triple loop, and no warning
+@np.errstate(over="ignore")
 def first_triangle_violation(dist, tol):
     """The lexicographically first (i, j, k) with d[i][k] > d[i][j] + d[j][k] + tol, or None.
 

@@ -7,9 +7,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .extreal import INF, ext_log, sup1
 from .category import FiniteCategory, FiniteMap, monoid_category
-from .search import solve, subsets
+from .search import point_maps, subsets
 
 
 class NonInjective(ValueError):
@@ -185,10 +187,11 @@ def _injective_simplicial_maps(x, y):
     """Every injective simplicial map x -> y, lexicographic in the vertex
     orders: the search keeps edges on edges, then checks every simplex."""
     xs, ys = x.vertices, y.vertices
-    ok = lambda j, v, i, w: v != w and (frozenset((xs[j], xs[i])) not in x.simplices
-                                        or frozenset((v, w)) in y.simplices)
-    for a in solve([ys] * len(xs), ok):
-        assign = dict(zip(xs, a))
+    edges = lambda sp, vs: np.array([[frozenset((a, b)) in sp.simplices for b in vs] for a in vs])
+    ex, ey, same = edges(x, xs), edges(y, ys), np.eye(len(ys), dtype=bool)
+    # x_j to y_v clashes with x_i to y_w when v is w or the edge ji is lost
+    clash = lambda j, v: same[None, v, None, :] | (ex[j, None, :, None] & ~ey[None, v, None, :])
+    for assign in point_maps(xs, ys, clash):
         if all(frozenset(assign[u] for u in s) in y.simplices for s in x.simplices):
             yield assign
 

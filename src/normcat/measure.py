@@ -35,6 +35,9 @@ class FiniteMMSpace:
                 raise ValueError("mass at %r outside [0, inf)" % (p,))
             if self.fully_supported and m == 0.0:
                 raise ValueError("zero mass at %r in a fully supported space" % (p,))
+        # rounding is monotone, so every subset's sum in point order is finite too
+        if not sum(map(self.mass.__getitem__, self.base.points)) < INF:
+            raise ValueError("the total mass is not finite")
 
     def measure(self, subset):
         return sum(self.mass[p] for p in subset)

@@ -16,7 +16,7 @@ import numpy as np
 from .extreal import INF, NEG_INF, sup0
 from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
 from .capacity import CapacityInstance, capacity_norms
-from .search import least_max, solve, subsets
+from .search import least_max, pair_rows, point_maps, subsets
 
 
 class EmptySpace(ValueError):
@@ -343,31 +343,12 @@ def min_dilatation_map(x, y):
     def terms(j, v):
         t = dx[j, None, :, None] - dy[None, v, None, :]
         u = dx.T[j, None, :, None] - dy.T[None, v, None, :]
-        return np.maximum(t, u, out=t).reshape(-1, n * m)
+        return np.maximum(t, u, out=t)
 
     floor = _least_distance(x) if n > m else 0.0
     val, assign = least_max([range(i * m, i * m + m) for i in range(n)],
-                            lambda lo, hi: _pair_rows(m, lo, hi, terms), floor)
+                            pair_rows(m, terms), floor)
     return val, {x.points[i]: y.points[assign[i]] for i in range(n)}
-
-
-def _pair_rows(m, lo, hi, terms):
-    """Rows lo .. hi - 1 of a table over the pairs (x_j, y_v), numbered
-    j * m + v, where terms(js, vs) gives the rows of the pairs with j in
-    the slice js and v in the slice vs, j-major.  At most three calls:
-    the part of an x point the range starts in, the whole x points, and
-    the part it ends in."""
-    parts = []
-    while lo < hi:
-        j = lo // m
-        if lo % m or hi - lo < m:
-            end = min(hi, j * m + m)
-            parts.append(terms(slice(j, j + 1), slice(lo - j * m, end - j * m)))
-        else:
-            end = hi - hi % m
-            parts.append(terms(slice(j, end // m), slice(None)))
-        lo = end
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _least_distance(sp):
@@ -407,11 +388,11 @@ def gh_distance(x, y):
 
     def terms(a, b):
         t = dx[a, None, :, None] - dy[None, b, None, :]
-        return np.abs(t, out=t).reshape(-1, n * m)
+        return np.abs(t, out=t)
 
     floor = 0.0 if n == m else _least_distance(x if n > m else y)
     slots = [range(i * m, i * m + m) for i in range(n)] + [range(k, n * m, m) for k in range(m)]
-    return least_max(slots, lambda lo, hi: _pair_rows(m, lo, hi, terms), floor)[0] / 2.0
+    return least_max(slots, pair_rows(m, terms), floor)[0] / 2.0
 
 
 def gh_correspondence_oracle(x, y):
@@ -445,22 +426,21 @@ def search_slack(*spaces):
     return 1e-9 * max((v for sp in spaces for row in sp.dist for v in row), default=0.0)
 
 
-def _expansive(x, y):
-    dx, dy, tol = x.dist, y.dist, search_slack(x, y)
-    return lambda j, v, i, w: dy[v][w] >= dx[j][i] - tol and dy[w][v] >= dx[i][j] - tol
+def _shrinks(x, y):
+    """The clash of two points under a map x -> y that shrinks distances."""
+    dx, dy, tol = x.array, y.array, search_slack(x, y)
+    return lambda j, v: ~((dy[None, v, None, :] >= dx[j, None, :, None] - tol)
+                          & (dy.T[None, v, None, :] >= dx.T[j, None, :, None] - tol))
 
 
 def find_expansive_map(x, y):
     """A map x -> y that never shrinks distances (dilatation norm 0), or None."""
-    out = next(solve([range(len(y.points))] * len(x.points), _expansive(x, y)), None)
-    return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
+    return next(point_maps(x.points, y.points, _shrinks(x, y)), None)
 
 
 def zero_dilatation_endos(sp):
     """All self-maps with dilatation norm zero (never shrinking a distance)."""
-    n = len(sp.points)
-    return [{p: sp.points[k] for p, k in zip(sp.points, out)}
-            for out in solve([range(n)] * n, _expansive(sp, sp))]
+    return list(point_maps(sp.points, sp.points, _shrinks(sp, sp)))
 
 
 def isometry_search(x, y, ok=None):
@@ -471,12 +451,11 @@ def isometry_search(x, y, ok=None):
     n = len(x.points)
     if n != len(y.points):
         return None
-    dx, dy, tol = x.dist, y.dist, search_slack(x, y)
-    fits = lambda j, v, i, w: (v != w and abs(dy[v][w] - dx[j][i]) <= tol
-                               and abs(dy[w][v] - dx[i][j]) <= tol)
-    domains = [[v for v in range(n) if ok is None or ok(i, v)] for i in range(n)]
-    out = next(solve(domains, fits), None)
-    return None if out is None else {p: y.points[k] for p, k in zip(x.points, out)}
+    dx, dy, tol, same = x.array, y.array, search_slack(x, y), np.eye(n, dtype=bool)
+    clash = lambda j, v: same[None, v, None, :] | ~(
+        (abs(dy[None, v, None, :] - dx[j, None, :, None]) <= tol)
+        & (abs(dy.T[None, v, None, :] - dx.T[j, None, :, None]) <= tol))
+    return next(point_maps(x.points, y.points, clash, ok), None)
 
 
 def is_isometry(f):

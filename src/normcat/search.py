@@ -5,7 +5,8 @@ A seminorm here is a supremum over the subobjects of a finite target,
 so its exact value is one walk over subsets, or over the down-sets of
 an order when the subobjects are those; the norm axioms (N3 in
 particular) ask for maps found by a search over point assignments; a
-distance is a least worst case over maps.  Every walk has a fixed
+distance is a least worst case over maps; fits finds both over a
+table of terms between pairs (point, value).  Every walk has a fixed
 order, so every value and every first witness is reproducible.
 """
 
@@ -204,35 +205,91 @@ def down_sets(below):
     return walk()
 
 
-def solve(domains, compatible, nodes=None):
-    """Every list a with a[i] in domains[i] and compatible(j, a[j], i, a[i])
-    for all j < i, in lexicographic order of the domains.
+def fits(slots, rows, r, nodes=None):
+    """Every list a with a[i] in range(len(slots[i])) whose terms
+    T[p_j, p_i], j < i, are all at most r, p_i = slots[i][a[i]], in
+    lexicographic order (slots and rows as for least_max; T may be a
+    bool table, read as 0 and 1).
 
-    Forward checking: placing a[i] removes the values that clash with it
-    from every later domain, and a prefix that empties one is not
-    extended.  Each call of compatible is one node, counted in the
-    one-item list nodes (shared by the searches handed it); past
-    MAX_NODES the search raises ValueError.
+    Forward checking (Haralick and Elliott, Artificial Intelligence 14,
+    1980) over bitmasks read from blocks of at most BLOCK_FLOATS floats
+    of T (or one row): placing a value ands each later slot's domain
+    with the mask of the values whose term against it is at most r, and
+    a placement that empties one is not extended.  Each value a domain
+    holds when so checked is one node, counted in the one-item list
+    nodes (shared by the searches handed it); past MAX_NODES, or when
+    len(T) ** 2 is past it, the search raises ValueError.
     """
-    nodes = [0] if nodes is None else nodes
+    if not slots or not slots[0]:
+        return iter([] if slots else [[]])
+    return _fits(slots, *_layout(slots), rows, r, [0] if nodes is None else nodes)
 
-    def extend(a, doms):
-        if not doms:
-            yield a
-            return
-        i, later = len(a), doms[1:]
-        for v in doms[0]:
-            rest = []
-            for k, dom in enumerate(later, i + 1):
-                _charge(nodes, len(dom))
-                dom = [w for w in dom if compatible(i, v, k, w)]
-                if not dom:
-                    break
-                rest.append(dom)
-            else:
-                yield from extend(a + [v], rest)
 
-    return extend([], [list(d) for d in domains])
+def _layout(slots):
+    """(cols, word, size): the slots' rows, each padded with -1, a bit in no
+    domain, to the words of 8, 16, 32 or 64 bits the largest takes; the
+    numpy type of a word; and len(T), whose square must fit the count."""
+    longest = max(map(len, slots))
+    bits = next(b for b in (8, 16, 32, 64) if longest <= b or b == 64)
+    cols = []
+    for slot in slots:
+        cols.extend(slot)
+        cols.extend([-1] * (-(-longest // bits) * bits - len(slot)))
+    cols = np.array(cols)
+    size = int(cols.max()) + 1
+    if size * size > MAX_NODES:
+        raise ValueError("search is limited to %d nodes" % (MAX_NODES,))
+    return cols, "<u%d" % (bits // 8), size
+
+
+def _fits(slots, cols, word, size, rows, r, nodes):
+    """The lists of fits, on the _layout of slots."""
+    # masks[p][k]: the int with bit w set when T[p, slots[k][w]] <= r
+    step, masks = max(1, BLOCK_FLOATS // size), []
+    for lo in range(0, size, step):
+        ok = (rows(lo, min(size, lo + step)) <= r).take(cols, axis=1)
+        masks += np.packbits(ok, axis=1, bitorder="little").view(word).tolist()
+    per = len(cols) // len(slots) // 64
+    if per > 1:
+        # a slot of more than 64 values spans several words
+        masks = [[sum(ws[s + t] << 64 * t for t in range(per)) for s in range(0, len(ws), per)]
+                 for ws in masks]
+    a = [0] * len(slots)
+    # frame i: (values of slot i still to try, domains of the slots after i)
+    stack = [((1 << len(slots[0])) - 1, [(1 << len(slot)) - 1 for slot in slots[1:]])]
+    while stack:
+        todo, later = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        low = todo & -todo
+        stack[-1] = (todo ^ low, later)
+        w = a[i] = low.bit_length() - 1
+        if not later:
+            yield list(a)
+            continue
+        mask = masks[slots[i][w]]
+        rest, count = [], 0
+        for k, dom in enumerate(later, i + 1):
+            count += dom.bit_count()
+            dom &= mask[k]
+            if not dom:
+                break
+            rest.append(dom)
+        _charge(nodes, count)
+        if len(rest) == len(later):
+            stack.append((rest[0], rest[1:]))
+
+
+def point_maps(xs, ys, clash, ok=None):
+    """Every map, as a dict in lexicographic order, of the points xs to the
+    values ys with ok(j, v) for xs[j] sent to ys[v] (when ok is given) under
+    which no two points clash: fits at r = 0 on pair_rows(len(ys), clash)."""
+    m = len(ys)
+    slots = [[j * m + v for v in range(m) if ok is None or ok(j, v)] for j in range(len(xs))]
+    return ({p: ys[slot[k] % m] for p, slot, k in zip(xs, slots, a)}
+            for a in fits(slots, pair_rows(m, clash), 0))
 
 
 def least_max(slots, rows, floor):
@@ -247,8 +304,8 @@ def least_max(slots, rows, floor):
     and floor must bound every cost from below.  A greedy dive, reading
     the rows of the values it chooses, gives the bound ub from above;
     unless ub is floor, bisecting the distinct entries of T between them
-    finds the least r at which a list has every term at most r, and each
-    list found lowers the upper end to its own cost.  So an entry that
+    finds the least r at which fits yields a list, and each list found
+    lowers the upper end to its own cost.  So an entry that
     no earlier slot reads against a later one must be at most floor or
     repeat one that is read.  Rows come in blocks of at most BLOCK_FLOATS
     floats (or one row), and the dive keeps only its last block.  The
@@ -283,20 +340,17 @@ def least_max(slots, rows, floor):
         # the dive took the first value of cost floor at every slot, so it
         # is the first list of cost floor
         return ub, a
-    if size * size > MAX_NODES:
-        raise ValueError("search is limited to %d nodes" % (MAX_NODES,))
+    layout = _layout(slots)
     nodes, lens = [0], [len(slot) for slot in slots]
     _charge(nodes, (sum(lens) ** 2 - sum(k * k for k in lens)) // 2)
-    # one more column, of inf, stands for the pads of _words
-    table, terms = np.empty((size, size + 1)), []
-    table[:, size] = math.inf
+    table, terms = np.empty((size, size)), []
     # terms: the in-range entries of each block, held in all; after a
     # merge, terms[0] holds the distinct ones of the blocks before it,
     # merged of them
     held = merged = 0
     for lo in range(0, size, step):
         rest = block if lo == start else rows(lo, min(size, lo + step))
-        table[lo:lo + step, :size] = rest
+        table[lo:lo + step] = rest
         terms.append(rest[(rest > floor) & (rest < ub)])
         held += len(terms[-1])
         # a term recurs in many rows: merging whenever the pending
@@ -309,8 +363,6 @@ def least_max(slots, rows, floor):
     del block, rest
     cands = _distinct(floor, np.concatenate(terms), ub)
     del terms
-    cols, word, spans = _words(slots, size)
-    full = [(1 << k) - 1 for k in lens]
     n = len(slots)
     # every candidate below lo is infeasible, and hi indexes the cost of
     # the cheapest list found (len(cands) before the first).  A list found
@@ -320,7 +372,8 @@ def least_max(slots, rows, floor):
     lo, hi, first = 0, len(cands), None
     while lo < hi:
         mid = (lo + hi) // 2
-        a = _first_fit(slots, _masks(table, cands[mid], cols, word, spans), full, nodes)
+        # the search of fits, on one layout of the slots for every decision
+        a = next(_fits(slots, *layout, lambda p, q: table[p:q], cands[mid], nodes), None)
         if a is None:
             lo = mid + 1
         else:
@@ -347,70 +400,24 @@ def _unique(terms):
     return terms[keep]
 
 
-def _words(slots, pad):
-    """(cols, word, spans) for _masks.  Each slot is padded to whole words
-    of the least of 8, 16, 32 and 64 bits that holds the largest slot,
-    or of 64 bits past that; cols lists the slots' rows in that layout,
-    the column pad at a pad, word is the numpy type of a word, and
-    spans[k] is slot k's (first word, words)."""
-    longest = max(map(len, slots))
-    bits = next(b for b in (8, 16, 32, 64) if longest <= b or b == 64)
-    cols, spans = [], []
-    for slot in slots:
-        words = -(-len(slot) // bits)
-        spans.append((len(cols) // bits, words))
-        cols += [*slot] + [pad] * (words * bits - len(slot))
-    return np.array(cols), "<u%d" % (bits // 8), spans
+def pair_rows(m, terms):
+    """rows(lo, hi) over a table whose rows are the pairs (point j, value
+    v), numbered j * m + v, where terms(js, vs), for slices, gives the
+    array over (j, v, i, w) of the terms of (j, v) against (i, w).  At
+    most three calls: the part of a point the range starts in, the whole
+    points, and the part it ends in."""
+    def rows(lo, hi):
+        parts = []
+        while lo < hi:
+            j = lo // m
+            if lo % m or hi - lo < m:
+                end = min(hi, j * m + m)
+                t = terms(slice(j, j + 1), slice(lo - j * m, end - j * m))
+            else:
+                end = hi - hi % m
+                t = terms(slice(j, end // m), slice(None))
+            parts.append(t.reshape(t.shape[0] * t.shape[1], -1))
+            lo = end
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-
-def _masks(table, r, cols, word, spans):
-    """masks[p][k]: the int with bit w set when table[p, slots[k][w]] <= r,
-    in the layout of _words (its pad column above every r), built from
-    blocks of the table's rows."""
-    step = max(1, BLOCK_FLOATS // len(cols))
-    masks = []
-    for lo in range(0, len(table), step):
-        fits = (table[lo:lo + step] <= r).take(cols, axis=1)
-        masks += np.packbits(fits, axis=1, bitorder="little").view(word).tolist()
-    if len(spans) < len(masks[0]):
-        # a slot of more than 64 values spans several words
-        masks = [[sum(ws[s + t] << 64 * t for t in range(k)) for s, k in spans] for ws in masks]
-    return masks
-
-
-def _first_fit(slots, masks, full, nodes):
-    """The first list in lexicographic order whose every value fits the
-    masks of the rows chosen before it, or None.
-
-    Static order, depth first with an explicit stack: placing value w at
-    slot i ands each later domain with masks[row][k] in turn, charging
-    the values that domain held, and a placement that empties one is not
-    extended.
-    """
-    n = len(slots)
-    a = [0] * n
-    # frame i: (values of slot i still to try, domains of the slots after i)
-    stack = [(full[0], full[1:])]
-    while stack:
-        todo, later = stack[-1]
-        if not todo:
-            stack.pop()
-            continue
-        i = len(stack) - 1
-        low = todo & -todo
-        stack[-1] = (todo ^ low, later)
-        w = a[i] = low.bit_length() - 1
-        if not later:
-            return a
-        mask = masks[slots[i][w]]
-        rest, count = [], 0
-        for k, dom in enumerate(later, i + 1):
-            count += dom.bit_count()
-            dom &= mask[k]
-            if not dom:
-                break
-            rest.append(dom)
-        _charge(nodes, count)
-        if len(rest) == len(later):
-            stack.append((rest[0], rest[1:]))
-    return None
+    return rows

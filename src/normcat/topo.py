@@ -12,10 +12,12 @@ for simplex dimension on finite simplicial complexes.
 import itertools
 import math
 
+import numpy as np
+
 from .capacity import capacity_norms
 from .category import FiniteMap, first_transitivity_violation
 from .extreal import INF, ext_add, sup0
-from .search import bitmask, cap_items, component_counts, down_sets, solve, subsets
+from .search import bitmask, cap_items, component_counts, down_sets, point_maps, subsets
 
 
 class IncompatibleCarriers(ValueError):
@@ -336,7 +338,8 @@ def _orders(n):
 def all_order_preserving_maps(x, y):
     """Every continuous map between two finite spaces (exhaustive), in
     lexicographic order of y's points."""
-    lx, ly = x.leq, y.leq
-    ok = lambda j, v, i, w: (ly[v][w] or not lx[j][i]) and (ly[w][v] or not lx[i][j])
-    return [ContinuousPosetMap(x, y, {p: y.points[k] for p, k in zip(x.points, a)})
-            for a in solve([range(len(y.points))] * len(x.points), ok)]
+    lx, ly = np.array(x.leq), np.array(y.leq)
+    # x_j to y_v clashes with x_i to y_w when v, w lose an order of j, i
+    clash = lambda j, v: ((lx[j, None, :, None] & ~ly[None, v, None, :])
+                          | (lx.T[j, None, :, None] & ~ly.T[None, v, None, :]))
+    return [ContinuousPosetMap(x, y, f) for f in point_maps(x.points, y.points, clash)]

@@ -335,7 +335,7 @@ def w1_transport(f):
         demand[j] -= bottleneck
         remaining -= bottleneck
 
-    total = sum(flow[i][j] * cost[i][j] for i in range(nx) for j in range(ny))
+    total = sum((flow[i][j] * cost[i][j] for i in range(nx) for j in range(ny)), 0.0)
     _certify_transport(cost, flow, nx, ny, mass)
     matrix = {(xs[i], ys[j]): flow[i][j]
               for i in range(nx) for j in range(ny) if flow[i][j] > 0.0}

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,22 @@ def test_triangle_check_peaks_no_higher_than_the_full_scan():
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0], peaks
+
+
+@pytest.mark.parametrize("block", [search.BLOCK_FLOATS, 1])
+def test_entries_near_the_largest_float_raise_no_warning(monkeypatch, block):
+    # d[i][j] + d[j][k] past the largest float is an inf bound, which no
+    # entry exceeds: the check passes without an overflow warning
+    from normcat.metric import FiniteMetricSpace
+    monkeypatch.setattr(search, "BLOCK_FLOATS", block)
+    big = [[0.0, 1e308, 1.5e308], [1e308, 0.0, 1e308], [1.5e308, 1e308, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FiniteMetricSpace(["p", "q"], [[0.0, 1e308], [1e308, 0.0]])
+        FiniteMetricSpace(["p", "q", "r"], big)
+        assert first_triangle_violation(np.array(big), 1e-9) is None
+        big[0][2] = math.inf
+        assert first_triangle_violation(np.array(big), 1e-9) is None
 
 
 def test_p_symmetrization_needs_p_at_least_one():

@@ -285,6 +285,36 @@ def test_dist_w1_between_diracs(tmp_path, capsys):
     assert json.loads(out)["results"][0]["value"] == 0.3
 
 
+def test_mass_lists_with_an_overflowing_total_exit_2(tmp_path, capsys):
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    space = lambda mass: {"kind": "mm_space", "points": ["p", "q"], "dist": dist, "mass": mass}
+    mu = write_json(tmp_path / "mu.json", space([1e308, 1e308]))
+    nu = write_json(tmp_path / "nu.json", space([1.5e308, 0.5e308]))
+    f = write_json(tmp_path / "f.json", {"kind": "map", "source": space([1e308, 1e308]),
+                                         "target": space([1.5e308, 0.5e308]),
+                                         "assign": {"p": "p", "q": "q"}})
+    for argv in (["dist", "--kind", "w1", mu, nu], ["dist", "--kind", "prokhorov", mu, nu],
+                 ["norm", "--kind", "prokhorov", "--map", f]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the total mass is not finite\n"
+    # a total just below the largest float is finite, and accepted
+    half = write_json(tmp_path / "half.json", space([0.5e308, 1e308]))
+    code, out, _ = run(capsys, "dist", "--kind", "w1", half, half)
+    assert code == 0 and json.loads(out)["results"][0]["value"] == 0.0
+
+
+@pytest.mark.parametrize("points, mass", [(["p"], [0.0]), ([], [])])
+def test_w1_without_mass_prints_a_float(tmp_path, capsys, points, mass):
+    space = write_json(tmp_path / "mu.json", {
+        "kind": "mm_space", "points": points,
+        "dist": [[0.0] * len(points) for _ in points], "mass": mass})
+    code, out, _ = run(capsys, "dist", "--kind", "w1", space, space)
+    assert code == 0
+    assert json.loads(out)["results"] == [{"name": "w1_cost", "value": 0.0}]
+    assert isinstance(json.loads(out)["results"][0]["value"], float)
+
+
 def test_norm_wasserstein_reports_direction(tmp_path, capsys):
     f = write_json(tmp_path / "f.json", {
         "kind": "map",

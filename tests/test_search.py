@@ -29,10 +29,10 @@ from normcat.io import map_to_json
 from normcat.measure import FiniteMMSpace, measure_isometry_search
 from normcat.metric import (
     FiniteMetricSpace, MultiMap, diameter, dil_distance, dilatation_norm, find_expansive_map,
-    gh_distance, is_isometry, isometry_search, min_dilatation_map, two_point_space,
+    gh_distance, is_isometry, isometry_search, min_dilatation_map, search_slack, two_point_space,
     zero_dilatation_endos,
 )
-from normcat.search import least_max, solve, subsets
+from normcat.search import fits, least_max, subsets
 from normcat.topo import all_order_preserving_maps, all_posets, connected_components
 
 TOL = 1e-9
@@ -252,7 +252,35 @@ def test_down_sets_are_iterative():
     assert sum(1 for _ in walk) == n + 1
 
 
-# -- solve -----------------------------------------------------------------
+# -- fits ------------------------------------------------------------------
+
+def solve(domains, compatible, nodes=None):
+    """Every list a with a[i] in domains[i] and compatible(j, a[j], i, a[i])
+    for all j < i, in lexicographic order of the domains: the forward
+    checking over one Python call per check that fits replaced, kept as
+    the oracle for its lists and node counts.  Placing a[i] removes the
+    values that clash with it from every later domain, and a prefix that
+    empties one is not extended; each call of compatible is one node."""
+    nodes = [0] if nodes is None else nodes
+
+    def extend(a, doms):
+        if not doms:
+            yield a
+            return
+        i, later = len(a), doms[1:]
+        for v in doms[0]:
+            rest = []
+            for k, dom in enumerate(later, i + 1):
+                search._charge(nodes, len(dom))
+                dom = [w for w in dom if compatible(i, v, k, w)]
+                if not dom:
+                    break
+                rest.append(dom)
+            else:
+                yield from extend(a + [v], rest)
+
+    return extend([], [list(d) for d in domains])
+
 
 def random_table(rng):
     """Random domains, some of them empty, and a random compatibility table."""
@@ -263,58 +291,88 @@ def random_table(rng):
     return domains, lambda j, v, i, w: ok[j, v, i, w]
 
 
-def test_solve_matches_a_filtered_product():
+def clash_table(domains, ok, m=4):
+    """(slots, rows) for fits at r = 0 over the pairs (slot j, value v),
+    row j * m + v, the term 1 where ok fails and 0 elsewhere."""
+    n = len(domains)
+    table = np.zeros((n * m, n * m))
+    for i in range(n):
+        for j in range(i):
+            for v in range(m):
+                for w in range(m):
+                    table[j * m + v, i * m + w] = not ok(j, v, i, w)
+    return [[j * m + v for v in dom] for j, dom in enumerate(domains)], table_rows(table)
+
+
+def values(domains, lists):
+    return [[domains[i][k] for i, k in enumerate(a)] for a in lists]
+
+
+def test_fits_matches_a_filtered_product():
     rng = random.Random(4107)
     for _ in range(200):
         domains, ok = random_table(rng)
         ref = [list(a) for a in itertools.product(*domains)
                if all(ok(j, a[j], i, a[i]) for i in range(len(a)) for j in range(i))]
-        assert list(solve(domains, ok)) == ref
-    every = lambda j, v, i, w: True
-    assert list(solve([], every)) == [[]]
-    assert list(solve([[1, 0], [], [2]], every)) == []
-    assert list(solve([[1, 0]] * 2, every)) == [[1, 1], [1, 0], [0, 1], [0, 0]]
+        ref_nodes, nodes = [0], [0]
+        assert list(solve(domains, ok, ref_nodes)) == ref
+        slots, rows = clash_table(domains, ok)
+        assert values(domains, fits(slots, rows, 0, nodes)) == ref
+        assert nodes == ref_nodes
+    zeros = table_rows(np.zeros((3, 3)))
+    assert list(fits([], zeros, 0)) == [[]]
+    assert list(fits([[1, 0], [], [2]], zeros, 0)) == []
+    assert list(fits([[], [1, 0]], zeros, 0)) == []
+    assert list(fits([[1, 0]] * 2, zeros, 0)) == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
-def test_solve_removes_a_clashing_value_from_every_later_domain():
-    seen = []
-
-    def ok(j, v, i, w):
-        seen.append((j, v, i, w))
-        return not (j == 0 and v == 0 and w == 0)
-
-    assert list(solve([[0, 1]] * 3, ok)) == [
+def test_fits_removes_a_clashing_value_from_every_later_domain():
+    ok = lambda j, v, i, w: not (j == 0 and v == 0 and w == 0)
+    slots, rows = clash_table([[0, 1]] * 3, ok, 2)
+    nodes = [0]
+    assert list(fits(slots, rows, 0, nodes)) == [
         [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
-    # a[0] = 0 removes 0 from both later domains: a[1] = 0 is never
-    # placed, and a[1] = 1 is checked against the one value left for a[2]
-    assert seen[:5] == [(0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 2, 0), (0, 0, 2, 1), (1, 1, 2, 1)]
+    # a[0] = 0 removes 0 from both later domains (2 + 2 checks): a[1] = 0
+    # is never placed, and a[1] = 1 is checked against the one value left
+    # for a[2]; then a[0] = 1 (2 + 2) and a[1] = 0, 1 (2 + 2)
+    assert nodes == [4 + 1 + 4 + 2 + 2]
+    ref = [0]
+    assert len(list(solve([[0, 1]] * 3, ok, ref))) == 5 and ref == nodes
     # a prefix that empties a domain is not extended
-    assert list(solve([[0], [0], [0, 1]], lambda j, v, i, w: i < 2)) == []
+    slots, rows = clash_table([[0], [0], [0, 1]], lambda j, v, i, w: i < 2, 2)
+    assert list(fits(slots, rows, 0)) == []
+    # r decides what fits: the terms 1 are clashes at 0 and not at 1
+    slots, rows = clash_table([[0, 1]] * 2, lambda j, v, i, w: v != w, 2)
+    assert list(fits(slots, rows, 0)) == [[0, 1], [1, 0]]
+    assert list(fits(slots, rows, 1)) == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
-def test_solve_counts_every_check(monkeypatch):
-    calls = []
-
-    def ok(j, v, i, w):
-        calls.append((j, v, i, w))
-        return True
-
+def test_fits_counts_every_check(monkeypatch):
+    # every slot reads the rows 0 and 1 of one 2 x 2 table of zeros
+    reads = []
+    zeros = table_rows(np.zeros((2, 2)), reads)
     # 2 values of a[0] against 2 + 2 later values, then 2 x 2 of a[1] against 2
     monkeypatch.setattr(search, "MAX_NODES", 16)
-    assert len(list(solve([range(2)] * 3, ok))) == 8
-    assert len(calls) == 16
-    calls.clear()
     nodes = [0]
-    assert next(solve([range(2)] * 2, ok, nodes)) == [0, 0]
-    assert nodes == [2] and len(calls) == 2
+    assert len(list(fits([range(2)] * 3, zeros, 0, nodes))) == 8
+    assert nodes == [16] and reads == [(0, 2)]
+    nodes = [0]
+    assert next(fits([range(2)] * 2, zeros, 0, nodes)) == [0, 0]
+    assert nodes == [2]
     monkeypatch.setattr(search, "MAX_NODES", 15)
     with pytest.raises(ValueError, match="^search is limited to 15 nodes$"):
-        list(solve([range(2)] * 3, ok))
+        list(fits([range(2)] * 3, zeros, 0))
     monkeypatch.setattr(search, "MAX_NODES", 5)
     # the count is shared by every search that is handed it
     nodes = [4]
     with pytest.raises(ValueError, match="^search is limited to 5 nodes$"):
-        next(solve([range(2)] * 2, ok, nodes))
+        next(fits([range(2)] * 2, zeros, 0, nodes))
+    # a table of len(T) ** 2 past the count is never read
+    monkeypatch.setattr(search, "MAX_NODES", 3)
+    reads.clear()
+    with pytest.raises(ValueError, match="^search is limited to 3 nodes$"):
+        next(fits([range(2)] * 2, zeros, 0))
+    assert reads == []
 
 
 # -- least_max -----------------------------------------------------------------
@@ -537,9 +595,9 @@ def test_table_scan_holds_about_the_distinct_terms(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beyond the table (one inf column more): a few copies of the distinct
-    # terms, where keeping every in-range entry to the end held over ten
-    table = 8 * 2025 * 2026
+    # beyond the table: a few copies of the distinct terms, where keeping
+    # every in-range entry to the end held over ten
+    table = 8 * 2025 * 2025
     assert 300_000 < distinct_terms[0] < 400_000, distinct_terms
     assert peak - table < 6 * 8 * distinct_terms[0], (peak, distinct_terms)
 
@@ -601,14 +659,14 @@ def test_least_max_lowers_the_bracket_to_each_list_found(monkeypatch):
 
     def decide(*args):
         decisions.append(1)
-        return first_fit(*args)
+        return fits_of(*args)
 
     def distinct(*args):
         seen.append(distinct_of(*args).tolist())
         return np.array(seen[-1])
 
-    first_fit, distinct_of = search._first_fit, search._distinct
-    monkeypatch.setattr(search, "_first_fit", decide)
+    fits_of, distinct_of = search._fits, search._distinct
+    monkeypatch.setattr(search, "_fits", decide)
     monkeypatch.setattr(search, "_distinct", distinct)
     rng = random.Random(4109)
     fewer = 0
@@ -842,6 +900,120 @@ def test_simplicial_isomorphism_search_returns_the_first_hit():
     assert 0 < found < 80
 
 
+# -- the searches against solve, seeds 1-6 ------------------------------------------
+
+def old_expansive(x, y):
+    """The per-check predicate of the expansive map searches over solve."""
+    dx, dy, tol = x.dist, y.dist, search_slack(x, y)
+    return lambda j, v, i, w: dy[v][w] >= dx[j][i] - tol and dy[w][v] >= dx[i][j] - tol
+
+
+def counted(nodes, run):
+    """(what run() returns, the nodes charged meanwhile)."""
+    nodes[0] = 0
+    out = run()
+    return out, nodes[0]
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_expansive_searches_match_solve(monkeypatch, seed):
+    nodes = counting_nodes(monkeypatch)
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(30):
+        make = rng.choice((small_metric, quasi_metric, random_metric_space))
+        x, y = make(rng, rng.randint(1, 5), "x"), make(rng, rng.randint(1, 6), "y")
+        doms = [range(len(y.points))] * len(x.points)
+        ref = counted(nodes, lambda: next(solve(doms, old_expansive(x, y)), None))
+        assert counted(nodes, lambda: find_expansive_map(x, y)) == (relabel(x, y, ref[0]), ref[1])
+        found += ref[0] is not None
+        doms = [range(len(x.points))] * len(x.points)
+        ref = counted(nodes, lambda: [relabel(x, x, a) for a in solve(doms, old_expansive(x, x))])
+        assert counted(nodes, lambda: zero_dilatation_endos(x)) == ref
+    assert 0 < found < 30
+
+
+def brute_isometry(x, y, ok=lambda i, v: True):
+    """The first permutation that keeps every distance within the search
+    slack, each ordered pair, and ok at every point, or None."""
+    n, tol = len(x.points), search_slack(x, y)
+    return first(itertools.permutations(range(n)), lambda a: all(ok(i, a[i]) for i in range(n))
+                 and all(abs(y.dist[a[j]][a[i]] - x.dist[j][i]) <= tol
+                         for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_isometry_searches_match_a_brute_force(monkeypatch, seed):
+    nodes = counting_nodes(monkeypatch)
+    rng = random.Random(seed)
+    found = 0
+    for t in range(30):
+        n = rng.randint(1, 6)
+        x = rng.choice((small_metric, quasi_metric))(rng, n, "x")
+        y = copy_of(rng, x, "y") if t % 2 else small_metric(rng, n, "y")
+        ref = brute_isometry(x, y)
+        assert isometry_search(x, y) == relabel(x, y, ref)
+        found += ref is not None
+        # the masses leave some slots empty, and solve charges the same
+        # checks before it meets one
+        mx = FiniteMMSpace(x, {p: rng.choice((0.5, 1.0)) for p in x.points})
+        my = FiniteMMSpace(y, {p: rng.choice((0.5, 1.0)) for p in y.points})
+        ok = lambda i, v: mx.mass[x.points[i]] == my.mass[y.points[v]]
+        tol = search_slack(x, y)
+        same = lambda j, v, i, w: (v != w and abs(y.dist[v][w] - x.dist[j][i]) <= tol
+                                   and abs(y.dist[w][v] - x.dist[i][j]) <= tol)
+        doms = [[v for v in range(n) if ok(i, v)] for i in range(n)]
+        ref = counted(nodes, lambda: next(solve(doms, same), None))
+        assert ref[0] == brute_isometry(x, y, ok)
+        got = counted(nodes, lambda: isometry_search(x, y, ok))
+        assert got == (relabel(x, y, ref[0]), ref[1])
+        assert measure_isometry_search(mx, my) == got[0]
+    assert 0 < found < 30
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_order_preserving_maps_match_a_filtered_product_and_solve(monkeypatch, seed):
+    nodes = counting_nodes(monkeypatch)
+    rng = random.Random(seed)
+    for _ in range(30):
+        x = random_poset(rng, rng.randint(1, 4), "a")
+        y = random_poset(rng, rng.randint(1, 4), "b")
+        lx, ly = x.leq, y.leq
+        ok = lambda j, v, i, w: (ly[v][w] or not lx[j][i]) and (ly[w][v] or not lx[i][j])
+        m, n = len(y.points), len(x.points)
+        product = [list(a) for a in itertools.product(range(m), repeat=n)
+                   if all(ok(j, a[j], i, a[i]) for i in range(n) for j in range(n))]
+        ref = counted(nodes, lambda: list(solve([range(m)] * n, ok)))
+        assert ref[0] == product
+        got = counted(nodes, lambda: all_order_preserving_maps(x, y))
+        assert ([f.assign for f in got[0]], got[1]) == ([relabel(x, y, a) for a in product], ref[1])
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_injective_simplicial_maps_match_solve(monkeypatch, seed):
+    nodes = counting_nodes(monkeypatch)
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(30):
+        x = random_simplicial(rng, rng.randint(1, 4), "a")
+        y = random_simplicial(rng, rng.randint(1, 5), "b")
+        xs, ys = x.vertices, y.vertices
+        ok = lambda j, v, i, w: v != w and (frozenset((xs[j], xs[i])) not in x.simplices
+                                            or frozenset((v, w)) in y.simplices)
+
+        def reference():
+            for a in solve([ys] * len(xs), ok):
+                if simplicial(x, y, dict(zip(xs, a))):
+                    return dict(zip(xs, a))
+            return None
+
+        got = counted(nodes, lambda: find_injective_simplicial_map(x, y))
+        # more vertices than the target has are refused before any search
+        assert got == (counted(nodes, reference) if len(xs) <= len(ys) else (None, 0))
+        found += got[0] is not None
+    assert 0 < found < 30
+
+
 # -- quasi-metrics: every search reads both ordered pairs ------------------------
 
 def quasi_metric(rng, n, prefix):
@@ -914,6 +1086,14 @@ def test_isometry_searches_on_quasi_metrics_match_brute_force():
         assert measure_isometry_search(mx, my) == ref
         found += ref is not None
     assert 0 < found < 60
+
+
+def test_isometry_search_is_a_bijection_on_pseudo_metrics():
+    # sending both points of a pseudo-metric pair to one keeps every
+    # distance, but an isometry is a bijection
+    z = FiniteMetricSpace(["p", "q"], [[0.0, 0.0], [0.0, 0.0]], allow_pseudo=True)
+    assert isometry_search(z, z) == {"p": "p", "q": "q"}
+    assert find_expansive_map(z, z) == {"p": "p", "q": "p"}
 
 
 def test_search_slack_follows_the_scale():
