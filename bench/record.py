@@ -11,9 +11,10 @@ workload of BENCHMARK.json the recorder runs the unchanged
 `perfbench/run.py` of each tree for the run length BENCHMARK.json sets,
 parent and child in turn, for PAIRS pairs (the first of a pair
 alternates, so that a drift of the host speed falls on both sides).  It
-then times the micro-workloads below in process on each tree, runs the
-child's tier-1 suite, and writes the medians, the quartiles and the raw
-pairs with the host, Python and numpy versions.  See bench/README.md.
+then times the micro-workloads below in process on each tree (each
+timing the least of MICRO_REPS calls), runs the child's tier-1 suite,
+and writes the medians, the quartiles and the raw pairs with the host,
+Python and numpy versions.  See bench/README.md.
 """
 
 import argparse
@@ -39,13 +40,14 @@ PAIRS = 10
 
 # in-process micro-workloads: name -> (sizes, code run in the tree's
 # interpreter with `n` and `reps` bound; it prints one time in seconds,
-# the median over reps calls, on seeded inputs that do not depend on
-# the tree).  Each size runs MICRO_ROUNDS times a side, alternating.
+# the least of reps calls, on seeded inputs that do not depend on the
+# tree: the least is the call that other load on the host disturbed
+# least).  Each size runs MICRO_ROUNDS times a side, alternating.
 MICRO_REPS, MICRO_ROUNDS = 30, 5
 # the threshold searches on one seeded pair of n planar points a side,
 # timed as f(x, y)
 PLANAR_PAIR = """
-import math, random, statistics, time
+import math, random, time
 from normcat.metric import FiniteMetricSpace, gh_distance, min_dilatation_map
 rng = random.Random(n)
 x, y = [FiniteMetricSpace([p + str(i) for i in range(n)], [[math.dist(a, b) for b in ps] for a in ps])
@@ -56,11 +58,11 @@ for _ in range(reps):
     t0 = time.perf_counter()
     f(x, y)
     ts.append(time.perf_counter() - t0)
-print(statistics.median(ts))
+print(min(ts))
 """
 MICRO = {
     "category.first_triangle_violation": ((30, 60, 120, 170), """
-import math, random, statistics, time
+import math, random, time
 import numpy as np
 from normcat.category import first_triangle_violation, scale_tolerance
 rng = random.Random(n)
@@ -72,7 +74,7 @@ for _ in range(reps):
     t0 = time.perf_counter()
     first_triangle_violation(d, tol)
     ts.append(time.perf_counter() - t0)
-print(statistics.median(ts))
+print(min(ts))
 """),
     "metric.gh_distance": ((8, 10, 12, 14), "f = lambda x, y: gh_distance(x, y)" + PLANAR_PAIR),
     "metric.min_dilatation_map": ((8, 10, 12, 14),

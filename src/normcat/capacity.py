@@ -12,26 +12,8 @@ it with their own handles, preimage and capacities.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .extreal import INF, NEG_INF, sup0
 from . import category as cat_mod
-
-
-def validate_order(handles, leq):
-    """Check reflexivity, antisymmetry and transitivity of leq on the handles."""
-    hs = tuple(handles)
-    rel = np.array([[bool(leq(a, b)) for b in hs] for a in hs], dtype=bool)
-    for i, a in enumerate(hs):
-        if not rel[i, i]:
-            raise ValueError("leq not reflexive at %r" % (a,))
-    for i, j in np.argwhere(rel & rel.T).tolist():
-        if hs[i] != hs[j]:
-            raise ValueError("leq not antisymmetric on (%r, %r)" % (hs[i], hs[j]))
-    bad = cat_mod.first_transitivity_violation(rel)
-    if bad is not None:
-        raise ValueError("leq not transitive on (%r, %r, %r)"
-                         % tuple(hs[i] for i in bad))
 
 
 def check_capacity_monotone(handles, leq, c):

@@ -43,15 +43,9 @@ def compose_functions(g, f):
     return FiniteFunction(f.source, g.target, {x: g(f(x)) for x in f.source})
 
 
-def set_norm(f, at=None):
-    """log of the largest fiber size (floored at 1); zero iff injective.
-
-    With `at` given, the log of the size of the fiber through that point.
-    """
-    fib = f.fibres()
-    if at is not None:
-        return ext_log(len(fib[f(at)]))
-    return ext_log(sup1(len(xs) for xs in fib.values()))
+def set_norm(f):
+    """log of the largest fiber size (floored at 1); zero iff injective."""
+    return ext_log(sup1(len(xs) for xs in f.fibres().values()))
 
 
 def csb_witness(f, g):
@@ -237,30 +231,24 @@ class NormedMonoid:
     inv: Optional[Callable] = None
 
     @classmethod
-    def from_table(cls, elements, table, unit, norm, inv=None, partial=False):
+    def from_table(cls, elements, table, unit, norm):
         """A monoid from its table (a dict on pairs, or rows in element
-        order); unless partial, monoid_category checks the monoid laws."""
+        order); monoid_category checks the monoid laws."""
         elements = tuple(elements)
         if isinstance(table, dict):
             tab = dict(table)
         else:
             tab = {(a, b): table[i][j] for i, a in enumerate(elements)
                    for j, b in enumerate(elements)}
-        if not partial:
-            monoid_category(elements, lambda g, f: tab.get((g, f)), unit)
-            if norm[unit] > 1e-12:
-                raise ValueError("norm of the unit must be 0")
-            for a in elements:
-                for b in elements:
-                    if norm[tab[(a, b)]] > norm[a] + norm[b] + 1e-9:
-                        raise ValueError("norm not subadditive at (%r, %r)" % (a, b))
-        op = lambda a, b: tab.get((a, b))
-        inv_fn = None
-        if inv is not None:
-            inv_map = dict(inv)
-            inv_fn = lambda a: inv_map[a]
-        return cls(op=op, unit=unit, norm=lambda e: norm[e],
-                   elements=elements, inv=inv_fn)
+        monoid_category(elements, lambda g, f: tab.get((g, f)), unit)
+        if norm[unit] > 1e-12:
+            raise ValueError("norm of the unit must be 0")
+        for a in elements:
+            for b in elements:
+                if norm[tab[(a, b)]] > norm[a] + norm[b] + 1e-9:
+                    raise ValueError("norm not subadditive at (%r, %r)" % (a, b))
+        return cls(op=lambda a, b: tab.get((a, b)), unit=unit,
+                   norm=lambda e: norm[e], elements=elements)
 
 
 def cyclic_group(n):
@@ -278,14 +266,19 @@ def grothendieck_norm(m, fplus, fminus, a, b):
     """Norm of the two-sided morphism (fplus, fminus): a -> b.
 
     The pair is a morphism exactly when fplus * a == b * fminus; its
-    norm is norm(fplus) + norm(fminus).
+    norm is norm(fplus) + norm(fminus).  A sum of two finite norms past
+    the largest float raises OverflowError.
     """
     left = m.op(fplus, a)
     right = m.op(b, fminus)
     if left is None or right is None or left != right:
         raise NotAMorphism(
             "(%r, %r) is not a morphism %r -> %r" % (fplus, fminus, a, b))
-    return m.norm(fplus) + m.norm(fminus)
+    terms = m.norm(fplus), m.norm(fminus)
+    total = terms[0] + terms[1]
+    if total == INF and max(terms) < INF:
+        raise OverflowError("the norm %r + %r is too large for a float" % terms)
+    return total
 
 
 def group_norm_category(n):
@@ -328,7 +321,11 @@ class CostSystem:
 
 
 def word_cost(cs, word):
-    """Sum of step costs along a word; immediate repetitions are rejected."""
+    """Sum of step costs along a word; immediate repetitions are rejected.
+
+    A step of infinite cost gives infinity; a sum of finite steps past
+    the largest float raises OverflowError.
+    """
     word = tuple(word)
     if not word:
         raise ValueError("the empty word has no endpoints; use a one-point word")
@@ -341,6 +338,8 @@ def word_cost(cs, word):
         if step == INF:
             return INF
         total += step
+    if total == INF:
+        raise OverflowError("the word cost is too large for a float")
     return total
 
 

@@ -218,36 +218,9 @@ def map_from_json(d):
     return _guard(cls, src, tgt, single)
 
 
-def cost_system_from_json(d, kind="cost_system"):
-    """The CostSystem of a cost_system or word instance."""
-    from .discrete import CostSystem
-    pts = tuple(_list(d, "points", kind, "points"))
-    rows = _keys_to_points(_require(d, "cost", kind), pts, "%s 'cost'" % (kind,))
-    cost = {(a, b): c for a, row in rows.items()
-            for b, c in _keys_to_points(row, pts, "%s cost row" % (kind,)).items()}
-    _scalars([c for c in cost.values() if c not in ("inf", "-inf")], kind, "cost",
-             'numbers, "inf" or "-inf"')
-    return _guard(CostSystem, pts, {ab: json_to_ext(c) for ab, c in cost.items()})
-
-
 def instance_to_json(obj):
     if _isinstance(obj, "category", "FiniteMap"):
         return map_to_json(obj)
-    if _isinstance(obj, "wasserstein", "TestFunction"):
-        return {
-            "kind": "testfn",
-            "space": space_to_json(obj.space),
-            "values": dict(obj.values),
-        }
-    if _isinstance(obj, "discrete", "CostSystem"):
-        nested = {}
-        for (a, b), c in obj.cost.items():
-            nested.setdefault(a, {})[b] = ext_to_json(c)
-        return {
-            "kind": "cost_system",
-            "points": list(obj.points),
-            "cost": nested,
-        }
     if isinstance(obj, dict):
         return obj
     return space_to_json(obj)
@@ -259,16 +232,6 @@ def instance_from_json(d):
     kind = _require(d, "kind", "instance")
     if kind == "map":
         return map_from_json(d)
-    if kind == "testfn":
-        from .wasserstein import TestFunction
-        sp = space_from_json(_require(d, "space", kind))
-        if not _isinstance(sp, "metric", "FiniteMetricSpace"):
-            raise SchemaError("testfn 'space' must be a metric_space")
-        vals = _keys_to_points(_require(d, "values", kind), sp.points, "testfn 'values'")
-        _scalars(list(vals.values()), kind, "values", "numbers")
-        return _guard(TestFunction, sp, {p: float(v) for p, v in vals.items()})
-    if kind == "cost_system":
-        return cost_system_from_json(d)
     if kind == "linear_map":
         entries = _list(d, "entries", kind, "lists", "numbers")
         if not entries or any(len(r) != len(entries[0]) for r in entries):
@@ -280,10 +243,17 @@ def instance_from_json(d):
             raise SchemaError("group_morphism needs n >= 1")
         return dict(out, kind=kind)
     if kind == "word":
-        cs = cost_system_from_json(d, kind)
+        from .discrete import CostSystem
+        pts = tuple(_list(d, "points", kind, "points"))
+        rows = _keys_to_points(_require(d, "cost", kind), pts, "word 'cost'")
+        cost = {(a, b): c for a, row in rows.items()
+                for b, c in _keys_to_points(row, pts, "word cost row").items()}
+        _scalars([c for c in cost.values() if c not in ("inf", "-inf")], kind, "cost",
+                 'numbers, "inf" or "-inf"')
+        cs = _guard(CostSystem, pts, {ab: json_to_ext(c) for ab, c in cost.items()})
         word = _list(d, "word", kind, "points")
         for w in word:
-            if w not in cs.points:
+            if w not in pts:
                 raise SchemaError("word 'word' names %r, which is not a point" % (w,))
         return {"kind": kind, "cost_system": cs, "word": tuple(word)}
     return space_from_json(d)

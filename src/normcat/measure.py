@@ -114,11 +114,6 @@ def _kinks(ts, ms):
     return sorted(out)
 
 
-def capacity_value_kinks(sp, subset):
-    """All v where v -> prokhorov_capacity(sp, subset, v) can change slope."""
-    return _kinks(*_steps(sp, subset))
-
-
 def _masses(sp):
     """The masses in point order and, within the subset cap, their
     subset_sums table."""

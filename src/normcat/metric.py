@@ -5,7 +5,7 @@ shrink a distance, sup0 of d(x, y) - d(y1, y2) over points and
 selections y1 in f[x], y2 in f[y].  It comes in a pointwise and a
 subset-capacity form (provably equal, tested), has a closed-form left
 dual, and induces a distance between spaces.  The module also carries
-the Gromov-Hausdorff distance, thickenings, and the searches used by
+the Gromov-Hausdorff distance and the searches used by
 the norm-axiom checks (isometry search, expansive-map search).
 """
 
@@ -297,28 +297,6 @@ def pullback_metric(f):
     return FiniteMetricSpace(pts, dist, allow_pseudo=True)
 
 
-# -- thickenings -------------------------------------------------------------
-
-def thicken(sp, subset, r, mode="closed"):
-    """Open (< r) or closed (<= r) metric thickening of a subset."""
-    if mode == "open":
-        if not r > 0:
-            raise ValueError("open thickening needs r > 0")
-        keep = lambda v: v < r
-    elif mode == "closed":
-        if r < 0:
-            raise ValueError("closed thickening needs r >= 0")
-        keep = lambda v: v <= r
-    else:
-        raise ValueError("mode must be 'open' or 'closed'")
-    idxs = [sp.index[p] for p in subset]
-    out = []
-    for i, p in enumerate(sp.points):
-        if idxs and keep(min(sp.dist[i][j] for j in idxs)):
-            out.append(p)
-    return frozenset(out)
-
-
 # -- distances between spaces ----------------------------------------------
 
 def _check_nonempty(x, y):
@@ -364,9 +342,7 @@ def dil_distance(x, y, symmetrize="none"):
     bwd = min_dilatation_map(y, x)[0]
     if symmetrize == "plus":
         return (fwd + bwd) / 2.0
-    if symmetrize == "max":
-        return max(fwd, bwd)
-    raise ValueError("symmetrize must be 'none', 'plus' or 'max'")
+    raise ValueError("symmetrize must be 'none' or 'plus'")
 
 
 def gh_distance(x, y):

@@ -9,41 +9,18 @@ balanced W1 problem exactly and feeds a comparison harness for the
 conjectured identity between the two routes.
 """
 
-import bisect
 import itertools
+import math
 import random
 import warnings
 from dataclasses import dataclass
 
 from .extreal import INF, ext_sub, sup0, ConventionError
-from .metric import FiniteMetricSpace
 from .measure import FiniteMMSpace
-
-
-class NonNormalizable(ValueError):
-    pass
 
 
 class MassMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A [0,1]-valued function on the points of a metric space."""
-    __test__ = False  # not a pytest suite, despite the name
-    space: FiniteMetricSpace
-    values: dict
-
-    def __post_init__(self):
-        if set(self.values) != set(self.space.points):
-            raise ValueError("value keys must be exactly the space points")
-        for p, v in self.values.items():
-            if not (0.0 <= v <= 1.0):
-                raise ValueError("value at %r outside [0,1]" % (p,))
-
-    def __call__(self, p):
-        return self.values[p]
 
 
 @dataclass(frozen=True)
@@ -56,27 +33,17 @@ class ProjectiveMMSpace:
             raise ValueError("the measure must not vanish identically")
 
 
-def lipschitz_seminorm(phi, sp=None):
-    """Largest slope of phi over pairs of distinct points.
+def lipschitz_seminorm(phi, sp):
+    """Largest slope of phi, a dict of values on the points of the
+    metric space sp, over pairs of distinct points.
 
-    phi may be a TestFunction (sp optional), a dict, or a callable.
     A zero-distance pair with differing values gives infinity.
     """
-    if isinstance(phi, TestFunction):
-        if sp is None:
-            sp = phi.space
-        get = phi.values.__getitem__
-    elif isinstance(phi, dict):
-        get = phi.__getitem__
-    else:
-        get = phi
-    if sp is None:
-        raise ValueError("a space is required unless phi is a TestFunction")
     terms = []
     pts = sp.points
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            gap = abs(get(x) - get(y))
+            gap = abs(phi[x] - phi[y])
             d = sp.d(x, y)
             if d == 0.0:
                 if gap > 0.0:
@@ -84,20 +51,6 @@ def lipschitz_seminorm(phi, sp=None):
                 continue
             terms.append(gap / d)
     return sup0(terms)
-
-
-def normalize_representative(sp, phi):
-    """The rescaled representative on which phi has Lipschitz seminorm 1."""
-    rep = sp.representative if isinstance(sp, ProjectiveMMSpace) else sp
-    lip = lipschitz_seminorm(phi, rep.base)
-    if lip == 0.0 or lip == INF:
-        raise NonNormalizable("Lipschitz seminorm %r cannot be scaled to 1" % lip)
-    base = FiniteMetricSpace(rep.base.points,
-                             [[lip * v for v in row] for row in rep.base.dist])
-    out = FiniteMMSpace(base, {p: m / lip for p, m in rep.mass.items()})
-    if abs(lipschitz_seminorm(phi, base) - 1.0) > 1e-9:
-        raise RuntimeError("rescaled representative does not give phi Lipschitz seminorm 1")
-    return out
 
 
 def wasserstein_capacity(sp, phi):
@@ -109,38 +62,42 @@ def wasserstein_capacity(sp, phi):
     corner (slope zero, a zero value next to a positive one) is not
     settled; it returns 0 under a warning.
     """
-    rep = sp.representative if isinstance(sp, ProjectiveMMSpace) else sp
-    if isinstance(phi, TestFunction):
-        vals = phi.values
-    else:
-        vals = dict(phi)
-    lip = lipschitz_seminorm(vals, rep.base)
+    rep = sp.representative
+    lip = lipschitz_seminorm(phi, rep.base)
     if lip == INF:
         return 0.0
-    if all(v == 0.0 for v in vals.values()):
+    if all(v == 0.0 for v in phi.values()):
         return 0.0
     if lip == 0.0:
-        if all(v > 0.0 for v in vals.values()):
+        if all(v > 0.0 for v in phi.values()):
             return INF
         warnings.warn("flat test function with a zero value: "
                       "capacity case not settled, returning 0")
         return 0.0
-    return sum(vals[p] * rep.mass[p] for p in rep.base.points) / lip
+    return sum(phi[p] * rep.mass[p] for p in rep.base.points) / lip
 
 
-_DEFAULT_GRID = None
+# the rescalings of wasserstein_capacity_oracle: GRID_LO * GRID_RATIO ** k
+# for k < GRID_COUNT, spaced evenly in log from GRID_LO to GRID_HI
+GRID_LO, GRID_HI, GRID_COUNT = 1e-9, 1e9, 80001
+GRID_RATIO = (GRID_HI / GRID_LO) ** (1.0 / (GRID_COUNT - 1))
 
 
-def _default_lambda_grid():
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        lo, hi, count = 1e-9, 1e9, 80001
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        _DEFAULT_GRID = [lo * ratio ** i for i in range(count)]
-    return _DEFAULT_GRID
+def _grid_floor(x):
+    """The largest k with GRID_LO * GRID_RATIO ** k <= x, capped at
+    GRID_COUNT - 1; -1 when x lies below the grid.  The log gives a
+    first guess, and the two walks settle it against the grid's floats."""
+    if x < GRID_LO:
+        return -1
+    k = int(min(GRID_COUNT - 1, math.log(x / GRID_LO) / math.log(GRID_RATIO)))
+    while k + 1 < GRID_COUNT and GRID_LO * GRID_RATIO ** (k + 1) <= x:
+        k += 1
+    while GRID_LO * GRID_RATIO ** k > x:
+        k -= 1
+    return k
 
 
-def wasserstein_capacity_oracle(sp, phi, lam_grid=None):
+def wasserstein_capacity_oracle(sp, phi):
     """Grid search over rescaled representatives (X, d/lam, lam*nu).
 
     Admissible rescalings keep the Lipschitz seminorm of phi at most 1
@@ -148,28 +105,18 @@ def wasserstein_capacity_oracle(sp, phi, lam_grid=None):
     against the rescaled mass.  Both the admissibility margin and the
     value grow monotonically with lam, so the grid supremum sits at the
     largest admissible grid point; values of 1e6 and above report
-    infinity.  lam_grid is a list of rescalings (default: 80001 points
-    spaced evenly in log from 1e-9 to 1e9).
+    infinity.
     """
-    rep = sp.representative if isinstance(sp, ProjectiveMMSpace) else sp
-    if isinstance(phi, TestFunction):
-        vals = phi.values
-    else:
-        vals = dict(phi)
-    grid = _default_lambda_grid() if lam_grid is None else sorted(lam_grid)
-    lip = lipschitz_seminorm(vals, rep.base)
-    integral = sum(vals[p] * rep.mass[p] for p in rep.base.points)
+    rep = sp.representative
+    lip = lipschitz_seminorm(phi, rep.base)
+    integral = sum(phi[p] * rep.mass[p] for p in rep.base.points)
     if lip == INF:
         return 0.0
-    if lip == 0.0:
-        best = grid[-1]
-    else:
-        # admissible iff lam * lip <= 1: take the largest such grid point
-        k = bisect.bisect_right(grid, 1.0 / lip) - 1
-        if k < 0:
-            return 0.0
-        best = grid[k]
-    value = best * integral
+    # admissible iff lam * lip <= 1: take the largest such grid point
+    k = GRID_COUNT - 1 if lip == 0.0 else _grid_floor(1.0 / lip)
+    if k < 0:
+        return 0.0
+    value = GRID_LO * GRID_RATIO ** k * integral
     if value >= 1e6:
         return INF
     return value
@@ -279,7 +226,8 @@ def w1_transport(f):
     Solved exactly by successive shortest augmenting paths; the final
     flow is certified by exhibiting potentials under which every
     residual edge has nonnegative reduced cost and every loaded edge is
-    tight.  Unequal total masses raise MassMismatch.  Mass cut-offs are
+    tight.  Unequal total masses raise MassMismatch, and a cost past the
+    largest float raises OverflowError.  Mass cut-offs are
     multiples of the larger total mass, path-length margins multiples
     of max(1, largest cost).
     """
@@ -336,6 +284,9 @@ def w1_transport(f):
         remaining -= bottleneck
 
     total = sum((flow[i][j] * cost[i][j] for i in range(nx) for j in range(ny)), 0.0)
+    if total == INF:
+        # masses and distances are finite, so only the sum overflowed
+        raise OverflowError("the W1 cost is too large for a float")
     _certify_transport(cost, flow, nx, ny, mass)
     matrix = {(xs[i], ys[j]): flow[i][j]
               for i in range(nx) for j in range(ny) if flow[i][j] > 0.0}

@@ -169,6 +169,16 @@ def test_unknown_space_kind_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "norm", "--kind", "dil", "--map", f)
     assert code == 2
     assert "mystery" in err
+    # no command reads a bare test function or cost table
+    testfn = write_json(tmp_path / "t.json", {
+        "kind": "testfn", "values": {"0": 0.0, "1": 1.0},
+        "space": {"kind": "metric_space", "points": [0, 1], "dist": [[0, 1], [1, 0]]}})
+    costs = write_json(tmp_path / "c.json", {
+        "kind": "cost_system", "points": [0, 1], "cost": {"0": {"1": 1.0}, "1": {"0": 1.0}}})
+    for kind, path in (("testfn", testfn), ("cost_system", costs)):
+        for norm in ("wasserstein", "word"):
+            code, out, err = run(capsys, "norm", "--kind", norm, "--map", path)
+            assert (code, out, err) == (2, "", "error: unknown space kind %r\n" % kind)
 
 
 def test_missing_file_exits_2(capsys):
@@ -304,6 +314,41 @@ def test_mass_lists_with_an_overflowing_total_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["results"][0]["value"] == 0.0
 
 
+def test_w1_cost_past_the_largest_float_exits_2(tmp_path, capsys):
+    # the true cost 2e308 is finite but no float
+    space = lambda mass: {"kind": "mm_space", "points": ["p", "q"],
+                          "dist": [[0.0, 2.0], [2.0, 0.0]], "mass": mass}
+    mu = write_json(tmp_path / "mu.json", space([1e308, 0.0]))
+    nu = write_json(tmp_path / "nu.json", space([0.0, 1e308]))
+    code, out, err = run(capsys, "dist", "--kind", "w1", mu, nu)
+    assert (code, out, err) == (2, "", "error: the W1 cost is too large for a float\n")
+
+
+def test_word_cost_past_the_largest_float_exits_2(tmp_path, capsys):
+    def word(ab, bc):
+        return write_json(tmp_path / "w.json", {
+            "kind": "word", "points": ["a", "b", "c"],
+            "cost": {"a": {"b": ab, "c": 1.0}, "b": {"a": 1.0, "c": bc},
+                     "c": {"a": 1.0, "b": 1.0}},
+            "word": ["a", "b", "c"]})
+    code, out, err = run(capsys, "norm", "--kind", "word", "--map", word(1e308, 1e308))
+    assert (code, out, err) == (2, "", "error: the word cost is too large for a float\n")
+    # a step of infinite cost is infinite, not an overflow
+    code, out, _ = run(capsys, "norm", "--kind", "word", "--map", word("inf", 1e308))
+    assert code == 0 and json.loads(out)["results"][0]["value"] == "inf"
+
+
+def test_groth_norm_past_the_largest_float_exits_2(tmp_path, capsys):
+    # each norm is 2**1023 + 1, which rounds to 2**1023; the sum is no float
+    g = write_json(tmp_path / "g.json", {
+        "kind": "group_morphism", "n": 2 ** 1024 + 2,
+        "fplus": 2 ** 1023 + 1, "fminus": 2 ** 1023 + 1, "a": 0, "b": 0})
+    code, out, err = run(capsys, "norm", "--kind", "groth", "--map", g)
+    assert (code, out) == (2, "")
+    assert err == ("error: the norm 8.98846567431158e+307 + 8.98846567431158e+307 "
+                   "is too large for a float\n")
+
+
 @pytest.mark.parametrize("points, mass", [(["p"], [0.0]), ([], [])])
 def test_w1_without_mass_prints_a_float(tmp_path, capsys, points, mass):
     space = write_json(tmp_path / "mu.json", {
@@ -356,42 +401,16 @@ def test_integer_point_labels_map_from_json(tmp_path, capsys):
     assert json.loads(out)["results"][0]["value"] == 0.0
 
 
-def test_integer_point_labels_in_testfn_values(tmp_path):
-    fn = parse_instance(write_json(tmp_path / "t.json", {
-        "kind": "testfn",
-        "space": {"kind": "metric_space", "points": [0, 1],
-                  "dist": [[0.0, 1.0], [1.0, 0.0]]},
-        "values": {"0": 0.0, "1": 1.0},
-    }))
-    assert fn.values == {0: 0.0, 1: 1.0}
-
-
-def test_integer_point_labels_in_cost_system_rows(tmp_path):
-    cs = parse_instance(write_json(tmp_path / "c.json", {
-        "kind": "cost_system", "points": [0, 1],
-        "cost": {"0": {"1": 1.0}, "1": {"0": "inf"}},
-    }))
-    assert cs.cost == {(0, 1): 1.0, (1, 0): math.inf}
-
-
 def test_integer_point_labels_in_word_cost_rows(tmp_path, capsys):
     w = write_json(tmp_path / "w.json", {
         "kind": "word", "points": [0, 1, 2],
         "cost": {"0": {"1": 1.0, "2": 2.0}, "1": {"0": 1.0, "2": 0.5},
-                 "2": {"0": 2.0, "1": 0.5}},
+                 "2": {"0": "inf", "1": 0.5}},
         "word": [0, 1, 2]})
+    assert parse_instance(w)["cost_system"].cost[(2, 0)] == math.inf
     code, out, _ = run(capsys, "norm", "--kind", "word", "--map", w)
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 1.5
-
-
-def test_testfn_on_a_finite_set_exits_2(tmp_path, capsys):
-    f = write_json(tmp_path / "t.json", {
-        "kind": "testfn", "space": {"kind": "finite_set", "points": [0, 1]},
-        "values": {"0": 0.0, "1": 1.0}})
-    code, _, err = run(capsys, "norm", "--kind", "wasserstein", "--map", f)
-    assert code == 2
-    assert err.splitlines() == ["error: testfn 'space' must be a metric_space"]
 
 
 def test_points_with_one_string_form_exit_2(tmp_path, capsys):

@@ -30,8 +30,6 @@ LOG3 = math.log(3)
 def test_set_norm_basic_values():
     f = FiniteFunction((1, 2, 3), ("a", "b"), {1: "a", 2: "a", 3: "b"})
     assert set_norm(f) == LOG2
-    assert set_norm(f, at=1) == LOG2
-    assert set_norm(f, at=3) == 0.0
 
     ident = FiniteFunction((1, 2), (1, 2), {1: 1, 2: 2})
     assert set_norm(ident) == 0.0
@@ -219,8 +217,7 @@ def test_from_table_validates_structure():
         NormedMonoid.from_table([0, 1], [[0, 1], [1, 0]], 0, {0: 0.5, 1: 1.0})
     # subadditivity: |1+1| = |0| = 0 fine, |0+1| = 1 <= 0+1 fine; break it
     with pytest.raises(ValueError):
-        NormedMonoid.from_table([0, 1], [[0, 1], [1, 0]], 0, {0: 0.0, 1: -1.0},
-                                partial=False)
+        NormedMonoid.from_table([0, 1], [[0, 1], [1, 0]], 0, {0: 0.0, 1: -1.0})
 
 
 def test_grothendieck_norm_on_a_cyclic_group():

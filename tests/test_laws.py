@@ -11,7 +11,6 @@ import time
 import pytest
 
 from normcat import cli
-from normcat.capacity import validate_order
 from normcat.category import CategoryError, first_transitivity_violation, monoid_category
 from normcat.discrete import NormedMonoid, cyclic_group, grothendieck_norm, group_norm_category
 from normcat.topo import (
@@ -81,54 +80,6 @@ def test_top_space_rejects_the_same_first_triple_as_the_loop():
         want = None if bad is None else (
             "leq not transitive on (%r, %r, %r)" % tuple(points[i] for i in bad))
         assert message(lambda: FiniteTopSpace(points, rel)) == want
-
-
-def loop_validate_order(hs, leq):
-    """validate_order as it was: h**2 + h**3 calls of leq."""
-    for a in hs:
-        if not leq(a, a):
-            raise ValueError("leq not reflexive at %r" % (a,))
-    for a in hs:
-        for b in hs:
-            if a != b and leq(a, b) and leq(b, a):
-                raise ValueError("leq not antisymmetric on (%r, %r)" % (a, b))
-    for a in hs:
-        for b in hs:
-            if not leq(a, b):
-                continue
-            for c in hs:
-                if leq(b, c) and not leq(a, c):
-                    raise ValueError("leq not transitive on (%r, %r, %r)" % (a, b, c))
-
-
-def test_validate_order_gives_the_loops_verdict_and_message():
-    rng = random.Random(3)
-    rels = seeded_relations(1200, 3, reflexive=True)
-    for t, rel in enumerate(rels):
-        n = len(rel)
-        if t % 2 and n:   # orient most pairs one way so the scan gets past antisymmetry
-            order = rng.sample(range(n), n)
-            rank = {v: r for r, v in enumerate(order)}
-            rel = [[rel[i][j] and (i == j or rank[i] < rank[j] or rng.random() < 0.02)
-                    for j in range(n)] for i in range(n)]
-        if t % 7 == 0 and n:
-            rel[rng.randrange(n)][rng.randrange(n)] = False
-        hs = tuple("h%d" % i for i in range(n))
-        leq = lambda a, b, rel=rel: rel[int(a[1:])][int(b[1:])]
-        assert (message(lambda: validate_order(hs, leq))
-                == message(lambda: loop_validate_order(hs, leq)))
-
-
-def test_validate_order_reads_each_pair_once():
-    calls = []
-    hs = tuple(range(9))
-
-    def leq(a, b):
-        calls.append((a, b))
-        return a <= b
-
-    validate_order(hs, leq)
-    assert len(calls) == len(hs) ** 2
 
 
 def test_all_posets_keeps_exactly_the_transitive_antisymmetric_relations():

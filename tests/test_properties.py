@@ -19,12 +19,11 @@ TOP = {"kind": "top_space", "points": POINTS,
 SIMPLICIAL = {"kind": "simplicial", "vertices": POINTS,
               "simplices": [["a"], ["b"], ["c"], ["a", "b"]]}
 FINITE_SET = {"kind": "finite_set", "points": POINTS}
-COST_SYSTEM = {"kind": "cost_system", "points": POINTS,
-               "cost": {"a": {"b": 1.0, "c": 2.0}, "b": {"a": 1.0, "c": 0.5},
-                        "c": {"a": 2.0, "b": "inf"}}}
-WORD = dict(COST_SYSTEM, kind="word", word=["a", "b", "c"])
+WORD = {"kind": "word", "points": POINTS,
+        "cost": {"a": {"b": 1.0, "c": 2.0}, "b": {"a": 1.0, "c": 0.5},
+                 "c": {"a": 2.0, "b": "inf"}},
+        "word": ["a", "b", "c"]}
 GROUP_MORPHISM = {"kind": "group_morphism", "n": 6, "fplus": 2, "fminus": 2, "a": 1, "b": 1}
-TESTFN = {"kind": "testfn", "space": METRIC, "values": {"a": 0.0, "b": 0.5, "c": 1.0}}
 LINEAR_MAP = {"kind": "linear_map", "entries": [[3.0, 0.0], [0.0, 0.5]]}
 
 
@@ -49,7 +48,6 @@ CASES = [
     (["norm", "--kind", "set", "--map"], identity_map(FINITE_SET), 1),
     (["norm", "--kind", "word", "--map"], WORD, 1),
     (["norm", "--kind", "groth", "--map"], GROUP_MORPHISM, 1),
-    (["norm", "--kind", "wasserstein", "--map"], TESTFN, 1),
     (["dist", "--kind", "dil"], METRIC, 2),
     (["norm", "--kind", "op", "--map"], LINEAR_MAP, 1),
 ]

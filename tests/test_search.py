@@ -1225,7 +1225,6 @@ def test_each_law_is_checked_once():
     src = pathlib.Path(normcat.__file__).parent
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
     checkers = {("topo.py", "FiniteTopSpace", "__init__"),
-                ("capacity.py", None, "validate_order"),
                 ("discrete.py", "NormedMonoid", "from_table"),
                 ("topo.py", None, "monotone_light_report")}
     found = set()

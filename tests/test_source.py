@@ -1,6 +1,7 @@
 """Structural guards over the source tree: every public function and
-public method is reached from the command line or has a named role, and
-no invariant rests on an assert statement."""
+public method is reached from the command line or has a named role,
+every parameter default that no call in the package sets has a named
+role, and no invariant rests on an assert statement."""
 
 import ast
 import pathlib
@@ -13,11 +14,14 @@ ORACLE = "oracle of a named value"
 BUILDER = "builder"
 AXIOMS = "norm axioms and metrization"
 FACTORIZATION = "monotone-light factorization check"
+ENTRY = "entry point: None reads sys.argv"
+QUASI = "quasi-metric spaces"
+COUNTER = "work counter for the result reports of ROADMAP item 2"
+BRACKET = "the Wasserstein bracket of ROADMAP item 10"
 
 # the public top-level functions and methods that neither the CLI nor
 # `check` reaches, each with the role that keeps it
 UNREACHED = {
-    "capacity.validate_order": ORACLE,
     "category.FiniteCategory.hom": AXIOMS,
     "category.check_norm_axioms": AXIOMS,
     "category.identity_only_category": BUILDER,
@@ -36,7 +40,6 @@ UNREACHED = {
     "generate.random_subset": BUILDER,
     "linear.min_gain_estimate": ORACLE,
     "measure.FiniteMMSpace.measure": ORACLE,
-    "measure.capacity_value_kinks": ORACLE,
     "measure.measure_isometry_search": AXIOMS,
     "measure.prokhorov_seminorm_capacity_form": ORACLE,
     "metric.find_expansive_map": AXIOMS,
@@ -45,7 +48,6 @@ UNREACHED = {
     "metric.line_space": BUILDER,
     "metric.one_point_space": BUILDER,
     "metric.search_slack": AXIOMS,
-    "metric.thicken": ORACLE,
     "metric.two_point_probe_dual": ORACLE,
     "metric.two_point_space": BUILDER,
     "metric.zero_dilatation_endos": AXIOMS,
@@ -57,7 +59,29 @@ UNREACHED = {
     "topo.poset_space": BUILDER,
     "topo.sierpinski_space": BUILDER,
     "wasserstein.kr_compare": ORACLE,
-    "wasserstein.normalize_representative": BUILDER,
+}
+
+
+# the parameters with a default, of public functions and methods, that
+# no call in the package sets, each with the role that keeps it
+UNSET_DEFAULTS = {
+    "category.induced_pqmetric(symmetrize)": AXIOMS,
+    "cli.main(argv)": ENTRY,
+    "generate.random_simplicial(prefix)": BUILDER,
+    "generate.random_subset(allow_empty)": BUILDER,
+    "generate.random_testfn_values(grid)": BUILDER,
+    "linear.min_gain_estimate(samples)": ORACLE,
+    "linear.min_gain_estimate(seed)": ORACLE,
+    "metric.FiniteMetricSpace.__init__(allow_quasi)": QUASI,
+    "metric.line_space(labels)": BUILDER,
+    "metric.one_point_space(label)": BUILDER,
+    "metric.two_point_space(labels)": BUILDER,
+    "search.fits(nodes)": COUNTER,
+    "topo.all_posets(prefix)": BUILDER,
+    "topo.sierpinski_space(closed_point)": BUILDER,
+    "topo.sierpinski_space(open_point)": BUILDER,
+    "wasserstein.wasserstein_seminorm(direction)": BRACKET,
+    "wasserstein.wasserstein_seminorm(extra_witnesses)": BRACKET,
 }
 
 
@@ -161,6 +185,90 @@ def test_private_functions_are_never_listed():
     trees = _trees()
     trees["extra"] = ast.parse("def _helper():\n    pass\n")
     assert unreached_functions(trees) == set(UNREACHED)
+
+
+def unset_defaults(trees):
+    """The parameters with a default, of public top-level functions and
+    methods (__init__ included), that no call in the package sets, as
+    "module.function(parameter)".
+
+    A call is matched to every definition of its called name or
+    attribute, and to every __init__ of a class of that name or when it
+    calls __init__ itself (as super().__init__ does).  It sets
+    a parameter that it names as a keyword or fills by position, and
+    every one when it unpacks *args or **kwargs.  A method's position
+    skips self, so a static method counts one parameter too many as
+    set; the walk can only overcount what is set.
+    """
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func
+                name = getattr(called, "id", getattr(called, "attr", None))
+                calls.setdefault(name, []).append(node)
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append(("%s.%s" % (module, node.name), (node.name,), node, 0))
+            elif isinstance(node, ast.ClassDef):
+                defs += [("%s.%s.%s" % (module, node.name, n.name),
+                          (node.name, n.name) if n.name == "__init__" else (n.name,), n, 1)
+                         for n in node.body if isinstance(n, ast.FunctionDef)]
+    unset = set()
+    for key, names, fn, skip in defs:
+        if fn.name.startswith("_") and fn.name != "__init__":
+            continue
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        params = [(i - skip, p.arg) for i, p in enumerate(pos)
+                  if i >= len(pos) - len(a.defaults)]
+        params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        for index, param in params:
+            if not any(any(k.arg in (param, None) for k in c.keywords)
+                       or index is not None
+                       and (index < len(c.args)
+                            or any(isinstance(v, ast.Starred) for v in c.args))
+                       for name in names for c in calls.get(name, ())):
+                unset.add("%s(%s)" % (key, param))
+    return unset
+
+
+def test_every_unset_default_has_a_role():
+    assert unset_defaults(_trees()) == set(UNSET_DEFAULTS)
+    assert set(UNSET_DEFAULTS.values()) <= {ORACLE, BUILDER, AXIOMS, ENTRY, QUASI,
+                                            COUNTER, BRACKET}
+
+
+def test_the_walk_sees_a_default_nothing_sets():
+    trees = _trees()
+    trees["extra"] = ast.parse("def scaled(x, factor=2.0, *, exact=False):\n"
+                               "    return x * factor\n\n"
+                               "HALF = scaled(0.5)\n")
+    assert unset_defaults(trees) == set(UNSET_DEFAULTS) | {"extra.scaled(factor)",
+                                                           "extra.scaled(exact)"}
+    trees["extra"].body.append(ast.parse("ONE = scaled(0.5, 2.0, exact=True)").body[0])
+    assert unset_defaults(trees) == set(UNSET_DEFAULTS)
+
+
+def test_the_walk_skips_self_in_a_method_call():
+    trees = _trees()
+    trees["extra"] = ast.parse("class Box:\n"
+                               "    def __init__(self, side, open=False):\n"
+                               "        self.side = side\n"
+                               "    def grown(self, by=1.0):\n"
+                               "        return Box(self.side + by)\n\n"
+                               "BOX = Box(1.0).grown()\n")
+    assert unset_defaults(trees) == set(UNSET_DEFAULTS) | {"extra.Box.__init__(open)",
+                                                           "extra.Box.grown(by)"}
+    trees["extra"].body.append(ast.parse("BIG = Box(2.0).grown(*SIDES)").body[0])
+    assert unset_defaults(trees) == set(UNSET_DEFAULTS) | {"extra.Box.__init__(open)"}
+    trees["extra"].body.append(ast.parse("class Lid(Box):\n"
+                                         "    def __init__(self):\n"
+                                         "        super().__init__(1.0, True)\n").body[0])
+    assert unset_defaults(trees) == set(UNSET_DEFAULTS)
 
 
 def assert_statements(trees):

@@ -1,5 +1,6 @@
 """Test-function capacity, its grid oracle, the seminorm search, and W1."""
 
+import bisect
 import json
 import math
 import random
@@ -10,13 +11,13 @@ from normcat.extreal import INF
 from normcat.metric import FiniteMetricSpace, two_point_space, line_space
 from normcat.measure import FiniteMMSpace, MMSpaceMap
 from normcat.wasserstein import (
-    TestFunction,
+    GRID_COUNT,
+    GRID_HI,
+    GRID_LO,
     ProjectiveMMSpace,
     Coupling,
-    NonNormalizable,
     MassMismatch,
     lipschitz_seminorm,
-    normalize_representative,
     wasserstein_capacity,
     wasserstein_capacity_oracle,
     wasserstein_seminorm,
@@ -24,6 +25,7 @@ from normcat.wasserstein import (
     w1_vertex_oracle,
     kr_compare,
     _certify_transport,
+    _grid_floor,
 )
 from normcat.generate import (
     random_mm_space,
@@ -36,18 +38,6 @@ from normcat.generate import (
 def two_point_mm(d=1.0, masses=(1.0, 1.0)):
     base = two_point_space(d)
     return FiniteMMSpace(base, {"p": masses[0], "q": masses[1]})
-
-
-def test_testfunction_validation():
-    base = two_point_space(1.0)
-    with pytest.raises(ValueError):
-        TestFunction(base, {"p": 0.5})
-    with pytest.raises(ValueError):
-        TestFunction(base, {"p": 0.5, "q": 1.5})
-    with pytest.raises(ValueError):
-        TestFunction(base, {"p": -0.1, "q": 0.0})
-    phi = TestFunction(base, {"p": 0.0, "q": 1.0})
-    assert phi("q") == 1.0
 
 
 def test_projective_space_needs_mass():
@@ -63,32 +53,10 @@ def test_lipschitz_examples():
     assert lipschitz_seminorm({"p": 0.0, "q": 1.0}, base) == 1.0
     half = two_point_space(0.5)
     assert lipschitz_seminorm({"p": 0.0, "q": 1.0}, half) == 2.0
-    phi = TestFunction(base, {"p": 0.0, "q": 1.0})
-    assert lipschitz_seminorm(phi) == 1.0
-    assert lipschitz_seminorm(lambda p: 0.25, base) == 0.0
     pseudo = FiniteMetricSpace(("a", "b"), [[0.0, 0.0], [0.0, 0.0]],
                                allow_pseudo=True)
     assert lipschitz_seminorm({"a": 0.0, "b": 1.0}, pseudo) == INF
     assert lipschitz_seminorm({"a": 0.5, "b": 0.5}, pseudo) == 0.0
-    with pytest.raises(ValueError):
-        lipschitz_seminorm({"p": 0.0, "q": 1.0})
-
-
-def test_normalize_representative():
-    sp = ProjectiveMMSpace(two_point_mm(d=1.0))
-    phi = TestFunction(sp.representative.base, {"p": 0.0, "q": 1.0})
-    out = normalize_representative(sp, phi)
-    assert out.base.dist == sp.representative.base.dist
-    assert out.mass == sp.representative.mass
-    # slope 2: distances double, masses halve
-    half = ProjectiveMMSpace(two_point_mm(d=0.5))
-    phi = TestFunction(half.representative.base, {"p": 0.0, "q": 1.0})
-    out = normalize_representative(half, phi)
-    assert out.base.d("p", "q") == 1.0
-    assert out.mass == {"p": 0.5, "q": 0.5}
-    assert lipschitz_seminorm({"p": 0.0, "q": 1.0}, out.base) == 1.0
-    with pytest.raises(NonNormalizable):
-        normalize_representative(half, {"p": 0.3, "q": 0.3})
 
 
 def test_capacity_three_cases():
@@ -170,13 +138,24 @@ def test_oracle_matches_closed_form():
 def test_oracle_degenerate_cases():
     sp = ProjectiveMMSpace(two_point_mm(d=1.0))
     assert wasserstein_capacity_oracle(sp, {"p": 0.0, "q": 0.0}) == 0.0
-    assert wasserstein_capacity_oracle(
-        sp, {"p": 0.0, "q": 0.0}, lam_grid=[0.1, 1.0, 10.0]) == 0.0
     # constant positive: the grid value blows past the divergence threshold
     assert wasserstein_capacity_oracle(sp, {"p": 0.5, "q": 0.5}) == INF
-    grid = [1e-2 * 10 ** (i / 2) for i in range(9)]
-    got = wasserstein_capacity_oracle(sp, {"p": 0.0, "q": 1.0}, lam_grid=grid)
-    assert 0.0 < got <= 1.0
+    # slope 1e10: every rescaling of the grid breaks admissibility
+    steep = ProjectiveMMSpace(two_point_mm(d=1e-10))
+    assert wasserstein_capacity(steep, {"p": 0.0, "q": 1.0}) == 1e-10
+    assert wasserstein_capacity_oracle(steep, {"p": 0.0, "q": 1.0}) == 0.0
+
+
+def test_grid_floor_is_the_bisect_over_the_listed_grid():
+    ratio = (GRID_HI / GRID_LO) ** (1.0 / (GRID_COUNT - 1))
+    grid = [GRID_LO * ratio ** i for i in range(GRID_COUNT)]
+    rng = random.Random(97)
+    probes = [0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, INF]
+    probes += [10 ** rng.uniform(-11, 11) for _ in range(3000)]
+    for g in grid[::37] + grid[-2:]:
+        probes += [math.nextafter(g, 0.0), g, math.nextafter(g, INF)]
+    for x in probes:
+        assert _grid_floor(x) == bisect.bisect_right(grid, x) - 1, x
 
 
 def test_seminorm_identity_is_zero():
