@@ -169,16 +169,6 @@ def test_unknown_space_kind_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "norm", "--kind", "dil", "--map", f)
     assert code == 2
     assert "mystery" in err
-    # no command reads a bare test function or cost table
-    testfn = write_json(tmp_path / "t.json", {
-        "kind": "testfn", "values": {"0": 0.0, "1": 1.0},
-        "space": {"kind": "metric_space", "points": [0, 1], "dist": [[0, 1], [1, 0]]}})
-    costs = write_json(tmp_path / "c.json", {
-        "kind": "cost_system", "points": [0, 1], "cost": {"0": {"1": 1.0}, "1": {"0": 1.0}}})
-    for kind, path in (("testfn", testfn), ("cost_system", costs)):
-        for norm in ("wasserstein", "word"):
-            code, out, err = run(capsys, "norm", "--kind", norm, "--map", path)
-            assert (code, out, err) == (2, "", "error: unknown space kind %r\n" % kind)
 
 
 def test_missing_file_exits_2(capsys):
@@ -407,10 +397,31 @@ def test_integer_point_labels_in_word_cost_rows(tmp_path, capsys):
         "cost": {"0": {"1": 1.0, "2": 2.0}, "1": {"0": 1.0, "2": 0.5},
                  "2": {"0": "inf", "1": 0.5}},
         "word": [0, 1, 2]})
-    assert parse_instance(w)["cost_system"].cost[(2, 0)] == math.inf
     code, out, _ = run(capsys, "norm", "--kind", "word", "--map", w)
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == 1.5
+
+
+def test_integer_point_labels_in_cost_system_rows(tmp_path):
+    cs = parse_instance(write_json(tmp_path / "w.json", {
+        "kind": "word", "points": [0, 1],
+        "cost": {"0": {"1": 1.0}, "1": {"0": "inf"}},
+        "word": [0, 1],
+    }))["cost_system"]
+    assert cs.cost == {(0, 1): 1.0, (1, 0): math.inf}
+
+
+def test_testfn_on_a_finite_set_exits_2(tmp_path, capsys):
+    # no command reads a bare test function or cost table
+    testfn = write_json(tmp_path / "t.json", {
+        "kind": "testfn", "space": {"kind": "finite_set", "points": [0, 1]},
+        "values": {"0": 0.0, "1": 1.0}})
+    costs = write_json(tmp_path / "c.json", {
+        "kind": "cost_system", "points": [0, 1], "cost": {"0": {"1": 1.0}, "1": {"0": 1.0}}})
+    for kind, path in (("testfn", testfn), ("cost_system", costs)):
+        for norm in ("wasserstein", "word"):
+            code, out, err = run(capsys, "norm", "--kind", norm, "--map", path)
+            assert (code, out, err) == (2, "", "error: unknown space kind %r\n" % kind)
 
 
 def test_points_with_one_string_form_exit_2(tmp_path, capsys):
