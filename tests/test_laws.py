@@ -82,6 +82,25 @@ def test_top_space_rejects_the_same_first_triple_as_the_loop():
         assert message(lambda: FiniteTopSpace(points, rel)) == want
 
 
+def loop_validate_order(hs, leq):
+    """The partial-order check capacity.validate_order ran: h**2 + h**3
+    calls of leq.  Tests of product orders use it as the reference."""
+    for a in hs:
+        if not leq(a, a):
+            raise ValueError("leq not reflexive at %r" % (a,))
+    for a in hs:
+        for b in hs:
+            if a != b and leq(a, b) and leq(b, a):
+                raise ValueError("leq not antisymmetric on (%r, %r)" % (a, b))
+    for a in hs:
+        for b in hs:
+            if not leq(a, b):
+                continue
+            for c in hs:
+                if leq(b, c) and not leq(a, c):
+                    raise ValueError("leq not transitive on (%r, %r, %r)" % (a, b, c))
+
+
 def test_all_posets_keeps_exactly_the_transitive_antisymmetric_relations():
     # the walk over every relation, independent of the one-point extensions
     for n in range(1, 5):

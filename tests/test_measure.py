@@ -26,6 +26,8 @@ from normcat.measure import (
 from normcat.generate import random_metric_space, random_mm_space, random_mm_map, random_subset
 from normcat.search import subsets
 
+from test_laws import loop_validate_order
+
 
 def dirac(base, point):
     return FiniteMMSpace(base, {p: 1.0 if p == point else 0.0 for p in base.points})
@@ -105,6 +107,7 @@ def test_prokhorov_family_passes_monotone_check():
     for _ in range(10):
         sp = random_mm_space(rng, rng.randint(1, 4))
         handles, leq, cap = prokhorov_family(sp, [0.0, 0.5, sp.volume(), sp.volume() + 1.0])
+        loop_validate_order(handles, leq)
         ok, witness = check_capacity_monotone(handles, leq, cap)
         assert ok, witness
 
