@@ -8,11 +8,13 @@ computation (an undefined extended-real operation, a value too large
 for a float, a failed transport optimality certificate or another
 broken runtime invariant).
 
-Each command loads only the modules it runs: at import this module
-loads only the standard library, `io` and `extreal`, and every other
-name it calls sits in the `_LAZY` table, imported on first use.  A new
-command adds its names to that table, never a top-level import of a
-computation module.  Library imports such as
+Every kind of `norm`, `dist` and `generate` is one entry of the `KINDS`
+registry, so a new kind adds one entry there (and one glue function if
+a class check and a plain call do not fit it).  Each command loads only
+the modules it runs: at import this module loads only the standard
+library, `io` and `extreal`; the registry's "module.name" strings are
+imported on first use through `_LAZY`, derived from it, and glue
+imports any other name where it runs.  Library imports such as
 `from normcat.metric import dil_distance` do not change.
 """
 
@@ -35,23 +37,131 @@ from .io import (
 )
 from .extreal import ConventionError
 
-# The names the commands call, each with the module that defines it.  A
-# name is imported on its first read through the module (PEP 562), so
-# call sites read `_cli.name`, which also reaches a name patched on this
-# module.
-_LAZY = {name: module for module, names in (
-    ("discrete", "FiniteFunction SimplicialMap set_norm cyclic_group grothendieck_norm "
-                 "word_cost"),
-    ("linear", "operator_seminorm"),
-    ("metric", "FiniteMetricSpace MultiMap dilatation_norm dilatation_left_dual "
-               "codiameter_seminorm dil_distance gh_distance"),
-    ("topo", "ContinuousPosetMap component_seminorm dimension_seminorm topological_norm"),
-    ("measure", "FiniteMMSpace MMSpaceMap BaseMismatch prokhorov_seminorm "
-                "prokhorov_distance"),
-    ("wasserstein", "wasserstein_seminorm w1_transport"),
-    ("suites", "run_suite"),
-    ("generate", "random_metric_space random_mm_space random_poset random_simplicial"),
-) for name in names.split()}
+
+class SizeOutOfBounds(ValueError):
+    pass
+
+
+def _default_seed():
+    raw = os.environ.get("NORMCAT_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError("NORMCAT_SEED must be an integer, got %r" % (raw,))
+
+
+def _expect(what, cls, *insts):
+    for inst in insts:
+        if not isinstance(inst, cls):
+            raise SchemaError("%s needs a %s instance, got %s"
+                              % (what, cls.__name__, type(inst).__name__))
+
+
+# Glue for the kinds that a class check and a plain call do not fit.  It
+# reads the registry's names through `_cli` and imports others where it runs.
+
+def _top(*parts):
+    """norm --kind top, the one kind that reads --space: an order map, a
+    simplicial map, or one of each describing one map."""
+    pm = vm = None
+    for part in parts:
+        if isinstance(part, _cli.ContinuousPosetMap):
+            pm = part
+        elif isinstance(part, _cli.SimplicialMap):
+            vm = part
+        else:
+            raise SchemaError(
+                "norm --kind top takes order-preserving and simplicial "
+                "maps, got %s" % type(part).__name__)
+    return _cli.topological_norm(pm, vm)
+
+
+def _groth(inst):
+    if not (isinstance(inst, dict) and inst.get("kind") == "group_morphism"):
+        raise SchemaError("norm --kind groth needs a group_morphism instance")
+    from .discrete import cyclic_group
+    n = inst["n"]
+    fplus, fminus, a, b = (inst[k] % n for k in ("fplus", "fminus", "a", "b"))
+    return _cli.grothendieck_norm(cyclic_group(n), fplus, fminus, a, b)
+
+
+def _word(inst):
+    if not (isinstance(inst, dict) and inst.get("kind") == "word"):
+        raise SchemaError("norm --kind word needs a word instance")
+    return _cli.word_cost(inst["cost_system"], inst["word"])
+
+
+def _dil_plus(a, b):
+    _expect("dist --kind dil-plus", _cli.FiniteMetricSpace, a, b)
+    return _cli.dil_distance(a, b, symmetrize="plus")
+
+
+def _w1(a, b):
+    from .measure import BaseMismatch
+    _expect("dist --kind w1", _cli.FiniteMMSpace, a, b)
+    if a.base.points != b.base.points or a.base.dist != b.base.dist:
+        raise BaseMismatch("the two measures must share one base metric space")
+    return _cli.w1_transport(_cli.MMSpaceMap(a, b, {p: p for p in a.base.points}))
+
+
+def _mm(rng, size):
+    from .generate import random_mm_space
+    return random_mm_space(rng, size, normalize=True)
+
+
+def _kind(check, route, rows=None, details=()):
+    return check, route, rows or {route.rpartition(".")[2]: (None, "exact")}, details
+
+
+# Every kind of every command.  A norm or dist entry is _kind(check,
+# route, rows, details): check is "module.Class", the class of every
+# instance, or glue that checks the instances and calls the route; route
+# is the "module.function" that computes the value; rows maps each row
+# name to (key, status), the row holding the route's value or its entry
+# `key`, by default one exact row named after the route; details are
+# keys of the route's dict copied to the report.  A generate entry is
+# (largest size, builder), called as builder(rng, size).
+KINDS = {
+    "norm": {
+        "set": _kind("discrete.FiniteFunction", "discrete.set_norm"),
+        "dil": _kind("metric.MultiMap", "metric.dilatation_norm"),
+        "dil-dual": _kind("metric.MultiMap", "metric.dilatation_left_dual"),
+        "codiam": _kind("metric.MultiMap", "metric.codiameter_seminorm"),
+        "comp": _kind("topo.ContinuousPosetMap", "topo.component_seminorm"),
+        "dim": _kind("discrete.SimplicialMap", "topo.dimension_seminorm",
+                     {"fiber_form": ("fiber_form", "exact"),
+                      "capacity_form": ("capacity_form", "exact")}),
+        "top": _kind(_top, "topo.topological_norm"),
+        "prokhorov": _kind("measure.MMSpaceMap", "measure.prokhorov_seminorm"),
+        "wasserstein": _kind("measure.MMSpaceMap", "wasserstein.wasserstein_seminorm",
+                             {"wasserstein_lower_bound": ("lower_bound", "lower_bound")},
+                             ("direction", "witness")),
+        "op": _kind("io.LinearMap", "linear.operator_seminorm"),
+        "groth": _kind(_groth, "discrete.grothendieck_norm"),
+        "word": _kind(_word, "discrete.word_cost"),
+    },
+    "dist": {
+        "gh": _kind("metric.FiniteMetricSpace", "metric.gh_distance"),
+        "dil": _kind("metric.FiniteMetricSpace", "metric.dil_distance"),
+        "dil-plus": _kind(_dil_plus, "metric.dil_distance",
+                          {"dil_plus_distance": (None, "exact")}),
+        "prokhorov": _kind("measure.FiniteMMSpace", "measure.prokhorov_distance"),
+        "w1": _kind(_w1, "wasserstein.w1_transport", {"w1_cost": ("cost", "exact")}),
+    },
+    "generate": {
+        "metric": (10, "generate.random_metric_space"),
+        "mm": (10, _mm),
+        "poset": (8, "generate.random_poset"),
+        "simplicial": (8, "generate.random_simplicial"),
+    },
+}
+
+# The module of each name the registry lists, imported on its first read
+# through the module (PEP 562), so call sites read `_cli.name`, which also
+# reaches a name patched on this module.
+_LAZY = {path.rpartition(".")[2]: path.rpartition(".")[0]
+         for table in KINDS.values() for entry in table.values()
+         for path in entry if isinstance(path, str)}
 
 
 def __getattr__(name):
@@ -66,125 +176,8 @@ def __getattr__(name):
 _cli = sys.modules[__name__]
 
 
-class SizeOutOfBounds(ValueError):
-    pass
-
-
-GENERATE_BOUNDS = {
-    "metric": (1, 10),
-    "mm": (1, 10),
-    "poset": (1, 8),
-    "simplicial": (1, 8),
-}
-
-NORM_KINDS = ("set", "dil", "dil-dual", "codiam", "comp", "dim", "top",
-              "prokhorov", "wasserstein", "op", "groth", "word")
-DIST_KINDS = ("gh", "dil", "dil-plus", "prokhorov", "w1")
-
-
-def _default_seed():
-    raw = os.environ.get("NORMCAT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("NORMCAT_SEED must be an integer, got %r" % (raw,))
-
-
-def _expect(inst, cls, what):
-    if not isinstance(inst, cls):
-        raise SchemaError("%s needs a %s instance, got %s"
-                          % (what, cls.__name__, type(inst).__name__))
-    return inst
-
-
-def _norm_results(kind, inst, aux):
-    """(results, details) for one norm computation."""
-    if kind == "set":
-        f = _expect(inst, _cli.FiniteFunction, "norm --kind set")
-        return [("set_norm", _cli.set_norm(f))], {}
-    if kind == "dil":
-        f = _expect(inst, _cli.MultiMap, "norm --kind dil")
-        return [("dilatation_norm", _cli.dilatation_norm(f))], {}
-    if kind == "dil-dual":
-        f = _expect(inst, _cli.MultiMap, "norm --kind dil-dual")
-        return [("dilatation_left_dual", _cli.dilatation_left_dual(f))], {}
-    if kind == "codiam":
-        f = _expect(inst, _cli.MultiMap, "norm --kind codiam")
-        return [("codiameter_seminorm", _cli.codiameter_seminorm(f))], {}
-    if kind == "comp":
-        f = _expect(inst, _cli.ContinuousPosetMap, "norm --kind comp")
-        return [("component_seminorm", _cli.component_seminorm(f))], {}
-    if kind == "dim":
-        f = _expect(inst, _cli.SimplicialMap, "norm --kind dim")
-        out = _cli.dimension_seminorm(f)
-        return [("fiber_form", out["fiber_form"]),
-                ("capacity_form", out["capacity_form"])], {}
-    if kind == "top":
-        pm = vm = None
-        for part in (inst, aux):
-            if part is None:
-                continue
-            if isinstance(part, _cli.ContinuousPosetMap):
-                pm = part
-            elif isinstance(part, _cli.SimplicialMap):
-                vm = part
-            else:
-                raise SchemaError(
-                    "norm --kind top takes order-preserving and simplicial "
-                    "maps, got %s" % type(part).__name__)
-        return [("topological_norm", _cli.topological_norm(pm, vm))], {}
-    if kind == "prokhorov":
-        f = _expect(inst, _cli.MMSpaceMap, "norm --kind prokhorov")
-        return [("prokhorov_seminorm", _cli.prokhorov_seminorm(f))], {}
-    if kind == "wasserstein":
-        f = _expect(inst, _cli.MMSpaceMap, "norm --kind wasserstein")
-        out = _cli.wasserstein_seminorm(f)
-        details = {"direction": out["direction"]}
-        if out["witness"] is not None:
-            details["witness"] = dict(out["witness"])
-        return [("wasserstein_lower_bound", out["lower_bound"])], details
-    if kind == "op":
-        if not isinstance(inst, list):
-            raise SchemaError("norm --kind op needs a linear_map instance")
-        return [("operator_seminorm", _cli.operator_seminorm(inst))], {}
-    if kind == "groth":
-        if not (isinstance(inst, dict) and inst.get("kind") == "group_morphism"):
-            raise SchemaError("norm --kind groth needs a group_morphism instance")
-        n = inst["n"]
-        args = [inst[k] % n for k in ("fplus", "fminus", "a", "b")]
-        return [("grothendieck_norm", _cli.grothendieck_norm(_cli.cyclic_group(n), *args))], {}
-    if kind == "word":
-        if not (isinstance(inst, dict) and inst.get("kind") == "word"):
-            raise SchemaError("norm --kind word needs a word instance")
-        return [("word_cost", _cli.word_cost(inst["cost_system"], inst["word"]))], {}
-    raise SchemaError("unknown norm kind %r" % (kind,))
-
-
-def _dist_results(kind, a, b):
-    if kind == "gh":
-        _expect(a, _cli.FiniteMetricSpace, "dist --kind gh")
-        _expect(b, _cli.FiniteMetricSpace, "dist --kind gh")
-        return [("gh_distance", _cli.gh_distance(a, b))]
-    if kind == "dil":
-        _expect(a, _cli.FiniteMetricSpace, "dist --kind dil")
-        _expect(b, _cli.FiniteMetricSpace, "dist --kind dil")
-        return [("dil_distance", _cli.dil_distance(a, b))]
-    if kind == "dil-plus":
-        _expect(a, _cli.FiniteMetricSpace, "dist --kind dil-plus")
-        _expect(b, _cli.FiniteMetricSpace, "dist --kind dil-plus")
-        return [("dil_plus_distance", _cli.dil_distance(a, b, symmetrize="plus"))]
-    if kind == "prokhorov":
-        _expect(a, _cli.FiniteMMSpace, "dist --kind prokhorov")
-        _expect(b, _cli.FiniteMMSpace, "dist --kind prokhorov")
-        return [("prokhorov_distance", _cli.prokhorov_distance(a, b))]
-    if kind == "w1":
-        _expect(a, _cli.FiniteMMSpace, "dist --kind w1")
-        _expect(b, _cli.FiniteMMSpace, "dist --kind w1")
-        if (a.base.points != b.base.points or a.base.dist != b.base.dist):
-            raise _cli.BaseMismatch("the two measures must share one base metric space")
-        ident = _cli.MMSpaceMap(a, b, {p: p for p in a.base.points})
-        return [("w1_cost", _cli.w1_transport(ident)["cost"])]
-    raise SchemaError("unknown dist kind %r" % (kind,))
+def _named(path):
+    return getattr(_cli, path.rpartition(".")[2])
 
 
 def _render_value(v):
@@ -225,38 +218,41 @@ def _report(command, results, seed=None, **extra):
 
 
 def _cmd_norm(args):
-    if args.space is not None and args.kind != "top":
+    if args.space is not None and KINDS["norm"][args.kind][0] is not _top:
         raise SchemaError("norm --kind %s takes no --space; only --kind top reads "
                           "a second instance" % (args.kind,))
-    t0 = time.perf_counter()
-    inst = parse_instance(args.map)
-    aux = parse_instance(args.space) if args.space else None
-    pairs, details = _norm_results(args.kind, inst, aux)
-    results = [{"name": n, "value": ext_to_json(v)} for n, v in pairs]
-    rep = _report("norm", results, kind=args.kind,
-                  timing_s=round(time.perf_counter() - t0, 6))
-    if details:
-        rep["details"] = details
-    _emit(rep, args.format)
-    return 0
+    return _compute("norm", args, [args.map] + ([args.space] if args.space else []))
 
 
 def _cmd_dist(args):
+    return _compute("dist", args, [args.a, args.b])
+
+
+def _compute(command, args, paths):
     t0 = time.perf_counter()
-    a = parse_instance(args.a)
-    b = parse_instance(args.b)
-    pairs = _dist_results(args.kind, a, b)
-    results = [{"name": n, "value": ext_to_json(v)} for n, v in pairs]
-    _emit(_report("dist", results, kind=args.kind,
-                  timing_s=round(time.perf_counter() - t0, 6)), args.format)
+    insts = [parse_instance(path) for path in paths]
+    check, route, rows, details = KINDS[command][args.kind]
+    if callable(check):
+        out = check(*insts)
+    else:
+        _expect("%s --kind %s" % (command, args.kind), _named(check), *insts)
+        out = _named(route)(*insts)
+    results = [{"name": name, "value": ext_to_json(out if key is None else out[key]),
+                "status": status, "route": route} for name, (key, status) in rows.items()]
+    rep = _report(command, results, kind=args.kind,
+                  timing_s=round(time.perf_counter() - t0, 6))
+    if details:
+        rep["details"] = {k: out[k] for k in details}
+    _emit(rep, args.format)
     return 0
 
 
 def _cmd_check(args):
     if args.cases < 1:
         raise SizeOutOfBounds("--cases must be at least 1, got %d" % args.cases)
+    from .suites import run_suite
     t0 = time.perf_counter()
-    rows = _cli.run_suite(args.suite, args.seed, args.cases)
+    rows = run_suite(args.suite, args.seed, args.cases)
     ok = all(r["ok"] for r in rows)
     _emit(_report("check", rows, seed=args.seed, suite=args.suite,
                   cases=args.cases, ok=ok,
@@ -265,19 +261,11 @@ def _cmd_check(args):
 
 
 def _cmd_generate(args):
-    lo, hi = GENERATE_BOUNDS[args.kind]
-    if not lo <= args.size <= hi:
-        raise SizeOutOfBounds("size for kind %r must lie in [%d, %d], got %d"
-                              % (args.kind, lo, hi, args.size))
-    rng = random.Random(args.seed)
-    if args.kind == "metric":
-        obj = _cli.random_metric_space(rng, args.size)
-    elif args.kind == "mm":
-        obj = _cli.random_mm_space(rng, args.size, normalize=True)
-    elif args.kind == "poset":
-        obj = _cli.random_poset(rng, args.size)
-    else:
-        obj = _cli.random_simplicial(rng, args.size)
+    hi, build = KINDS["generate"][args.kind]
+    if not 1 <= args.size <= hi:
+        raise SizeOutOfBounds("size for kind %r must lie in [1, %d], got %d"
+                              % (args.kind, hi, args.size))
+    obj = (build if callable(build) else _named(build))(random.Random(args.seed), args.size)
     if args.out:
         write_instance(obj, args.out)
         _emit(_report("generate", [], seed=args.seed, kind=args.kind,
@@ -298,7 +286,7 @@ def build_parser():
                         default="json", help="output format (default json)")
 
     sp = sub.add_parser("norm", help="norm of one morphism instance")
-    sp.add_argument("--kind", choices=NORM_KINDS, required=True)
+    sp.add_argument("--kind", choices=tuple(KINDS["norm"]), required=True)
     sp.add_argument("--map", required=True, help="instance file")
     sp.add_argument("--space", default=None,
                     help="auxiliary instance file (second part for --kind top)")
@@ -306,7 +294,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_norm)
 
     sp = sub.add_parser("dist", help="distance between two space instances")
-    sp.add_argument("--kind", choices=DIST_KINDS, required=True)
+    sp.add_argument("--kind", choices=tuple(KINDS["dist"]), required=True)
     sp.add_argument("a", help="first instance file")
     sp.add_argument("b", help="second instance file")
     add_format(sp)
@@ -320,7 +308,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("generate", help="write a random valid instance")
-    sp.add_argument("--kind", choices=tuple(GENERATE_BOUNDS), required=True)
+    sp.add_argument("--kind", choices=tuple(KINDS["generate"]), required=True)
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None, help="output path (default stdout)")

@@ -2,7 +2,8 @@
 
 Every serializer emits canonical JSON (sorted keys, two-space indent,
 trailing newline), so generate -> parse -> serialize round-trips
-byte-for-byte.  Infinite values travel as the strings "inf" and "-inf".
+byte-for-byte, and parse -> serialize -> parse gives the same instance
+for every kind.  Infinite values travel as the strings "inf" and "-inf".
 
 Parsing imports only the modules of the kinds it reads, and serializing
 imports none: an object can only be an instance of a class whose module
@@ -25,6 +26,10 @@ class InvariantError(ValueError):
 
 class UnknownKind(ValueError):
     pass
+
+
+class LinearMap(list):
+    """A parsed linear_map: its rows of floats."""
 
 
 def ext_to_json(x):
@@ -221,6 +226,15 @@ def map_from_json(d):
 def instance_to_json(obj):
     if _isinstance(obj, "category", "FiniteMap"):
         return map_to_json(obj)
+    if isinstance(obj, LinearMap):
+        return {"kind": "linear_map", "entries": obj}
+    if isinstance(obj, dict) and obj.get("kind") == "word":
+        cs = obj["cost_system"]
+        cost = {}
+        for (a, b), c in cs.cost.items():
+            cost.setdefault(str(a), {})[str(b)] = ext_to_json(c)
+        return {"kind": "word", "points": list(cs.points), "cost": cost,
+                "word": list(obj["word"])}
     if isinstance(obj, dict):
         return obj
     return space_to_json(obj)
@@ -236,7 +250,7 @@ def instance_from_json(d):
         entries = _list(d, "entries", kind, "lists", "numbers")
         if not entries or any(len(r) != len(entries[0]) for r in entries):
             raise InvariantError("entries must form a nonempty rectangle")
-        return [[float(v) for v in row] for row in entries]
+        return LinearMap([float(v) for v in row] for row in entries)
     if kind == "group_morphism":
         out = {k: _integer(d, k, kind) for k in ("n", "fplus", "fminus", "a", "b")}
         if out["n"] < 1:

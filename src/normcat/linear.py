@@ -29,12 +29,14 @@ def singular_values(entries):
 
     Values with sigma <= sigma_max * max(m, n) * eps (LAPACK's rank
     cut-off) are reported as exact zeros, and a wide m x n matrix gets
-    n - m more zeros: it always has a kernel.
+    n - m more zeros: it always has a kernel.  The cut-off multiplies
+    sigma_max by the power-of-two multiple max(m, n) * eps, so it does
+    not overflow when sigma_max * max(m, n) would.
     """
     a = as_matrix(entries)
     m, n = a.shape
     sigma = np.linalg.svd(a, compute_uv=False)
-    sigma[sigma <= sigma[0] * max(m, n) * np.finfo(float).eps] = 0.0
+    sigma[sigma <= sigma[0] * (max(m, n) * np.finfo(float).eps)] = 0.0
     return sigma.tolist() + [0.0] * (n - min(m, n))
 
 

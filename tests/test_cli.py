@@ -4,13 +4,16 @@ import io
 import json
 import math
 import os
+import pathlib
+import random
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from normcat import cli
+from normcat import cli, io as io_module
 from normcat.cli import main
 from normcat.extreal import ConventionError
 from normcat.io import parse_instance, serialize_instance
@@ -115,7 +118,8 @@ def test_dist_gh_two_point_files(tmp_path, capsys):
     code, out, _ = run(capsys, "dist", "--kind", "gh", a, b)
     assert code == 0
     rep = json.loads(out)
-    assert rep["results"] == [{"name": "gh_distance", "value": 0.5}]
+    assert rep["results"] == [{"name": "gh_distance", "value": 0.5, "status": "exact",
+                               "route": "metric.gh_distance"}]
 
 
 def test_norm_comp_sierpinski_bijection(tmp_path, capsys):
@@ -346,7 +350,8 @@ def test_w1_without_mass_prints_a_float(tmp_path, capsys, points, mass):
         "dist": [[0.0] * len(points) for _ in points], "mass": mass})
     code, out, _ = run(capsys, "dist", "--kind", "w1", space, space)
     assert code == 0
-    assert json.loads(out)["results"] == [{"name": "w1_cost", "value": 0.0}]
+    assert json.loads(out)["results"] == [{"name": "w1_cost", "value": 0.0, "status": "exact",
+                                                 "route": "wasserstein.w1_transport"}]
     assert isinstance(json.loads(out)["results"][0]["value"], float)
 
 
@@ -517,7 +522,8 @@ def test_dist_dil_on_generated_ten_point_spaces(tmp_path, capsys):
     capsys.readouterr()
     code, out, _ = run(capsys, "dist", "--kind", "dil", *paths)
     assert code == 0
-    assert json.loads(out)["results"] == [{"name": "dil_distance", "value": 0.296651436738971}]
+    assert json.loads(out)["results"] == [{"name": "dil_distance", "value": 0.296651436738971,
+                                                 "status": "exact", "route": "metric.dil_distance"}]
 
 
 TOP_1 = {"kind": "top_space", "points": ["a"], "leq": [[True]]}
@@ -734,3 +740,139 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == \
         sorted("normcat." + m for m in loaded.split())
+
+
+def identity_map(space):
+    points = space.get("points", space.get("vertices"))
+    many = space["kind"] == "metric_space"
+    return {"kind": "map", "source": space, "target": space,
+            "assign": {str(p): [p] if many else p for p in points}}
+
+
+GROUP_MORPHISM = {"kind": "group_morphism", "n": 6, "fplus": 2, "fminus": 2, "a": 1, "b": 1}
+WORD = {"kind": "word", "points": ["a", "b"], "cost": {"a": {"b": 1.0}, "b": {"a": "inf"}},
+        "word": ["a", "b"]}
+
+# every kind's instances and its rows as (name, status, route)
+ROWS = {
+    ("norm", "set"): ([identity_map(MAP_ENDPOINTS["set"])],
+                      [("set_norm", "exact", "discrete.set_norm")]),
+    ("norm", "dil"): ([identity_map(METRIC_AB)],
+                      [("dilatation_norm", "exact", "metric.dilatation_norm")]),
+    ("norm", "dil-dual"): ([identity_map(METRIC_AB)],
+                           [("dilatation_left_dual", "exact", "metric.dilatation_left_dual")]),
+    ("norm", "codiam"): ([identity_map(METRIC_AB)],
+                         [("codiameter_seminorm", "exact", "metric.codiameter_seminorm")]),
+    ("norm", "comp"): ([identity_map(MAP_ENDPOINTS["comp"])],
+                       [("component_seminorm", "exact", "topo.component_seminorm")]),
+    ("norm", "dim"): ([identity_map(MAP_ENDPOINTS["dim"])],
+                      [("fiber_form", "exact", "topo.dimension_seminorm"),
+                       ("capacity_form", "exact", "topo.dimension_seminorm")]),
+    ("norm", "top"): ([identity_map(MAP_ENDPOINTS["comp"]), identity_map(MAP_ENDPOINTS["dim"])],
+                      [("topological_norm", "exact", "topo.topological_norm")]),
+    ("norm", "prokhorov"): ([identity_map(MAP_ENDPOINTS["prokhorov"])],
+                            [("prokhorov_seminorm", "exact", "measure.prokhorov_seminorm")]),
+    ("norm", "wasserstein"): ([identity_map(MAP_ENDPOINTS["prokhorov"])],
+                              [("wasserstein_lower_bound", "lower_bound",
+                                "wasserstein.wasserstein_seminorm")]),
+    ("norm", "op"): ([{"kind": "linear_map", "entries": [[2.0, 0.0], [0.0, 0.5]]}],
+                     [("operator_seminorm", "exact", "linear.operator_seminorm")]),
+    ("norm", "groth"): ([GROUP_MORPHISM],
+                        [("grothendieck_norm", "exact", "discrete.grothendieck_norm")]),
+    ("norm", "word"): ([WORD], [("word_cost", "exact", "discrete.word_cost")]),
+    ("dist", "gh"): ([METRIC_AB] * 2, [("gh_distance", "exact", "metric.gh_distance")]),
+    ("dist", "dil"): ([METRIC_AB] * 2, [("dil_distance", "exact", "metric.dil_distance")]),
+    ("dist", "dil-plus"): ([METRIC_AB] * 2,
+                           [("dil_plus_distance", "exact", "metric.dil_distance")]),
+    ("dist", "prokhorov"): ([MAP_ENDPOINTS["prokhorov"]] * 2,
+                            [("prokhorov_distance", "exact", "measure.prokhorov_distance")]),
+    ("dist", "w1"): ([MAP_ENDPOINTS["prokhorov"]] * 2,
+                     [("w1_cost", "exact", "wasserstein.w1_transport")]),
+}
+
+
+def test_every_norm_and_dist_kind_has_its_rows_pinned():
+    assert set(ROWS) == {(c, k) for c in ("norm", "dist") for k in cli.KINDS[c]}
+
+
+@pytest.mark.parametrize("command, kind", sorted(ROWS))
+def test_each_result_row_names_its_status_and_route(tmp_path, capsys, command, kind):
+    insts, rows = ROWS[command, kind]
+    paths = [write_json(tmp_path / ("%d.json" % i), inst) for i, inst in enumerate(insts)]
+    files = (["--map", paths[0]] + ["--space"] * (len(paths) > 1) + paths[1:]
+             if command == "norm" else paths)
+    code, out, err = run(capsys, command, "--kind", kind, *files)
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert [(r["name"], r["status"], r["route"]) for r in results] == rows
+    # text and csv keep their name and value columns
+    values = [(r["name"], r["value"] if r["value"] == "inf" else json.dumps(r["value"]))
+              for r in results]
+    assert run(capsys, command, "--kind", kind, *files, "--format", "text")[1] == \
+        "".join("%s = %s\n" % nv for nv in values)
+    assert run(capsys, command, "--kind", kind, *files, "--format", "csv")[1] == \
+        "name,value\n" + "".join("%s,%s\n" % nv for nv in values)
+
+
+def scaled_matrix(seed, n, scale):
+    rng = random.Random(seed)
+    return [[rng.uniform(-1.0, 1.0) * scale for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("entries", [
+    [[1e308, 1e308], [1e308, -1e308]],
+    scaled_matrix(3, 6, 2.0 ** 1021),
+], ids=["1e308", "seeded-times-2**1021"])
+def test_op_near_the_largest_float_keeps_its_singular_values(tmp_path, capsys, entries):
+    # sigma_max * max(m, n) overflows here; the rank cut-off must not
+    from normcat.linear import singular_values
+    path = write_json(tmp_path / "op.json", {"kind": "linear_map", "entries": entries})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min(singular_values(entries)) > 1e300
+        assert run(capsys, "norm", "--kind", "op", "--map", path, "--format", "text") == \
+            (0, "operator_seminorm = 0.0\n", "")
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+
+
+def documented_instances():
+    """The instance examples of docs/formats.md, plus the identity map of
+    each space example, keyed by kind (the map by its endpoint kind)."""
+    found = {}
+    for block in re.findall(r"```json\n(.*?)```", DOCS.read_text(encoding="utf-8"), re.S):
+        try:
+            inst = json.loads(block)
+        except ValueError:
+            continue   # the map template, whose endpoints are elided
+        found[inst["kind"]] = inst
+    for kind in ("metric_space", "mm_space", "top_space", "simplicial", "finite_set"):
+        found["map of " + kind] = identity_map(found[kind])
+    return found
+
+
+DOCUMENTED = documented_instances()
+
+
+def test_the_documented_instances_cover_every_kind():
+    assert set(DOCUMENTED) == {
+        "metric_space", "mm_space", "top_space", "simplicial", "finite_set",
+        "linear_map", "group_morphism", "word"} | {"map of " + k for k in io_module.MAP_CLASSES}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED))
+def test_parse_serialize_parse_keeps_every_documented_instance(tmp_path, name):
+    first = write_json(tmp_path / "a.json", DOCUMENTED[name])
+    text = serialize_instance(parse_instance(first))
+    assert json.loads(text) == DOCUMENTED[name]
+    again = tmp_path / "b.json"
+    again.write_text(text)
+    assert serialize_instance(parse_instance(str(again))) == text
+
+
+def test_the_docs_list_exactly_the_registry_kinds():
+    synopsis = dict(re.findall(r"normcat (\w+) --kind \{([^}]*)\}",
+                               DOCS.read_text(encoding="utf-8")))
+    assert {c: k.split("|") for c, k in synopsis.items()} == \
+        {c: list(cli.KINDS[c]) for c in ("norm", "dist", "generate")}

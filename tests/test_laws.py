@@ -226,7 +226,9 @@ def test_groth_norm_of_a_large_group_is_immediate(tmp_path, capsys):
     code, out = run_groth(tmp_path, capsys, n=1000000, fplus=700000, fminus=700002, a=5, b=3)
     assert time.perf_counter() - t0 < 1.0
     assert code == 0
-    assert json.loads(out.out)["results"] == [{"name": "grothendieck_norm", "value": 599998.0}]
+    assert json.loads(out.out)["results"] == [{"name": "grothendieck_norm", "value": 599998.0,
+                                               "status": "exact",
+                                               "route": "discrete.grothendieck_norm"}]
 
 
 def test_groth_norm_too_large_for_a_float_exits_2(tmp_path, capsys):

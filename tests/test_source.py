@@ -100,10 +100,12 @@ def unreached_functions(trees):
     reaches.
 
     A definition is reached when its name occurs in a reached body or in
-    module-level code; a name reaches every definition it names, in any
-    module, so the walk can only overcount what is reached.  Reaching a
-    class reaches its bases, decorators, fields and dunder methods, which
-    run without being named; its other methods are reached by name.
+    module-level code, or when a module-level string "m.name", m a module
+    of the package, names it (the CLI registry names its routes so); a
+    name reaches every definition it names, in any module, so the walk
+    can only overcount what is reached.  Reaching a class reaches its
+    bases, decorators, fields and dunder methods, which run without being
+    named; its other methods are reached by name.
     """
     defs = {}
     todo = ["main"]
@@ -119,7 +121,7 @@ def unreached_functions(trees):
                 for n in methods:
                     defs.setdefault(n.name, []).append(n)
             else:
-                todo += _names(node)
+                todo += _names(node) | _named_by_strings(node, trees)
     reached = set()
     while todo:
         name = todo.pop()
@@ -139,6 +141,13 @@ def unreached_functions(trees):
             if not name.startswith("_") and name not in reached}
 
 
+def _named_by_strings(node, modules):
+    """The names that the "module.name" strings inside node name."""
+    strings = [n.value for n in ast.walk(node)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return {s.rpartition(".")[2] for s in strings if s.rpartition(".")[0] in modules}
+
+
 def _methods(cls):
     """The methods of a class that run only when named: all but dunders."""
     return [n for n in cls.body if isinstance(n, ast.FunctionDef)
@@ -155,6 +164,16 @@ def test_the_walk_sees_a_function_nothing_calls():
     trees["extra"] = ast.parse("def orphan():\n    return line_space([0])\n")
     assert unreached_functions(trees) == set(UNREACHED) | {"extra.orphan"}
     trees["extra"] = ast.parse("def orphan():\n    pass\n\nHOOK = orphan\n")
+    assert unreached_functions(trees) == set(UNREACHED)
+
+
+def test_the_walk_sees_a_route_string():
+    trees = _trees()
+    trees["extra"] = ast.parse('ROUTES = {"line": "metric.line_space"}\n')
+    assert unreached_functions(trees) == set(UNREACHED) - {"metric.line_space"}
+    trees["extra"] = ast.parse('ROUTES = {"line": "nomodule.line_space"}\n')
+    assert unreached_functions(trees) == set(UNREACHED)
+    trees["extra"] = ast.parse('def _route():\n    return "metric.line_space"\n')
     assert unreached_functions(trees) == set(UNREACHED)
 
 

@@ -277,7 +277,8 @@ def comp_map_file(tmp_path, n):
 def test_comp_answers_16_points_and_caps_at_17(tmp_path, capsys):
     assert main(["norm", "--kind", "comp", "--map", comp_map_file(tmp_path, 16)]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == [
-        {"name": "component_seminorm", "value": LOG2}]
+        {"name": "component_seminorm", "value": LOG2, "status": "exact",
+         "route": "topo.component_seminorm"}]
     assert main(["norm", "--kind", "comp", "--map", comp_map_file(tmp_path, 17)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: subset enumeration is limited to 16 elements, got 17"]
