@@ -60,6 +60,35 @@ for _ in range(reps):
     ts.append(time.perf_counter() - t0)
 print(min(ts))
 """
+# prokhorov_distance(mu, nu) on one seeded base of n points in the unit
+# cube, with mu and nu the two mass lists masses(rng, n) returns
+MM_PAIR = """
+import math, random, time
+from normcat.measure import FiniteMMSpace, prokhorov_distance
+from normcat.metric import FiniteMetricSpace
+rng = random.Random(n)
+ps = [(rng.random(), rng.random(), rng.random()) for _ in range(n)]
+base = FiniteMetricSpace(["x%d" % i for i in range(n)], [[math.dist(a, b) for b in ps] for a in ps])
+mu, nu = [FiniteMMSpace(base, dict(zip(base.points, w))) for w in masses(rng, n)]
+ts = []
+for _ in range(reps):
+    t0 = time.perf_counter()
+    prokhorov_distance(mu, nu)
+    ts.append(time.perf_counter() - t0)
+print(min(ts))
+"""
+# two measures of total 1, every mass drawn from [0.05, 1] before scaling
+BALANCED = """
+def masses(rng, n):
+    draws = [[rng.uniform(0.05, 1.0) for _ in range(n)] for _ in range(2)]
+    return [[w / sum(ws) for w in ws] for ws in draws]
+"""
+# nu on one point and mu on its neighbour: the bound nu(A) - mu(A) is 1
+# on a quarter of the subsets, above the distance
+LOOSE = """
+def masses(rng, n):
+    return [[float(i == 1) for i in range(n)], [float(i == 0) for i in range(n)]]
+"""
 MICRO = {
     "category.first_triangle_violation": ((30, 60, 120, 170), """
 import math, random, time
@@ -79,6 +108,8 @@ print(min(ts))
     "metric.gh_distance": ((8, 10, 12, 14), "f = lambda x, y: gh_distance(x, y)" + PLANAR_PAIR),
     "metric.min_dilatation_map": ((8, 10, 12, 14),
                                   "f = lambda x, y: min_dilatation_map(x, y)" + PLANAR_PAIR),
+    "measure.prokhorov_distance": ((12, 14, 16), BALANCED + MM_PAIR),
+    "measure.prokhorov_distance loose": ((16,), LOOSE + MM_PAIR),
 }
 
 
@@ -110,10 +141,18 @@ def perfbench(tree, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def pin_one_cpu():
+    """Keep the calling process on one CPU, as perfbench/run.py does."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def micro(tree, code, n, reps):
+    """The time one micro-workload prints, run in a fresh interpreter of
+    tree that stays on one CPU."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-c", "n, reps = %d, %d\n%s" % (n, reps, code)],
-                          cwd=tree, env=env, capture_output=True, text=True, check=True)
+                          cwd=tree, env=env, capture_output=True, text=True, check=True,
+                          preexec_fn=pin_one_cpu)
     return float(proc.stdout.strip().splitlines()[-1])
 
 

@@ -65,10 +65,13 @@ def _top(*parts):
     simplicial map, or one of each describing one map."""
     pm = vm = None
     for part in parts:
-        if isinstance(part, _cli.ContinuousPosetMap):
+        if isinstance(part, _cli.ContinuousPosetMap) and pm is None:
             pm = part
-        elif isinstance(part, _cli.SimplicialMap):
+        elif isinstance(part, _cli.SimplicialMap) and vm is None:
             vm = part
+        elif isinstance(part, (_cli.ContinuousPosetMap, _cli.SimplicialMap)):
+            raise SchemaError("norm --kind top takes at most one %s, got two"
+                              % type(part).__name__)
         else:
             raise SchemaError(
                 "norm --kind top takes order-preserving and simplicial "

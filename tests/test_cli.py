@@ -700,6 +700,22 @@ def test_space_outside_kind_top_exits_2_before_parsing(tmp_path, capsys):
                            "a second instance\n")
 
 
+@pytest.mark.parametrize("part, cls", [("comp", "ContinuousPosetMap"), ("dim", "SimplicialMap")])
+def test_top_with_two_parts_of_one_type_exits_2(tmp_path, capsys, part, cls):
+    # two order maps, or two simplicial maps, are not one map's two parts:
+    # in either order, neither is dropped for the other
+    space = MAP_ENDPOINTS[part]
+    first = write_json(tmp_path / "first.json", identity_map(space))
+    second = write_json(tmp_path / "second.json", dict(identity_map(space),
+                                                       assign={"a": "a", "b": "a"}))
+    if part == "comp":
+        second = sierpinski_bijection_file(tmp_path)
+    for m, s in ((first, second), (second, first)):
+        code, out, err = run(capsys, "norm", "--kind", "top", "--map", m, "--space", s)
+        assert (code, out) == (2, "")
+        assert err == "error: norm --kind top takes at most one %s, got two\n" % cls
+
+
 def test_suite_choices_are_the_suites_run_suite_runs():
     from normcat.suites import run_suite
     check = cli.PARSER._subparsers._group_actions[0].choices["check"]
