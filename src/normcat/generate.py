@@ -64,11 +64,8 @@ def random_masses(rng, labels, normalize=False, allow_zero=True):
     return out
 
 
-def random_subset(rng, labels, allow_empty=True):
-    out = [p for p in labels if rng.random() < 0.5]
-    if not out and not allow_empty:
-        out = [rng.choice(list(labels))]
-    return frozenset(out)
+def random_subset(rng, labels):
+    return frozenset(p for p in labels if rng.random() < 0.5)
 
 
 def random_testfn_values(rng, labels, grid=None):

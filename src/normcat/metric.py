@@ -115,8 +115,8 @@ def two_point_space(r, labels=("p", "q")):
                              allow_pseudo=(r == 0))
 
 
-def one_point_space(label="*"):
-    return FiniteMetricSpace((label,), ((0.0,),))
+def one_point_space():
+    return FiniteMetricSpace(("*",), ((0.0,),))
 
 
 class MultiMap(FiniteMap):

@@ -1,9 +1,10 @@
 """Seeded property suites behind the `check` command.
 
 Each suite returns rows {"name", "ok", "detail"}; a failing row carries
-its counterexample in the detail string.  All randomness comes from one
-random.Random per suite, so a (suite, cases, seed) triple is
-reproducible.
+its counterexample in the detail string.  A row is a check(rng, cases)
+returning (False, the counterexample) or (True, its passing detail),
+and a suite's checks run in order on one random.Random(seed), so a
+(suite, cases, seed) triple is reproducible.
 """
 
 import random
@@ -13,69 +14,32 @@ from .extreal import INF
 from .category import check_seminorm_axioms, dual_seminorm
 from .capacity import check_capacity_monotone, dual_inequality_report
 from .discrete import group_norm_category
-from .metric import (
-    FiniteMetricSpace,
-    MultiMap,
-    compose_multimaps,
-    dilatation_norm,
-    dilatation_norm_capacity,
-    gh_distance,
-    gh_correspondence_oracle,
-    dil_distance,
-    diameter_capacity_instance,
-)
-from .topo import (
-    component_seminorm,
-    component_capacity_form,
-    monotone_light_report,
-    all_order_preserving_maps,
-)
-from .measure import (
-    FiniteMMSpace,
-    MMSpaceMap,
-    compose_mm_maps,
-    prokhorov_seminorm,
-    prokhorov_distance,
-    prokhorov_family,
-    volume_norm,
-)
-from .wasserstein import (
-    ProjectiveMMSpace,
-    wasserstein_capacity,
-    wasserstein_capacity_oracle,
-    w1_transport,
-    w1_vertex_oracle,
-)
-from .generate import (
-    random_metric_space,
-    random_multimap,
-    random_function_map,
-    random_mm_space,
-    random_mm_map,
-    random_poset,
-    random_testfn_values,
-)
+from .metric import (FiniteMetricSpace, MultiMap, compose_multimaps, dilatation_norm,
+                     dilatation_norm_capacity, gh_distance, gh_correspondence_oracle,
+                     dil_distance, diameter_capacity_instance)
+from .topo import (component_seminorm, component_capacity_form, monotone_light_report,
+                   all_order_preserving_maps)
+from .measure import (FiniteMMSpace, MMSpaceMap, compose_mm_maps, prokhorov_seminorm,
+                      prokhorov_distance, prokhorov_family, volume_norm)
+from .wasserstein import (ProjectiveMMSpace, wasserstein_capacity, wasserstein_capacity_oracle,
+                          w1_transport, w1_vertex_oracle)
+from .generate import (random_metric_space, random_multimap, random_mm_space, random_mm_map,
+                       random_poset, random_testfn_values)
 
 
-def _row(name, ok, detail):
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
-def _surjective_map(rng, src, tgt):
-    pts = list(tgt.points)
-    if len(src.points) < len(pts):
-        return None
-    assign = list(pts)
-    while len(assign) < len(src.points):
-        assign.append(rng.choice(pts))
-    rng.shuffle(assign)
-    return MultiMap.from_function(src, tgt, dict(zip(src.points, assign)))
-
-
-def suite_core(seed, cases):
+def _rows(seed, cases, checks):
+    """The rows of (name, check) pairs, run in order on one random.Random(seed)."""
     rng = random.Random(seed)
     rows = []
+    for name, check in checks:
+        ok, detail = check(rng, cases)
+        rows.append({"name": name, "ok": ok, "detail": detail})
+    return rows
 
+
+def _cyclic():
+    """(ok, detail) of the axioms row and of the duals row, from one pass
+    over the two-sided-norm categories of Z/n, n = 2..6."""
     bad_axioms, bad_duals = [], []
     for n in range(2, 7):
         cat, norms = group_norm_category(n)
@@ -87,53 +51,58 @@ def suite_core(seed, cases):
             gap = max(abs(dual[m] - norms[m]) for m in norms)
             if gap > 0.0:
                 bad_duals.append("n=%d %s gap %g" % (n, side, gap))
-    rows.append(_row("cyclic-categories-satisfy-axioms", not bad_axioms,
-                     "; ".join(bad_axioms) or "n=2..6"))
-    rows.append(_row("cyclic-duals-equal-norm", not bad_duals, "; ".join(bad_duals) or "exact"))
+    return ((not bad_axioms, "; ".join(bad_axioms) or "n=2..6"),
+            (not bad_duals, "; ".join(bad_duals) or "exact"))
 
+
+def _surjective_map(rng, src, tgt):
+    """A random single-valued map of src onto tgt, which has no more points."""
+    pts = list(tgt.points)
+    assign = list(pts)
+    while len(assign) < len(src.points):
+        assign.append(rng.choice(pts))
+    rng.shuffle(assign)
+    return MultiMap.from_function(src, tgt, dict(zip(src.points, assign)))
+
+
+def _metric_dual_inequalities(rng, cases):
     bad = []
     runs = max(1, cases // 10)
     for t in range(runs):
+        # sizes fall along s0 -> s1 -> s2, so both generators are onto
         sizes = sorted(rng.randint(2, 4) for _ in range(3))[::-1]
-        spaces = [random_metric_space(rng, sizes[i], prefix="s%d_" % i)
-                  for i in range(3)]
-        gens, names = [], []
-        for i in range(2):
-            f = _surjective_map(rng, spaces[i], spaces[i + 1])
-            if f is None:
-                f = random_function_map(rng, spaces[i], spaces[i + 1])
-            gens.append(f)
-            names.append("f%d" % i)
-        annih = [n for n, g in zip(names, gens) if g.single_valued
-                 and set(y for ys in g.assign.values() for y in ys) == set(g.target.points)]
+        spaces = [random_metric_space(rng, sizes[i], prefix="s%d_" % i) for i in range(3)]
+        gens = {"f%d" % i: _surjective_map(rng, spaces[i], spaces[i + 1]) for i in range(2)}
         inst, _ = diameter_capacity_instance(
-            {"s%d" % i: sp for i, sp in enumerate(spaces)},
-            dict(zip(names, gens)), annihilated=annih,
-            attach_pullbacks=annih)
+            {"s%d" % i: sp for i, sp in enumerate(spaces)}, gens,
+            annihilated=list(gens), attach_pullbacks=list(gens))
         rep = dual_inequality_report(inst)
         if not rep.ok:
             bad.append("run %d: %s" % (t, rep.violations[:2]))
-    rows.append(_row("metric-instances-satisfy-dual-inequalities",
-                     not bad, "; ".join(map(str, bad)) or "%d instances" % runs))
-    return rows
+    return not bad, "; ".join(bad) or "%d instances" % runs
 
 
-def suite_metric(seed, cases):
-    rng = random.Random(seed)
-    rows = []
+def suite_core(seed, cases):
+    axioms, duals = _cyclic()
+    return _rows(seed, cases, [
+        ("cyclic-categories-satisfy-axioms", lambda rng, cases: axioms),
+        ("cyclic-duals-equal-norm", lambda rng, cases: duals),
+        ("metric-instances-satisfy-dual-inequalities", _metric_dual_inequalities),
+    ])
 
-    bad = None
+
+def _dilatation_forms_agree(rng, cases):
     for _ in range(cases):
         x = random_metric_space(rng, rng.randint(1, 5), prefix="a")
         y = random_metric_space(rng, rng.randint(1, 5), prefix="b")
         f = random_multimap(rng, x, y)
         a, b = dilatation_norm(f), dilatation_norm_capacity(f)
         if abs(a - b) > 1e-9:
-            bad = "forms differ %r vs %r on %r" % (a, b, f.assign)
-            break
-    rows.append(_row("dilatation-forms-agree", bad is None, bad or "%d maps" % cases))
+            return False, "forms differ %r vs %r on %r" % (a, b, f.assign)
+    return True, "%d maps" % cases
 
-    bad = None
+
+def _dilatation_subadditive(rng, cases):
     for _ in range(cases):
         x = random_metric_space(rng, rng.randint(1, 4), prefix="a")
         y = random_metric_space(rng, rng.randint(1, 4), prefix="b")
@@ -143,38 +112,41 @@ def suite_metric(seed, cases):
         lhs = dilatation_norm(compose_multimaps(g, f))
         rhs = dilatation_norm(f) + dilatation_norm(g)
         if lhs > rhs + 1e-9:
-            bad = "composition %r > %r + %r" % (lhs, dilatation_norm(f), dilatation_norm(g))
-            break
-    rows.append(_row("dilatation-subadditive", bad is None, bad or "%d triples" % cases))
+            return False, "composition %r > %r + %r" % (lhs, dilatation_norm(f),
+                                                        dilatation_norm(g))
+    return True, "%d triples" % cases
 
-    bad = None
+
+def _gh_matches_oracle(rng, cases):
     runs = max(1, cases // 10)
     for _ in range(runs):
         x = random_metric_space(rng, rng.randint(1, 3), prefix="a")
         y = random_metric_space(rng, rng.randint(1, 4), prefix="b")
         a, b = gh_distance(x, y), gh_correspondence_oracle(x, y)
         if abs(a - b) > 1e-12:
-            bad = "gh %r vs oracle %r" % (a, b)
-            break
-    rows.append(_row("gh-matches-correspondence-oracle", bad is None,
-                     bad or "%d pairs" % runs))
+            return False, "gh %r vs oracle %r" % (a, b)
+    return True, "%d pairs" % runs
 
-    bad = None
+
+def _dil_plus_below_twice_gh(rng, cases):
     for _ in range(cases):
         x = random_metric_space(rng, rng.randint(1, 4), prefix="a")
         y = random_metric_space(rng, rng.randint(1, 4), prefix="b")
         if dil_distance(x, y, symmetrize="plus") > 2.0 * gh_distance(x, y) + 1e-9:
-            bad = "dil-plus exceeds 2gh on %r, %r" % (x.points, y.points)
-            break
-    rows.append(_row("dil-plus-below-twice-gh", bad is None, bad or "%d pairs" % cases))
-    return rows
+            return False, "dil-plus exceeds 2gh on %r, %r" % (x.points, y.points)
+    return True, "%d pairs" % cases
 
 
-def suite_topo(seed, cases):
-    rng = random.Random(seed)
-    rows = []
+def suite_metric(seed, cases):
+    return _rows(seed, cases, [
+        ("dilatation-forms-agree", _dilatation_forms_agree),
+        ("dilatation-subadditive", _dilatation_subadditive),
+        ("gh-matches-correspondence-oracle", _gh_matches_oracle),
+        ("dil-plus-below-twice-gh", _dil_plus_below_twice_gh),
+    ])
 
-    bad = None
+
+def _component_forms_agree(rng, cases):
     checked = 0
     for _ in range(max(1, cases // 4)):
         x = random_poset(rng, rng.randint(1, 5), prefix="a")
@@ -185,13 +157,11 @@ def suite_topo(seed, cases):
             checked += 1
             a, b = component_seminorm(f), component_capacity_form(f)
             if a != b and abs(a - b) > 1e-9:
-                bad = "forms differ %r vs %r on %r" % (a, b, f.assign)
-                break
-        if bad:
-            break
-    rows.append(_row("component-forms-agree", bad is None, bad or "%d maps" % checked))
+                return False, "forms differ %r vs %r on %r" % (a, b, f.assign)
+    return True, "%d maps" % checked
 
-    bad = None
+
+def _closed_monotone_implies_zero(rng, cases):
     hits = 0
     for _ in range(max(1, cases // 4)):
         x = random_poset(rng, rng.randint(1, 4), prefix="a")
@@ -201,15 +171,12 @@ def suite_topo(seed, cases):
             if rep["closed"] and rep["monotone"]:
                 hits += 1
                 if component_seminorm(f) != 0.0:
-                    bad = "closed monotone map with norm %r: %r" % (
+                    return False, "closed monotone map with norm %r: %r" % (
                         component_seminorm(f), f.assign)
-                    break
-        if bad:
-            break
-    rows.append(_row("closed-monotone-implies-zero", bad is None,
-                     bad or "%d qualifying maps" % hits))
+    return True, "%d qualifying maps" % hits
 
-    bad = None
+
+def _monotone_defect_below_norm(rng, cases):
     checked = 0
     for _ in range(max(1, cases // 4)):
         x = random_poset(rng, rng.randint(1, 5), prefix="a")
@@ -220,21 +187,20 @@ def suite_topo(seed, cases):
             checked += 1
             rep = monotone_light_report(f)
             if rep["mon_defect"] > component_seminorm(f) + 1e-9:
-                bad = "defect %r above norm %r" % (rep["mon_defect"],
-                                                   component_seminorm(f))
-                break
-        if bad:
-            break
-    rows.append(_row("monotone-defect-below-norm", bad is None,
-                     bad or "%d maps" % checked))
-    return rows
+                return False, "defect %r above norm %r" % (rep["mon_defect"],
+                                                           component_seminorm(f))
+    return True, "%d maps" % checked
 
 
-def suite_measure(seed, cases):
-    rng = random.Random(seed)
-    rows = []
+def suite_topo(seed, cases):
+    return _rows(seed, cases, [
+        ("component-forms-agree", _component_forms_agree),
+        ("closed-monotone-implies-zero", _closed_monotone_implies_zero),
+        ("monotone-defect-below-norm", _monotone_defect_below_norm),
+    ])
 
-    bad = None
+
+def _identity_seminorm_equals_distance(rng, cases):
     for _ in range(cases):
         sp = random_mm_space(rng, rng.randint(1, 5))
         nu = FiniteMMSpace(sp.base, {p: rng.uniform(0.0, 1.5)
@@ -243,23 +209,21 @@ def suite_measure(seed, cases):
         a = prokhorov_seminorm(ident)
         b = prokhorov_distance(sp, nu)
         if abs(a - b) > 1e-12:
-            bad = "seminorm %r vs distance %r" % (a, b)
-            break
-    rows.append(_row("identity-seminorm-equals-distance", bad is None,
-                     bad or "%d spaces" % cases))
+            return False, "seminorm %r vs distance %r" % (a, b)
+    return True, "%d spaces" % cases
 
-    bad = None
+
+def _prokhorov_capacity_monotone(rng, cases):
     runs = max(1, cases // 10)
     for _ in range(runs):
         sp = random_mm_space(rng, rng.randint(1, 4))
         ok, witness = check_capacity_monotone(*prokhorov_family(sp, [0.0, 0.5, sp.volume()]))
         if not ok:
-            bad = "monotonicity witness %r" % (witness,)
-            break
-    rows.append(_row("prokhorov-capacity-monotone", bad is None,
-                     bad or "%d families" % runs))
+            return False, "monotonicity witness %r" % (witness,)
+    return True, "%d families" % runs
 
-    bad = None
+
+def _prokhorov_seminorm_subadditive(rng, cases):
     for _ in range(cases):
         a = random_mm_space(rng, rng.randint(1, 4), prefix="a")
         b = random_mm_space(rng, rng.randint(1, 4), prefix="b")
@@ -269,29 +233,30 @@ def suite_measure(seed, cases):
         lhs = prokhorov_seminorm(compose_mm_maps(g, f))
         rhs = prokhorov_seminorm(f) + prokhorov_seminorm(g)
         if lhs > rhs + 1e-12:
-            bad = "composition %r > %r" % (lhs, rhs)
-            break
-    rows.append(_row("prokhorov-seminorm-subadditive", bad is None,
-                     bad or "%d triples" % cases))
+            return False, "composition %r > %r" % (lhs, rhs)
+    return True, "%d triples" % cases
 
-    bad = None
+
+def _initial_norm_below_volume(rng, cases):
     for _ in range(cases):
         sp = random_mm_space(rng, rng.randint(1, 5))
         out = volume_norm(sp)
         if out["norm_of_initial"] > out["volume"] + 1e-9:
-            bad = "initial norm %r above volume %r" % (out["norm_of_initial"],
-                                                       out["volume"])
-            break
-    rows.append(_row("initial-norm-below-volume", bad is None,
-                     bad or "%d spaces" % cases))
-    return rows
+            return False, "initial norm %r above volume %r" % (out["norm_of_initial"],
+                                                               out["volume"])
+    return True, "%d spaces" % cases
 
 
-def suite_wasserstein(seed, cases):
-    rng = random.Random(seed)
-    rows = []
+def suite_measure(seed, cases):
+    return _rows(seed, cases, [
+        ("identity-seminorm-equals-distance", _identity_seminorm_equals_distance),
+        ("prokhorov-capacity-monotone", _prokhorov_capacity_monotone),
+        ("prokhorov-seminorm-subadditive", _prokhorov_seminorm_subadditive),
+        ("initial-norm-below-volume", _initial_norm_below_volume),
+    ])
 
-    bad = None
+
+def _capacity_matches_grid_oracle(rng, cases):
     for _ in range(cases):
         sp = random_mm_space(rng, rng.randint(2, 5), fully_supported=True)
         vals = random_testfn_values(rng, sp.base.points)
@@ -301,12 +266,11 @@ def suite_wasserstein(seed, cases):
             continue
         got = wasserstein_capacity_oracle(proj, vals)
         if abs(got - closed) > 1e-3 * max(1.0, closed):
-            bad = "oracle %r vs closed %r" % (got, closed)
-            break
-    rows.append(_row("capacity-matches-grid-oracle", bad is None,
-                     bad or "%d instances" % cases))
+            return False, "oracle %r vs closed %r" % (got, closed)
+    return True, "%d instances" % cases
 
-    bad = None
+
+def _capacity_monotone_in_testfn_order(rng, cases):
     for _ in range(cases):
         sp = random_mm_space(rng, rng.randint(2, 5), fully_supported=True)
         phi = random_testfn_values(rng, sp.base.points)
@@ -316,12 +280,11 @@ def suite_wasserstein(seed, cases):
         proj = ProjectiveMMSpace(sp)
         a, b = wasserstein_capacity(proj, phi), wasserstein_capacity(proj, psi)
         if not (a <= b or abs(a - b) <= 1e-9):
-            bad = "capacity fell from %r to %r" % (a, b)
-            break
-    rows.append(_row("capacity-monotone-in-testfn-order", bad is None,
-                     bad or "%d pairs" % cases))
+            return False, "capacity fell from %r to %r" % (a, b)
+    return True, "%d pairs" % cases
 
-    bad = None
+
+def _transport_matches_vertex_oracle(rng, cases):
     runs = max(1, cases // 5)
     for _ in range(runs):
         nx, ny = rng.randint(1, 3), rng.randint(1, 3)
@@ -335,12 +298,11 @@ def suite_wasserstein(seed, cases):
         a = w1_transport(f)["cost"]
         b = w1_vertex_oracle(f)
         if abs(a - b) > 1e-9:
-            bad = "solver %r vs vertices %r" % (a, b)
-            break
-    rows.append(_row("transport-matches-vertex-oracle", bad is None,
-                     bad or "%d instances" % runs))
+            return False, "solver %r vs vertices %r" % (a, b)
+    return True, "%d instances" % runs
 
-    bad = None
+
+def _capacity_scaling_invariant(rng, cases):
     for _ in range(max(1, cases // 2)):
         sp = random_mm_space(rng, rng.randint(2, 4), fully_supported=True)
         vals = random_testfn_values(rng, sp.base.points)
@@ -353,16 +315,19 @@ def suite_wasserstein(seed, cases):
             got = wasserstein_capacity(ProjectiveMMSpace(scaled), vals)
             if base_val == INF:
                 if got != INF:
-                    bad = "scaling broke the infinite case"
-                    break
+                    return False, "scaling broke the infinite case"
             elif abs(got - base_val) > 1e-9:
-                bad = "capacity moved from %r to %r at lam %r" % (base_val, got, lam)
-                break
-        if bad:
-            break
-    rows.append(_row("capacity-scaling-invariant", bad is None,
-                     bad or "3 scales each"))
-    return rows
+                return False, "capacity moved from %r to %r at lam %r" % (base_val, got, lam)
+    return True, "3 scales each"
+
+
+def suite_wasserstein(seed, cases):
+    return _rows(seed, cases, [
+        ("capacity-matches-grid-oracle", _capacity_matches_grid_oracle),
+        ("capacity-monotone-in-testfn-order", _capacity_monotone_in_testfn_order),
+        ("transport-matches-vertex-oracle", _transport_matches_vertex_oracle),
+        ("capacity-scaling-invariant", _capacity_scaling_invariant),
+    ])
 
 
 def run_suite(name, seed, cases):

@@ -96,9 +96,9 @@ def discrete_space(points):
                                    for i in range(len(points))])
 
 
-def sierpinski_space(closed_point="0", open_point="1"):
+def sierpinski_space():
     """Two points, one open and one closed: the smallest connected non-T1 space."""
-    return poset_space((closed_point, open_point), [(closed_point, open_point)])
+    return poset_space(("0", "1"), [("0", "1")])
 
 
 class ContinuousPosetMap(FiniteMap):
@@ -300,11 +300,11 @@ def topological_norm(poset_map=None, vmap=None):
 
 # -- enumeration used by exhaustive checks -----------------------------------
 
-def all_posets(n, prefix="p"):
+def all_posets(n):
     """All posets on n labeled points, one representative per isomorphism class."""
     if n > 5:
         raise ValueError("poset enumeration is limited to 5 points")
-    labels = tuple("%s%d" % (prefix, i) for i in range(n))
+    labels = tuple("p%d" % i for i in range(n))
     return [FiniteTopSpace(labels, leq) for leq in _orders(n)] if n else []
 
 

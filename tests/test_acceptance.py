@@ -145,7 +145,7 @@ def test_criterion_04_zero_dilatation_rigidity():
 
 
 def test_criterion_05_sierpinski_bijection():
-    f = ContinuousPosetMap(discrete_space(("a", "b")), sierpinski_space("0", "1"),
+    f = ContinuousPosetMap(discrete_space(("a", "b")), sierpinski_space(),
                            {"a": "0", "b": "1"})
     assert component_seminorm(f) == LOG2
     assert monotone_light_report(f)["monotone"] is True

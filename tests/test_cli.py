@@ -208,6 +208,118 @@ def test_check_all_suites_pass(capsys):
     assert any(n.startswith("wasserstein/") for n in names)
 
 
+def plus_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1.0
+
+
+def shifted_norms(real):
+    def build(n):
+        cat, norms = real(n)
+        return cat, {m: v + 1.0 for m, v in norms.items()}
+    return build
+
+
+def raised_coseminorms(real):
+    def build(*args, **kwargs):
+        inst, maps = real(*args, **kwargs)
+        inst.norms = {m: (norm, cosem + 1.0, hits) for m, (norm, cosem, hits) in inst.norms.items()}
+        return inst, maps
+    return build
+
+
+def constant_composite(real):
+    from normcat.metric import MultiMap
+    return lambda g, f: MultiMap.from_function(
+        f.source, g.target, dict.fromkeys(f.source.points, g.target.points[0]))
+
+
+def heavier_composite(real):
+    from normcat.measure import FiniteMMSpace, MMSpaceMap
+    return lambda g, f: MMSpaceMap(
+        f.source, FiniteMMSpace(g.target.base, {p: m + 1.0 for p, m in g.target.mass.items()}),
+        real(g, f).assign)
+
+
+def reversed_order(real):
+    def family(sp, v_values):
+        handles, leq, capacity = real(sp, v_values)
+        return handles, lambda a, b: leq(b, a), capacity
+    return family
+
+
+# (suite, row, name on normcat.suites, break of the real function,
+#  cases, seed, part of the row's counterexample)
+ROW_BREAKS = [
+    ("core", "cyclic-categories-satisfy-axioms", "group_norm_category", shifted_norms,
+     1, 0, "n=2: [("),
+    ("core", "cyclic-duals-equal-norm", "dual_seminorm",
+     lambda real: lambda cat, norms, side: {m: v + 1.0 for m, v in real(cat, norms, side).items()},
+     1, 0, "n=2 left gap 1"),
+    ("core", "metric-instances-satisfy-dual-inequalities", "diameter_capacity_instance",
+     raised_coseminorms, 1, 0, "dual_left>=coseminorm"),
+    ("metric", "dilatation-forms-agree", "dilatation_norm_capacity", plus_one,
+     1, 0, "forms differ"),
+    ("metric", "dilatation-subadditive", "compose_multimaps", constant_composite,
+     4, 3, "composition"),
+    ("metric", "gh-matches-correspondence-oracle", "gh_correspondence_oracle", plus_one,
+     1, 0, "vs oracle"),
+    ("metric", "dil-plus-below-twice-gh", "dil_distance", plus_one,
+     1, 0, "dil-plus exceeds 2gh"),
+    ("topo", "component-forms-agree", "component_capacity_form", plus_one,
+     1, 0, "forms differ"),
+    ("topo", "closed-monotone-implies-zero", "monotone_light_report",
+     lambda real: lambda f: dict(real(f), closed=True, monotone=True),
+     1, 0, "closed monotone map with norm"),
+    ("topo", "monotone-defect-below-norm", "monotone_light_report",
+     lambda real: lambda f: dict(real(f), mon_defect=real(f)["mon_defect"] + 1.0),
+     1, 3, "above norm"),
+    ("measure", "identity-seminorm-equals-distance", "prokhorov_distance", plus_one,
+     1, 0, "vs distance"),
+    ("measure", "prokhorov-capacity-monotone", "prokhorov_family", reversed_order,
+     1, 0, "monotonicity witness"),
+    ("measure", "prokhorov-seminorm-subadditive", "compose_mm_maps", heavier_composite,
+     1, 1, "composition"),
+    ("measure", "initial-norm-below-volume", "volume_norm",
+     lambda real: lambda sp: dict(real(sp), norm_of_initial=real(sp)["volume"] + 1.0),
+     1, 0, "above volume"),
+    ("wasserstein", "capacity-matches-grid-oracle", "wasserstein_capacity_oracle", plus_one,
+     1, 0, "vs closed"),
+    ("wasserstein", "capacity-monotone-in-testfn-order", "wasserstein_capacity",
+     lambda real: lambda proj, vals: -real(proj, vals), 1, 0, "capacity fell"),
+    ("wasserstein", "transport-matches-vertex-oracle", "w1_vertex_oracle", plus_one,
+     1, 0, "vs vertices"),
+    ("wasserstein", "capacity-scaling-invariant", "FiniteMetricSpace",
+     lambda real: lambda points, dist: real(points, [[2.0 * v for v in row] for row in dist]),
+     1, 0, "capacity moved"),
+]
+
+
+@pytest.mark.parametrize("suite, row, name, breaks, cases, seed, counterexample", ROW_BREAKS,
+                         ids=[b[1] for b in ROW_BREAKS])
+def test_check_reports_a_broken_row(monkeypatch, capsys, suite, row, name, breaks, cases, seed,
+                                    counterexample):
+    from normcat import suites
+    argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", str(seed)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(suites, name, breaks(getattr(suites, name)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    result = next(r for r in rep["results"] if r["name"] == row)
+    assert result["ok"] is False
+    assert counterexample in result["detail"]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert "[FAIL] %s  (%s)\n" % (row, result["detail"]) in out
+
+
+def test_the_row_breaks_cover_every_row():
+    from normcat.suites import run_suite
+    assert ["%s/%s" % b[:2] for b in ROW_BREAKS] == [r["name"] for r in run_suite("all", 0, 1)]
+
+
 def test_formats_carry_identical_numbers(tmp_path, capsys):
     a = two_point_file(tmp_path, "a.json", 1.0)
     b = two_point_file(tmp_path, "b.json", 2.0)
@@ -892,3 +1004,9 @@ def test_the_docs_list_exactly_the_registry_kinds():
                                DOCS.read_text(encoding="utf-8")))
     assert {c: k.split("|") for c, k in synopsis.items()} == \
         {c: list(cli.KINDS[c]) for c in ("norm", "dist", "generate")}
+
+
+def test_the_docs_list_exactly_the_check_rows():
+    from normcat.suites import run_suite
+    table = re.findall(r"^\| (\w+) \| (\w+-[\w-]+) \|", DOCS.read_text(encoding="utf-8"), re.M)
+    assert ["%s/%s" % row for row in table] == [r["name"] for r in run_suite("all", 0, 1)]

@@ -37,7 +37,7 @@ LOG2 = math.log(2.0)
 
 def sierpinski_bijection():
     src = discrete_space(("a", "b"))
-    tgt = sierpinski_space("0", "1")
+    tgt = sierpinski_space()
     return ContinuousPosetMap(src, tgt, {"a": "0", "b": "1"})
 
 
