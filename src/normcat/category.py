@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import search
-from .extreal import INF, is_norm_value, sup0
+from .extreal import INF, is_norm_value
 
 
 class CategoryError(ValueError):
@@ -41,11 +41,13 @@ class FiniteMap:
     """A total assignment from the source carrier into the target carrier.
 
     Subclasses check their own structure in __post_init__ after calling
-    this one; MultiMap overrides values() to return a value set.
+    this one; a subclass with multivalued = True (MultiMap) assigns each
+    point a tuple of values.
     """
     source: object
     target: object
     assign: dict
+    multivalued = False
 
     def __post_init__(self):
         if set(self.assign) != set(carrier(self.source)):
@@ -57,7 +59,7 @@ class FiniteMap:
                     raise ValueError("value %r at %r is not a target point" % (y, x))
 
     def values(self, x):
-        return (self.assign[x],)
+        return self.assign[x] if self.multivalued else (self.assign[x],)
 
     def __call__(self, x):
         return self.assign[x]
@@ -76,6 +78,18 @@ class FiniteMap:
         return {y: tuple(xs) for y, xs in out.items()}
 
 
+def compose_maps(g, f):
+    """g after f, of g's class; defined when f.target == g.source.  A
+    multivalued g takes at x the union of its values over f's values."""
+    if f.target != g.source:
+        raise ValueError("maps are not composable")
+    if g.multivalued:
+        assign = {x: tuple({z for y in f.values(x) for z in g.values(y)}) for x in f.assign}
+    else:
+        assign = {x: g(f(x)) for x in f.assign}
+    return type(g)(f.source, g.target, assign)
+
+
 @dataclass(frozen=True)
 class Morphism:
     name: str
@@ -89,18 +103,23 @@ class FiniteCategory:
     morphisms: iterable of (name, src, tgt)
     identities: {object: morphism name}
     compose: {(g_name, f_name): result_name} meaning "g after f"
+
+    Composition is kept as one int32 table over morphism indices, in
+    the order of `morphisms`: table[g, f] is the index of "g after f",
+    -1 off the composable pairs.  ends[m] holds the object indices of
+    the source and target of morphism m, and names[m] its name.
     """
 
     def __init__(self, objects, morphisms, identities, compose):
         self.objects = tuple(objects)
-        obj_set = set(self.objects)
-        if len(obj_set) != len(self.objects):
+        at = {x: i for i, x in enumerate(self.objects)}
+        if len(at) != len(self.objects):
             raise CategoryError("duplicate object ids")
         self._mor = {}
         for name, src, tgt in morphisms:
             if name in self._mor:
                 raise CategoryError("duplicate morphism name %r" % (name,))
-            if src not in obj_set or tgt not in obj_set:
+            if src not in at or tgt not in at:
                 raise CategoryError("morphism %r has endpoints outside the object set" % (name,))
             self._mor[name] = Morphism(name, src, tgt)
         self.identity = dict(identities)
@@ -111,35 +130,40 @@ class FiniteCategory:
             m = self._mor[e]
             if m.src != obj or m.tgt != obj:
                 raise CategoryError("identity of %r has wrong endpoints" % (obj,))
-        self._comp = dict(compose)
-        self._into = {obj: [] for obj in self.objects}
-        self._outof = {obj: [] for obj in self.objects}
-        for m in self._mor.values():
-            self._into[m.tgt].append(m.name)
-            self._outof[m.src].append(m.name)
+        self.names = tuple(self._mor)
+        self._index = index = {name: i for i, name in enumerate(self.names)}
+        ends = [(at[m.src], at[m.tgt]) for m in self._mor.values()]
+        self.ends = np.array(ends, dtype=np.int32).reshape(-1, 2)
+        self.table = np.full((len(ends), len(ends)), -1, dtype=np.int32)
+        for (g, f), r in compose.items():
+            i, j, k = index.get(g), index.get(f), index.get(r)
+            if i is None or j is None or k is None:
+                raise CategoryError("composition entry (%r, %r) -> %r mentions unknown morphisms" % (g, f, r))
+            if ends[j][1] != ends[i][0]:
+                raise CategoryError("composition entry (%r, %r) is not composable" % (g, f))
+            if ends[k] != (ends[j][0], ends[i][1]):
+                raise CategoryError("composite of (%r, %r) has wrong endpoints" % (g, f))
+            self.table[i, j] = k
         self._check_table()
 
     def _check_table(self):
-        mor = self._mor
-        comp = self._comp
-        for (g, f), r in comp.items():
-            if g not in mor or f not in mor or r not in mor:
-                raise CategoryError("composition entry (%r, %r) -> %r mentions unknown morphisms" % (g, f, r))
-            if mor[f].tgt != mor[g].src:
-                raise CategoryError("composition entry (%r, %r) is not composable" % (g, f))
-            if mor[r].src != mor[f].src or mor[r].tgt != mor[g].tgt:
-                raise CategoryError("composite of (%r, %r) has wrong endpoints" % (g, f))
-        # totality on composable pairs
-        for f in mor.values():
-            for g in self._outof[f.tgt]:
-                if (g, f.name) not in comp:
-                    raise CategoryError("missing composite for composable pair (%r, %r)" % (g, f.name))
-        # identity laws
-        for m in mor.values():
-            if comp[(self.identity[m.tgt], m.name)] != m.name:
-                raise CategoryError("left identity law fails at %r" % (m.name,))
-            if comp[(m.name, self.identity[m.src])] != m.name:
-                raise CategoryError("right identity law fails at %r" % (m.name,))
+        """Totality on the composable pairs, then the unit laws, then
+        associativity; each reports its first failure in the order of
+        loops over f, then g, in morphism order."""
+        table, names = self.table, self.names
+        src, tgt = self.ends.T
+        missing = (tgt[:, None] == src[None, :]) & (table.T < 0)   # [f, g]
+        if missing.any():
+            f, g = np.argwhere(missing)[0].tolist()
+            raise CategoryError("missing composite for composable pair (%r, %r)" % (names[g], names[f]))
+        ids = np.array([self._index[self.identity[x]] for x in self.objects], dtype=np.intp)
+        m = np.arange(len(names))
+        left = table[ids[tgt], m] != m
+        bad = left | (table[m, ids[src]] != m)
+        if bad.any():
+            i = int(bad.argmax())
+            raise CategoryError("%s identity law fails at %r"
+                                % ("left" if left[i] else "right", names[i]))
         bad = self._first_associativity_failure()
         if bad is not None:
             raise CategoryError("associativity fails on (%r, %r, %r)" % bad)
@@ -148,23 +172,16 @@ class FiniteCategory:
         """The first composable (h, g, f) with h(gf) != (hg)f, or None.
 
         First in the triple loop's order: f, then g, then h, each in
-        morphism order.  The table holds composites as morphism indices
-        (-1 off the composable pairs).  Pairs (g, f) are grouped by
-        tgt(g), so h runs over one outof list per group, and taken in
+        morphism order.  Pairs (g, f) are grouped by tgt(g), so h runs
+        over the morphisms out of one object per group, and taken in
         blocks whose int32 temporaries hold at most search.BLOCK_FLOATS
         elements, which keeps peak memory flat.
         """
-        index = {name: i for i, name in enumerate(self._mor)}
-        table = np.full((len(index), len(index)), -1, dtype=np.int32)
-        for (g, f), r in self._comp.items():
-            table[index[g], index[f]] = index[r]
-        obj = {x: i for i, x in enumerate(self.objects)}
-        ends = np.array([(obj[m.src], obj[m.tgt]) for m in self._mor.values()],
-                        dtype=np.int32)
+        table, ends = self.table, self.ends
         firsts = []   # (f, g, h) indices, the first failure of each group
-        for x in self.objects:
-            into = np.array([index[g] for g in self._into[x]], dtype=np.int32)
-            hs = np.array([index[h] for h in self._outof[x]], dtype=np.int32)
+        for x in range(len(self.objects)):
+            into = np.flatnonzero(ends[:, 1] == x)
+            hs = np.flatnonzero(ends[:, 0] == x)
             # composable (f, g) with tgt(g) = x, f-major as in the loop
             fs, gi = np.nonzero(ends[:, 1, None] == ends[into, 0][None, :])
             gs = into[gi]
@@ -179,9 +196,8 @@ class FiniteCategory:
                     break
         if not firsts:
             return None
-        names = list(self._mor)
         f, g, h = min(firsts)
-        return names[h], names[g], names[f]
+        return self.names[h], self.names[g], self.names[f]
 
     # -- queries ---------------------------------------------------------
 
@@ -189,25 +205,17 @@ class FiniteCategory:
     def morphisms(self):
         return self._mor
 
-    def morphism(self, name):
-        return self._mor[name]
-
     def compose(self, g, f):
-        """Name of 'g after f'."""
-        return self._comp[(g, f)]
-
-    def hom(self, x, y):
-        return [n for n in self._outof[x] if self._mor[n].tgt == y]
-
-    def into(self, x):
-        return list(self._into[x])
-
-    def outof(self, x):
-        return list(self._outof[x])
+        """Name of 'g after f'; KeyError off the composable pairs."""
+        r = self.table[self._index[g], self._index[f]]
+        if r < 0:
+            raise KeyError((g, f))
+        return self.names[r]
 
 
 def validate_norm_assignment(cat, norms):
-    """Every morphism must carry exactly one value in [0, inf]."""
+    """Every morphism must carry exactly one value in [0, inf]; returns
+    the values as a float vector in morphism order."""
     missing = [n for n in cat.morphisms if n not in norms]
     if missing:
         raise CategoryError("norm assignment misses morphisms: %r" % (sorted(missing)[:5],))
@@ -217,6 +225,7 @@ def validate_norm_assignment(cat, norms):
     bad = [n for n, v in norms.items() if not is_norm_value(v)]
     if bad:
         raise CategoryError("norm values outside [0, inf]: %r" % (sorted(bad)[:5],))
+    return np.array([norms[n] for n in cat.names], dtype=float)
 
 
 @dataclass
@@ -227,19 +236,23 @@ class AxiomReport:
 
 
 def check_seminorm_axioms(cat, norms):
-    """N1: identities have norm 0.  N2: norm(g after f) <= norm(g) + norm(f)."""
-    validate_norm_assignment(cat, norms)
+    """N1: identities have norm 0.  N2: norm(g after f) <= norm(g) + norm(f).
+
+    Violations are listed f-major, then g, in morphism order.
+    """
+    v = validate_norm_assignment(cat, norms)
     rep = AxiomReport(ok=True)
     for obj in cat.objects:
         e = cat.identity[obj]
         if norms[e] > AXIOM_TOL:
             rep.n1_violations.append((e, norms[e]))
-    for f in cat.morphisms.values():
-        for g in cat.outof(f.tgt):
-            r = cat.compose(g, f.name)
-            bound = norms[g] + norms[f.name]   # both >= 0, no inf - inf possible
-            if norms[r] > bound + AXIOM_TOL:
-                rep.n2_violations.append((g, f.name, r, norms[r] - bound))
+    t = cat.table.T   # t[f, g] = g after f
+    over = (t >= 0) & (v[np.where(t >= 0, t, 0)] > v[None, :] + v[:, None] + AXIOM_TOL)
+    names = cat.names
+    for f, g in np.argwhere(over).tolist():
+        g, f, r = names[g], names[f], names[t[f, g]]
+        bound = norms[g] + norms[f]   # both >= 0, no inf - inf possible
+        rep.n2_violations.append((g, f, r, norms[r] - bound))
     rep.ok = not rep.n1_violations and not rep.n2_violations
     return rep
 
@@ -253,6 +266,17 @@ class NormAxiomReport:
     n4_pairs: list = field(default_factory=list)           # (X, Y, witness) where the inf is 0 and attained
 
 
+def _hom_minima(cat, v):
+    """(x, y, m) for each nonempty hom set, x-major, with x and y object
+    indices and m the first morphism from x to y of least value in v."""
+    src, tgt = cat.ends.T
+    order = np.lexsort((np.arange(len(v)), v, tgt, src))
+    s, t = src[order], tgt[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
+    return zip(s[first].tolist(), t[first].tolist(), order[first].tolist())
+
+
 def check_norm_axioms(cat, norms):
     """Seminorm axioms plus N3 (mutual modulators give a norm isomorphism) and N4.
 
@@ -262,32 +286,28 @@ def check_norm_axioms(cat, norms):
     pairs where the minimum is zero together with a witness.
     """
     sem = check_seminorm_axioms(cat, norms)
+    v = validate_norm_assignment(cat, norms)
     rep = NormAxiomReport(ok=True, seminorm=sem)
-    mods = {}   # (X, Y) -> list of zero-norm morphisms
-    for m in cat.morphisms.values():
-        if norms[m.name] <= AXIOM_TOL:
-            mods.setdefault((m.src, m.tgt), []).append(m.name)
-    for x in cat.objects:
-        for y in cat.objects:
-            fwd = mods.get((x, y), [])
-            bwd = mods.get((y, x), [])
-            if not fwd or not bwd:
-                continue
-            rep.n3_pairs_checked.append((x, y))
-            idx, idy = cat.identity[x], cat.identity[y]
-            found = any(
-                cat.compose(g, f) == idx and cat.compose(f, g) == idy
-                for f in fwd for g in bwd)
-            if not found:
-                rep.n3_violations.append((x, y))
-    for x in cat.objects:
-        for y in cat.objects:
-            hom = cat.hom(x, y)
-            if not hom:
-                continue
-            best = min(hom, key=lambda n: norms[n])
-            if norms[best] <= AXIOM_TOL:
-                rep.n4_pairs.append((x, y, best))
+    src, tgt = cat.ends.T
+    ids = np.array([cat._index[cat.identity[x]] for x in cat.objects], dtype=np.intp)
+    zero = v <= AXIOM_TOL
+    n = len(cat.objects)
+    # has[x, y]: a modulator x -> y; iso[f]: zero-norm f: x -> y has a
+    # zero-norm g: y -> x with g after f = id x and f after g = id y
+    has = np.zeros((n, n), dtype=bool)
+    has[src[zero], tgt[zero]] = True
+    iso = ((zero[:, None] & zero[None, :])
+           & (cat.table.T == ids[src][:, None]) & (cat.table == ids[tgt][:, None])).any(axis=1)
+    found = np.zeros((n, n), dtype=bool)
+    found[src[iso], tgt[iso]] = True
+    for x, y in np.argwhere(has & has.T).tolist():
+        pair = (cat.objects[x], cat.objects[y])
+        rep.n3_pairs_checked.append(pair)
+        if not found[x, y]:
+            rep.n3_violations.append(pair)
+    for x, y, best in _hom_minima(cat, v):
+        if v[best] <= AXIOM_TOL:
+            rep.n4_pairs.append((cat.objects[x], cat.objects[y], cat.names[best]))
     rep.ok = sem.ok and not rep.n3_violations
     return rep
 
@@ -302,28 +322,17 @@ def dual_seminorm(cat, norms, side):
     category.  Terms whose composite has infinite norm contribute
     nothing; an infinite norm(f') against a finite composite gives inf.
     """
-    validate_norm_assignment(cat, norms)
+    v = validate_norm_assignment(cat, norms)
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out = {}
-    for f in cat.morphisms.values():
-        terms = []
-        if side == "left":
-            for fp in cat.into(f.src):
-                comp = cat.compose(f.name, fp)
-                a, b = norms[fp], norms[comp]
-                if b == INF:
-                    continue
-                terms.append(INF if a == INF else a - b)
-        else:
-            for fpp in cat.outof(f.tgt):
-                comp = cat.compose(fpp, f.name)
-                a, b = norms[fpp], norms[comp]
-                if b == INF:
-                    continue
-                terms.append(INF if a == INF else a - b)
-        out[f.name] = sup0(terms)
-    return out
+    # row f, column h: f after h (left) or h after f (right)
+    t = cat.table if side == "left" else cat.table.T
+    b = v[np.where(t >= 0, t, 0)]
+    keep = (t >= 0) & (b < INF)
+    terms = v[None, :] - np.where(keep, b, 0.0)
+    # sup0 keeps its floor 0.0 unless a term exceeds it, so a -0.0 term never wins
+    out = np.max(terms, axis=1, initial=0.0, where=keep & (terms > 0.0))
+    return dict(zip(cat.names, out.tolist()))
 
 
 def scale_tolerance(d):
@@ -424,15 +433,12 @@ def induced_pqmetric(cat, norms, symmetrize="none"):
     symmetrize: "none" (raw quasi-metric), "max", "plus" (half-sum), or a
     real p >= 1 for the p-th root of the sum of p-th powers.
     """
-    validate_norm_assignment(cat, norms)
+    v = validate_norm_assignment(cat, norms)
     objs = cat.objects
     n = len(objs)
     raw = [[INF] * n for _ in range(n)]
-    for i, x in enumerate(objs):
-        for j, y in enumerate(objs):
-            hom = cat.hom(x, y)
-            if hom:
-                raw[i][j] = min(norms[m] for m in hom)
+    for i, j, best in _hom_minima(cat, v):
+        raw[i][j] = norms[cat.names[best]]
     if symmetrize == "none":
         out = raw
     elif symmetrize == "max":
@@ -460,22 +466,22 @@ def modulator_subcategory(cat, norms):
     keeps the selection closed under composition.  A violation surfaces
     as a CategoryError.
     """
-    validate_norm_assignment(cat, norms)
-    keep = {n for n, v in norms.items() if v <= AXIOM_TOL}
+    zero = validate_norm_assignment(cat, norms) <= AXIOM_TOL
     for obj in cat.objects:
-        if cat.identity[obj] not in keep:
+        if norms[cat.identity[obj]] > AXIOM_TOL:
             raise CategoryError("identity of %r has nonzero norm; N1 fails" % (obj,))
-    mors = [(m.name, m.src, m.tgt) for m in cat.morphisms.values() if m.name in keep]
+    mors = [(m.name, m.src, m.tgt) for m, z in zip(cat.morphisms.values(), zero) if z]
+    keep = np.flatnonzero(zero)
+    t = cat.table[np.ix_(keep, keep)].T   # t[f, g] = g after f, f-major as in the loop
+    names = [name for name, _, _ in mors]
     comp = {}
-    for f in mors:
-        for g in mors:
-            if cat.morphism(f[0]).tgt == cat.morphism(g[0]).src:
-                r = cat.compose(g[0], f[0])
-                if r not in keep:
-                    raise CategoryError(
-                        "zero-norm morphisms are not closed under composition "
-                        "(%r after %r has positive norm); N2 must fail" % (g[0], f[0]))
-                comp[(g[0], f[0])] = r
+    for f, g in np.argwhere(t >= 0).tolist():
+        r = int(t[f, g])
+        if not zero[r]:
+            raise CategoryError(
+                "zero-norm morphisms are not closed under composition "
+                "(%r after %r has positive norm); N2 must fail" % (names[g], names[f]))
+        comp[(names[g], names[f])] = cat.names[r]
     return FiniteCategory(cat.objects, mors, dict(cat.identity), comp)
 
 

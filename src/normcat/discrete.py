@@ -36,13 +36,6 @@ class FiniteFunction(FiniteMap):
     """A total function between two finite sets, given as tuples."""
 
 
-def compose_functions(g, f):
-    """g after f."""
-    if set(f.target) != set(g.source):
-        raise ValueError("functions are not composable")
-    return FiniteFunction(f.source, g.target, {x: g(f(x)) for x in f.source})
-
-
 def set_norm(f):
     """log of the largest fiber size (floored at 1); zero iff injective."""
     return ext_log(sup1(len(xs) for xs in f.fibres().values()))

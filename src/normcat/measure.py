@@ -54,14 +54,6 @@ class MMSpaceMap(FiniteMap):
     """Total point map between two mm-spaces (masses ride along, unchecked)."""
 
 
-def compose_mm_maps(g, f):
-    if (f.target.base.points != g.source.base.points
-            or f.target.base.dist != g.source.base.dist):
-        raise ValueError("maps are not composable")
-    return MMSpaceMap(f.source, g.target,
-                      {x: g.assign[f.assign[x]] for x in f.assign})
-
-
 def _column(sp, subset):
     """The distance from each point of sp to subset, inf for the empty subset."""
     d, idxs = sp.base.dist, [sp.base.index[p] for p in subset]

@@ -14,7 +14,8 @@ import itertools
 import numpy as np
 
 from .extreal import INF, NEG_INF, sup0
-from .category import FiniteCategory, FiniteMap, first_triangle_violation, scale_tolerance
+from .category import (FiniteCategory, FiniteMap, compose_maps, first_triangle_violation,
+                       scale_tolerance)
 from .capacity import CapacityInstance, capacity_norms
 from .search import least_max, pair_rows, point_maps, subsets
 
@@ -122,6 +123,7 @@ def one_point_space():
 class MultiMap(FiniteMap):
     """Map between metric spaces assigning each source point a nonempty
     set of target points, kept in target order."""
+    multivalued = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -132,9 +134,6 @@ class MultiMap(FiniteMap):
                 raise ValueError("empty value set at %r" % (x,))
             canon[x] = tuple(sorted(set(ys), key=lambda y: tidx[y]))
         object.__setattr__(self, "assign", canon)
-
-    def values(self, x):
-        return self.assign[x]
 
     @classmethod
     def from_function(cls, source, target, assign):
@@ -150,19 +149,6 @@ class MultiMap(FiniteMap):
         if len(ys) != 1:
             raise MultiValued("map is multi-valued at %r" % (x,))
         return ys[0]
-
-
-def compose_multimaps(g, f):
-    """g after f: union of g over every selection of f."""
-    if f.target != g.source:
-        raise ValueError("maps are not composable")
-    assign = {}
-    for x, ys in f.assign.items():
-        out = set()
-        for y in ys:
-            out.update(g.assign[y])
-        assign[x] = tuple(out)
-    return MultiMap(f.source, g.target, assign)
 
 
 # -- diameters and the dilatation seminorm --------------------------------
@@ -243,7 +229,7 @@ def two_point_probe_dual(f):
                     probe_space = two_point_space(r)
                     g = MultiMap.from_function(probe_space, f.source,
                                                {"p": x, "q": y})
-                    term = dilatation_norm(g) - dilatation_norm(compose_multimaps(f, g))
+                    term = dilatation_norm(g) - dilatation_norm(compose_maps(f, g))
                     if term > best:
                         best = term
     return best
@@ -546,7 +532,7 @@ def diameter_capacity_instance(spaces, generators, annihilated=(),
                     continue
                 if (gname, fname) in comp:
                     continue
-                gf = compose_multimaps(maps[gname], maps[fname])
+                gf = compose_maps(maps[gname], maps[fname])
                 k = key_of(gf)
                 if k not in by_key:
                     if len(maps) >= MAX_MORPHISMS:

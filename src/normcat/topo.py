@@ -62,6 +62,13 @@ class FiniteTopSpace:
     def __len__(self):
         return len(self.points)
 
+    def __eq__(self, other):
+        return (isinstance(other, FiniteTopSpace)
+                and self.points == other.points and self.leq == other.leq)
+
+    def __hash__(self):
+        return hash((self.points, self.leq))
+
     def __repr__(self):
         return "FiniteTopSpace(%r)" % (list(self.points),)
 
@@ -111,13 +118,6 @@ class ContinuousPosetMap(FiniteMap):
                 if self.source.below(a, b) and not self.target.below(self.assign[a], self.assign[b]):
                     raise ValueError(
                         "not order-preserving on (%r, %r)" % (a, b))
-
-
-def compose_poset_maps(g, f):
-    if f.target.points != g.source.points or f.target.leq != g.source.leq:
-        raise ValueError("maps are not composable")
-    return ContinuousPosetMap(f.source, g.target,
-                              {x: g.assign[f.assign[x]] for x in f.source.points})
 
 
 def connected_components(sp, subset):

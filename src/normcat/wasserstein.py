@@ -12,7 +12,6 @@ conjectured identity between the two routes.
 import itertools
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 from .extreal import INF, ext_sub, sup0, ConventionError
@@ -54,27 +53,22 @@ def lipschitz_seminorm(phi, sp):
 
 
 def wasserstein_capacity(sp, phi):
-    """Integral of phi on its normalized representative, by cases.
+    """Integral I = sum phi * mass of phi on its normalized representative,
+    over its slope L: I / L for a finite positive L.
 
-    A finite positive slope L gives (1/L) * sum phi * mass.  A constant
-    positive phi can be rescaled without bound, giving infinity; phi
-    identically zero, or an infinite slope, gives zero.  The remaining
-    corner (slope zero, a zero value next to a positive one) is not
-    settled; it returns 0 under a warning.
+    An infinite slope gives 0.  So does I <= 0, as the sup over lam > 0
+    of lam * I is 0 then.  A zero slope makes phi a constant c, and
+    I = c * volume: a positive c can be rescaled without bound, giving
+    infinity, whether or not the float sum underflows.
     """
     rep = sp.representative
     lip = lipschitz_seminorm(phi, rep.base)
-    if lip == INF:
-        return 0.0
-    if all(v == 0.0 for v in phi.values()):
-        return 0.0
     if lip == 0.0:
-        if all(v > 0.0 for v in phi.values()):
-            return INF
-        warnings.warn("flat test function with a zero value: "
-                      "capacity case not settled, returning 0")
+        return INF if max(phi.values()) > 0.0 else 0.0
+    integral = sum(phi[p] * rep.mass[p] for p in rep.base.points)
+    if lip == INF or integral <= 0.0:
         return 0.0
-    return sum(phi[p] * rep.mass[p] for p in rep.base.points) / lip
+    return integral / lip
 
 
 # the rescalings of wasserstein_capacity_oracle: GRID_LO * GRID_RATIO ** k

@@ -11,8 +11,9 @@ import pytest
 
 from normcat import search
 from normcat.extreal import INF
+from normcat.extreal import sup0
 from normcat.category import (
-    CategoryError, FiniteCategory,
+    AXIOM_TOL, AxiomReport, CategoryError, FiniteCategory, NormAxiomReport,
     check_seminorm_axioms, check_norm_axioms,
     dual_seminorm, induced_pqmetric, modulator_subcategory,
     identity_only_category, monoid_category, PqMetricMatrix,
@@ -56,6 +57,24 @@ def walking_idempotent_pair():
     cat = FiniteCategory(["X", "Y"], mors, {"X": "idX", "Y": "idY"}, comp)
     norms = {m: 0.0 for m in cat.morphisms}
     return cat, norms
+
+
+def split_idempotent():
+    """f: X -> Y and g: Y -> X with g after f = idX and f after g = e, an
+    idempotent other than idY; all norms zero.  g is a one-sided inverse
+    only, so the modulators both ways give no isomorphism and N3 fails."""
+    mors = [("idX", "X", "X"), ("idY", "Y", "Y"), ("f", "X", "Y"), ("g", "Y", "X"),
+            ("e", "Y", "Y")]
+    comp = {
+        ("idX", "idX"): "idX", ("idY", "idY"): "idY",
+        ("f", "idX"): "f", ("idY", "f"): "f",
+        ("g", "idY"): "g", ("idX", "g"): "g",
+        ("e", "idY"): "e", ("idY", "e"): "e",
+        ("g", "f"): "idX", ("f", "g"): "e",
+        ("e", "e"): "e", ("e", "f"): "f", ("g", "e"): "g",
+    }
+    cat = FiniteCategory(["X", "Y"], mors, {"X": "idX", "Y": "idY"}, comp)
+    return cat, {m: 0.0 for m in cat.morphisms}
 
 
 def zmod_word_norms(n):
@@ -122,8 +141,7 @@ def looped_law_failure(morphisms, identities, comp):
 
 def category_data(cat):
     mors = [(m.name, m.src, m.tgt) for m in cat.morphisms.values()]
-    comp = {(g, f.name): cat.compose(g, f.name)
-            for f in cat.morphisms.values() for g in cat.outof(f.tgt)}
+    comp = {(g, f): cat.compose(g, f) for f, _, b in mors for g, c, _ in mors if b == c}
     return list(cat.objects), mors, dict(cat.identity), comp
 
 
@@ -188,8 +206,10 @@ def test_associativity_check_memory_stays_within_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # beyond the m x m int32 table: the (block, |h|) temporaries, the
-    # intp copy numpy makes of an int32 index array, and one group's pairs
+    # the totality check's m x m boolean masks stay under 4 m^2 bytes (the
+    # size of the table, which __init__ fills); beyond them: the (block, |h|)
+    # temporaries, the intp copy numpy makes of an int32 index array, and
+    # one group's pairs
     assert peak - 4 * m * m <= 8 * block, (peak, m)
 
 
@@ -625,3 +645,221 @@ def test_modulator_subcategory_requires_n1():
     cat = identity_only_category(["X"])
     with pytest.raises(CategoryError):
         modulator_subcategory(cat, {"id_X": 1.0})
+
+
+# -- the table reads against the loops they replace ------------------------
+
+def loop_ends(cat):
+    """(into, outof): the morphism names into and out of each object, in morphism order."""
+    into, outof = {x: [] for x in cat.objects}, {x: [] for x in cat.objects}
+    for m in cat.morphisms.values():
+        into[m.tgt].append(m.name)
+        outof[m.src].append(m.name)
+    return into, outof
+
+
+def loop_seminorm_axioms(cat, norms):
+    _, outof = loop_ends(cat)
+    n1 = [(cat.identity[x], norms[cat.identity[x]]) for x in cat.objects
+          if norms[cat.identity[x]] > AXIOM_TOL]
+    n2 = []
+    for f in cat.morphisms.values():
+        for g in outof[f.tgt]:
+            r = cat.compose(g, f.name)
+            bound = norms[g] + norms[f.name]
+            if norms[r] > bound + AXIOM_TOL:
+                n2.append((g, f.name, r, norms[r] - bound))
+    return AxiomReport(not n1 and not n2, n1, n2)
+
+
+def loop_norm_axioms(cat, norms):
+    sem = loop_seminorm_axioms(cat, norms)
+    rep = NormAxiomReport(ok=True, seminorm=sem)
+    _, outof = loop_ends(cat)
+    hom = {(x, y): [n for n in outof[x] if cat.morphisms[n].tgt == y]
+           for x in cat.objects for y in cat.objects}
+    mods = {}
+    for m in cat.morphisms.values():
+        if norms[m.name] <= AXIOM_TOL:
+            mods.setdefault((m.src, m.tgt), []).append(m.name)
+    for x in cat.objects:
+        for y in cat.objects:
+            fwd, bwd = mods.get((x, y), []), mods.get((y, x), [])
+            if not fwd or not bwd:
+                continue
+            rep.n3_pairs_checked.append((x, y))
+            idx, idy = cat.identity[x], cat.identity[y]
+            if not any(cat.compose(g, f) == idx and cat.compose(f, g) == idy
+                       for f in fwd for g in bwd):
+                rep.n3_violations.append((x, y))
+    for x in cat.objects:
+        for y in cat.objects:
+            if hom[x, y]:
+                best = min(hom[x, y], key=lambda n: norms[n])
+                if norms[best] <= AXIOM_TOL:
+                    rep.n4_pairs.append((x, y, best))
+    rep.ok = sem.ok and not rep.n3_violations
+    return rep
+
+
+def loop_dual_seminorm(cat, norms, side):
+    into, outof = loop_ends(cat)
+    out = {}
+    for f in cat.morphisms.values():
+        terms = []
+        for h in (into[f.src] if side == "left" else outof[f.tgt]):
+            comp = cat.compose(f.name, h) if side == "left" else cat.compose(h, f.name)
+            a, b = norms[h], norms[comp]
+            if b == INF:
+                continue
+            terms.append(INF if a == INF else a - b)
+        out[f.name] = sup0(terms)
+    return out
+
+
+def loop_induced_distances(cat, norms, symmetrize):
+    """The distance rows of induced_pqmetric, from the hom-set loop."""
+    _, outof = loop_ends(cat)
+    objs = cat.objects
+    n = len(objs)
+    raw = [[INF] * n for _ in range(n)]
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            hom = [m for m in outof[x] if cat.morphisms[m].tgt == y]
+            if hom:
+                raw[i][j] = min(norms[m] for m in hom)
+    if symmetrize == "none":
+        return raw
+    if symmetrize == "max":
+        return [[max(raw[i][j], raw[j][i]) for j in range(n)] for i in range(n)]
+    if symmetrize == "plus":
+        return [[(raw[i][j] + raw[j][i]) / 2.0 for j in range(n)] for i in range(n)]
+    p = float(symmetrize)
+    return [[INF if INF in (raw[i][j], raw[j][i]) else (raw[i][j] ** p + raw[j][i] ** p) ** (1 / p)
+             for j in range(n)] for i in range(n)]
+
+
+def loop_modulator_subcategory(cat, norms):
+    """category_data of the modulator subcategory, or the CategoryError message."""
+    keep = {n for n, v in norms.items() if v <= AXIOM_TOL}
+    for obj in cat.objects:
+        if cat.identity[obj] not in keep:
+            return "identity of %r has nonzero norm; N1 fails" % (obj,)
+    mors = [(m.name, m.src, m.tgt) for m in cat.morphisms.values() if m.name in keep]
+    comp = {}
+    for f, _, b in mors:
+        for g, c, _ in mors:
+            if b == c:
+                r = cat.compose(g, f)
+                if r not in keep:
+                    return ("zero-norm morphisms are not closed under composition "
+                            "(%r after %r has positive norm); N2 must fail" % (g, f))
+                comp[(g, f)] = r
+    return list(cat.objects), mors, dict(cat.identity), comp
+
+
+def perturbed_norms(cat, norms, rng):
+    """norms with 1-3 entries moved: to 0.0 or -0.0, to inf, to a composite's
+    N2 bound give or take AXIOM_TOL, or to an identity's N1 bound likewise."""
+    out = dict(norms)
+    names = list(out)
+    _, outof = loop_ends(cat)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out[rng.choice(names)] = rng.choice((0.0, -0.0))
+        elif kind == 1:
+            out[rng.choice(names)] = INF
+        elif kind == 2:
+            f = rng.choice(names)
+            g = rng.choice(outof[cat.morphisms[f].tgt])
+            bound = out[g] + out[f]
+            if bound < INF:
+                out[cat.compose(g, f)] = max(0.0, bound + rng.choice((-1.5, -0.5, 0.5, 1.5)) * AXIOM_TOL)
+        else:
+            out[cat.identity[rng.choice(cat.objects)]] = rng.choice((0.5, 1.5)) * AXIOM_TOL
+    return out
+
+
+def suite_core_instances():
+    """(category, norms) of the diameter capacity instances that `check
+    --suite core` builds at seeds 0-9."""
+    from normcat import suites
+    seen = []
+
+    def recording(inst):
+        seen.append((inst.category, {m: inst.norms[m][0] for m in inst.category.morphisms}))
+        return real(inst)
+
+    real = suites.dual_inequality_report
+    suites.dual_inequality_report = recording
+    try:
+        for seed in range(10):
+            suites.suite_core(seed, 1)
+    finally:
+        suites.dual_inequality_report = real
+    return seen
+
+
+def test_the_table_reads_match_the_loops():
+    cost = {(i, j): float(1 + (i * 7 + j * 3) % 5) for i in range(4) for j in range(4) if i != j}
+    cases = [group_norm_category(n) for n in range(1, 7)]
+    cases += [function_category({"A": (0,), "B": (0, 1), "C": (0, 1, 2)})[:2],
+              function_category({"A": (0, 1)})[:2],
+              cost_category(CostSystem((0, 1, 2, 3), cost)),
+              (transformation_monoid(3), {"m_%r" % (t,): float(len(set(t))) - 1.0
+                                          for t in itertools.product(range(3), repeat=3)})]
+    cases += [walking_idempotent_pair(), split_idempotent(),
+              (two_object_iso_category(), {"idX": 0.0, "idY": 0.0, "f": 0.0, "g": 0.0})]
+    cases += suite_core_instances()
+    assert len(cases) == 23
+    rng = random.Random(2929)
+    outcomes = set()
+    for cat, base in cases:
+        for trial in range(9):
+            norms = perturbed_norms(cat, base, rng) if trial else base
+            sem = check_seminorm_axioms(cat, norms)
+            assert repr(sem) == repr(loop_seminorm_axioms(cat, norms))
+            full = check_norm_axioms(cat, norms)
+            assert repr(full) == repr(loop_norm_axioms(cat, norms))
+            for side in ("left", "right"):
+                assert repr(dual_seminorm(cat, norms, side)) == \
+                    repr(loop_dual_seminorm(cat, norms, side))
+            for sym in ("none", "max", "plus", 2):
+                # a failing N1 or N2 can leave no pq-metric: the messages agree then
+                rows = tuple(map(tuple, loop_induced_distances(cat, norms, sym)))
+                try:
+                    want = repr(PqMetricMatrix(cat.objects, rows).dist)
+                except ValueError as err:
+                    want = str(err)
+                try:
+                    got = repr(induced_pqmetric(cat, norms, sym).dist)
+                except ValueError as err:
+                    got = str(err)
+                assert got == want
+            want = loop_modulator_subcategory(cat, norms)
+            try:
+                got = category_data(modulator_subcategory(cat, norms))
+            except CategoryError as err:
+                got = str(err)
+            assert got == want
+            outcomes.update(
+                [name for name, hit in (("N1", sem.n1_violations), ("N2", sem.n2_violations),
+                                        ("N3", full.n3_violations), ("N4", full.n4_pairs))
+                 if hit]
+                + [want.split()[0] if isinstance(want, str) else "subcategory"])
+    assert outcomes == {"N1", "N2", "N3", "N4", "identity", "zero-norm", "subcategory"}
+
+
+def test_compose_raises_off_the_composable_pairs():
+    cat = two_object_iso_category()
+    assert cat.names[-1] == "g"
+    # f: X -> Y twice is not composable; its table entry is -1, which
+    # must not read the last morphism g
+    assert cat.table[cat.names.index("f"), cat.names.index("f")] == -1
+    for g, f in (("f", "f"), ("g", "g"), ("idX", "f"), ("f", "idY")):
+        with pytest.raises(KeyError):
+            cat.compose(g, f)
+    with pytest.raises(KeyError):
+        cat.compose("f", "nope")
+    assert cat.compose("g", "f") == "idX"

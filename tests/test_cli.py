@@ -259,7 +259,7 @@ ROW_BREAKS = [
      raised_coseminorms, 1, 0, "dual_left>=coseminorm"),
     ("metric", "dilatation-forms-agree", "dilatation_norm_capacity", plus_one,
      1, 0, "forms differ"),
-    ("metric", "dilatation-subadditive", "compose_multimaps", constant_composite,
+    ("metric", "dilatation-subadditive", "compose_maps", constant_composite,
      4, 3, "composition"),
     ("metric", "gh-matches-correspondence-oracle", "gh_correspondence_oracle", plus_one,
      1, 0, "vs oracle"),
@@ -277,7 +277,7 @@ ROW_BREAKS = [
      1, 0, "vs distance"),
     ("measure", "prokhorov-capacity-monotone", "prokhorov_family", reversed_order,
      1, 0, "monotonicity witness"),
-    ("measure", "prokhorov-seminorm-subadditive", "compose_mm_maps", heavier_composite,
+    ("measure", "prokhorov-seminorm-subadditive", "compose_maps", heavier_composite,
      1, 1, "composition"),
     ("measure", "initial-norm-below-volume", "volume_norm",
      lambda real: lambda sp: dict(real(sp), norm_of_initial=real(sp)["volume"] + 1.0),

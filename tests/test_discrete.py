@@ -8,11 +8,11 @@ import pytest
 
 from normcat.extreal import INF
 from normcat.category import (
-    check_seminorm_axioms, check_norm_axioms, dual_seminorm, induced_pqmetric,
+    check_seminorm_axioms, check_norm_axioms, compose_maps, dual_seminorm, induced_pqmetric,
 )
 from normcat.discrete import (
     NonInjective, NotSimplicial, NotAMorphism, NotSquareFree,
-    FiniteFunction, compose_functions, set_norm, csb_witness,
+    FiniteFunction, set_norm, csb_witness,
     function_category,
     SimplicialComplex, SimplicialMap,
     find_simplicial_isomorphism, find_injective_simplicial_map,
@@ -71,8 +71,8 @@ def test_function_category_takes_labels_with_separators(sets):
     assert len(funcs) == sum(len(t) ** len(s) for s in sets.values() for t in sets.values())
     for fname, f in funcs.items():
         for gname, g in funcs.items():
-            if cat.morphism(fname).tgt == cat.morphism(gname).src:
-                assert funcs[cat.compose(gname, fname)] == compose_functions(g, f)
+            if cat.morphisms[fname].tgt == cat.morphisms[gname].src:
+                assert funcs[cat.compose(gname, fname)] == compose_maps(g, f)
 
 
 def test_zero_norm_iff_injective_exhaustive():
@@ -118,11 +118,16 @@ def test_csb_exhaustive_on_small_sets():
 def test_fibers_and_composition():
     f = FiniteFunction((1, 2, 3), ("a", "b"), {1: "a", 2: "a", 3: "b"})
     g = FiniteFunction(("a", "b"), ("z",), {"a": "z", "b": "z"})
-    gf = compose_functions(g, f)
+    gf = compose_maps(g, f)
+    assert type(gf) is FiniteFunction
     assert gf.fibres() == {"z": (1, 2, 3)}
     assert f.fibres() == {"a": (1, 2), "b": (3,)}
     with pytest.raises(ValueError):
-        compose_functions(f, g)
+        compose_maps(f, g)
+    # finite sets are composable only as the same point tuple
+    swapped = FiniteFunction(("b", "a"), ("z",), {"a": "z", "b": "z"})
+    with pytest.raises(ValueError):
+        compose_maps(swapped, f)
 
 
 # -- simplicial complexes ----------------------------------------------------

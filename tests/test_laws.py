@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from normcat import cli
-from normcat.category import CategoryError, first_transitivity_violation, monoid_category
+from normcat import cli, discrete
+from normcat.category import (CategoryError, FiniteCategory, first_transitivity_violation,
+                              monoid_category)
 from normcat.discrete import NormedMonoid, cyclic_group, grothendieck_norm, group_norm_category
 from normcat.topo import (
     ContinuousPosetMap,
@@ -196,16 +197,24 @@ def loop_group_norm_category(n):
     return mors, norms, ids, comp
 
 
-def test_group_norm_category_equals_the_nested_loop_build():
-    # same morphisms, norms and identities, and the composition dict in
-    # the same key order, so validation meets the entries as before
+def test_group_norm_category_equals_the_nested_loop_build(monkeypatch):
+    # same morphisms, norms and identities, and the composition dict it
+    # passes to the constructor in the same key order, so validation
+    # meets the entries as before
+    passed = []
+
+    def recording(objects, morphisms, identities, compose):
+        passed.append(compose)
+        return FiniteCategory(objects, morphisms, identities, compose)
+
+    monkeypatch.setattr(discrete, "FiniteCategory", recording)
     for n in range(1, 7):
         cat, norms = group_norm_category(n)
         mors, want_norms, ids, comp = loop_group_norm_category(n)
         assert [(m.name, m.src, m.tgt) for m in cat.morphisms.values()] == mors
         assert list(norms.items()) == list(want_norms.items())
         assert cat.identity == ids
-        assert list(cat._comp.items()) == list(comp.items())
+        assert list(passed.pop().items()) == list(comp.items())
 
 
 def test_cyclic_group_reads_integers_as_residues():

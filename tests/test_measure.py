@@ -8,12 +8,12 @@ import pytest
 
 from normcat.extreal import INF
 from normcat.capacity import check_capacity_monotone
+from normcat.category import compose_maps
 from normcat.metric import FiniteMetricSpace, line_space, two_point_space
 from normcat.measure import (
     BaseMismatch,
     FiniteMMSpace,
     MMSpaceMap,
-    compose_mm_maps,
     prokhorov_capacity,
     prokhorov_seminorm,
     prokhorov_seminorm_capacity_form,
@@ -63,11 +63,15 @@ def test_mm_map_validation_and_compose():
     assert f.preimage({"q"}) == frozenset({"p", "q"})
     assert f.preimage({"p"}) == frozenset()
     g = MMSpaceMap(nu, mu, {"p": "p", "q": "p"})
-    gf = compose_mm_maps(g, f)
+    gf = compose_maps(g, f)
+    assert type(gf) is MMSpaceMap
     assert gf.assign == {"p": "p", "q": "p"}
     other = FiniteMMSpace(two_point_space(2.0), {"p": 1.0, "q": 1.0})
     with pytest.raises(ValueError):
-        compose_mm_maps(MMSpaceMap(other, other, {"p": "p", "q": "q"}), f)
+        compose_maps(MMSpaceMap(other, other, {"p": "p", "q": "q"}), f)
+    # the same base with other masses is another mm-space
+    with pytest.raises(ValueError):
+        compose_maps(MMSpaceMap(mu, mu, {"p": "p", "q": "q"}), f)
 
 
 def test_capacity_one_point_examples():
@@ -451,7 +455,7 @@ def test_seminorm_triangle_under_composition():
         c = random_mm_space(rng, rng.randint(1, 4), prefix="c")
         f = random_mm_map(rng, a, b)
         g = random_mm_map(rng, b, c)
-        lhs = prokhorov_seminorm(compose_mm_maps(g, f))
+        lhs = prokhorov_seminorm(compose_maps(g, f))
         rhs = prokhorov_seminorm(f) + prokhorov_seminorm(g)
         assert lhs <= rhs + 1e-12
 

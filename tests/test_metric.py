@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from normcat.extreal import INF, sup0
-from normcat.category import first_triangle_violation, scale_tolerance
+from normcat.category import compose_maps, first_triangle_violation, scale_tolerance
 from normcat.capacity import dual_inequality_report
 from normcat.generate import random_metric_space, random_multimap, random_function_map
 from normcat.metric import (
@@ -15,7 +15,6 @@ from normcat.metric import (
     MultiMap,
     MultiValued,
     codiameter_seminorm,
-    compose_multimaps,
     diameter,
     diameter_capacity_instance,
     dil_distance,
@@ -218,11 +217,12 @@ def test_compose_multimaps_pools_values():
     z = line_space([0, 4])
     f = MultiMap(x, y, {0: (0, 1), 1: (2,)})
     g = MultiMap(y, z, {0: (0,), 1: (4,), 2: (4,)})
-    gf = compose_multimaps(g, f)
+    gf = compose_maps(g, f)
+    assert type(gf) is MultiMap
     assert gf.assign[0] == (0, 4)
     assert gf.assign[1] == (4,)
     with pytest.raises(ValueError):
-        compose_multimaps(f, g)
+        compose_maps(f, g)
 
 
 # -- diameter and the dilatation forms --------------------------------------
@@ -294,7 +294,7 @@ def test_dilatation_subadditive_under_composition():
         z = random_metric_space(rng, rng.randint(1, 4), "z")
         f = random_multimap(rng, x, y)
         g = random_multimap(rng, y, z)
-        assert dilatation_norm(compose_multimaps(g, f)) <= \
+        assert dilatation_norm(compose_maps(g, f)) <= \
             dilatation_norm(g) + dilatation_norm(f) + 1e-9
 
 
@@ -770,7 +770,7 @@ def test_generator_names_survive_derived_names():
     g = MultiMap.from_function(x, x, {"a": "a", "b": "a", "c": "b"})
     h = MultiMap.from_function(x, x, {"a": "c", "b": "a", "c": "a"})
     k = MultiMap.from_function(x, x, {"a": "c", "b": "c", "c": "a"})
-    fg = compose_multimaps(f, g)
+    fg = compose_maps(f, g)
     assert fg.assign != h.assign
     inst, maps = diameter_capacity_instance({"X": x}, {"f": f, "g": g, "f.g": h, "id_X": k})
     cat = inst.category

@@ -9,13 +9,13 @@ import pathlib
 
 import normcat
 from normcat import cli, suites
+from normcat.discrete import group_norm_category
 
 SRC = pathlib.Path(normcat.__file__).parent
 
 ORACLE = "oracle of a named value"
 BUILDER = "builder"
 AXIOMS = "norm axioms and metrization"
-FACTORIZATION = "monotone-light factorization check"
 ENTRY = "entry point: None reads sys.argv"
 QUASI = "quasi-metric spaces"
 COUNTER = "work counter for the result reports of ROADMAP item 2"
@@ -24,14 +24,12 @@ BRACKET = "the Wasserstein bracket of ROADMAP item 10"
 # the public top-level functions and methods that neither the CLI nor
 # `check` reaches, each with the role that keeps it
 UNREACHED = {
-    "category.FiniteCategory.hom": AXIOMS,
     "category.check_norm_axioms": AXIOMS,
     "category.identity_only_category": BUILDER,
     "category.induced_pqmetric": AXIOMS,
     "category.modulator_subcategory": AXIOMS,
     "category.monoid_category": BUILDER,
     "discrete.NormedMonoid.from_table": BUILDER,
-    "discrete.compose_functions": ORACLE,
     "discrete.cost_category": BUILDER,
     "discrete.cost_pseudometric": AXIOMS,
     "discrete.csb_witness": AXIOMS,
@@ -57,7 +55,6 @@ UNREACHED = {
     "search.down_sets": BUILDER,
     "topo.FiniteTopSpace.is_closed": ORACLE,
     "topo.all_posets": BUILDER,
-    "topo.compose_poset_maps": FACTORIZATION,
     "topo.discrete_space": BUILDER,
     "topo.poset_space": BUILDER,
     "topo.sierpinski_space": BUILDER,
@@ -154,7 +151,7 @@ def _methods(cls):
 
 def test_every_unreached_function_has_a_role():
     assert unreached_functions(_trees()) == set(UNREACHED)
-    assert set(UNREACHED.values()) <= {ORACLE, BUILDER, AXIOMS, FACTORIZATION}
+    assert set(UNREACHED.values()) <= {ORACLE, BUILDER, AXIOMS}
 
 
 def test_the_walk_sees_a_function_nothing_calls():
@@ -306,11 +303,16 @@ def test_the_assert_scan_sees_a_nested_assert():
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_the_tracer_names_resolve_where_it_patches_them(monkeypatch):
-    # the benchmark's tracer patches these names on normcat.cli and normcat.suites
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_the_tracer_names_resolve_where_it_patches_them(monkeypatch):
+    # the benchmark's tracer patches these names on normcat.cli and normcat.suites
+    tracer = _tracer_module()
     for attr, *_ in tracer.CLI_NAMES:
         assert callable(getattr(cli, attr)), attr
     assert [attr for attr, *_ in tracer.SUITES_NAMES if not hasattr(suites, attr)] == []
@@ -322,3 +324,17 @@ def test_the_tracer_names_resolve_where_it_patches_them(monkeypatch):
     assert calls == [(0, 1)]
     assert [r["name"] for r in rows if r["name"].startswith("metric/")] == \
         ["metric/" + r["name"] for r in real(0, 1)]
+
+
+def test_the_tracer_counts_and_times_a_category_build():
+    # the benchmark counts composable triples from the morphisms list
+    # passed to FiniteCategory.__init__, and times that call as a span
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        group_norm_category(3)
+    finally:
+        tracer.uninstall()
+    # Z/3: 9 hom sets of 3 morphisms, each between objects with 9 in and 9 out
+    assert tracer.counts["category.composable_triples"] == 3 ** 7
+    assert "category.validate" in [span[0] for span in tracer.spans]

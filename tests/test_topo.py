@@ -6,6 +6,7 @@ import random
 import pytest
 
 from normcat import search, topo
+from normcat.category import compose_maps
 from normcat.capacity import capacity_norms
 from normcat.cli import main
 from normcat.extreal import INF, sup0
@@ -19,7 +20,6 @@ from normcat.topo import (
     all_posets,
     component_capacity_form,
     component_seminorm,
-    compose_poset_maps,
     connected_components,
     dimension_seminorm,
     discrete_space,
@@ -117,10 +117,11 @@ def test_compose_poset_maps():
     sier = sierpinski_space()
     f = sierpinski_bijection()
     g = ContinuousPosetMap(sier, sier, {"0": "0", "1": "1"})
-    gf = compose_poset_maps(g, f)
+    gf = compose_maps(g, f)
+    assert type(gf) is ContinuousPosetMap
     assert gf.assign == {"a": "0", "b": "1"}
     with pytest.raises(ValueError):
-        compose_poset_maps(ContinuousPosetMap(disc, disc, {"a": "a", "b": "b"}), f)
+        compose_maps(ContinuousPosetMap(disc, disc, {"a": "a", "b": "b"}), f)
 
 
 def test_all_order_preserving_maps_counts():

@@ -4,6 +4,7 @@ import bisect
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -69,6 +70,17 @@ def test_capacity_three_cases():
                                allow_pseudo=True)
     mm = FiniteMMSpace(pseudo, {"a": 1.0, "b": 1.0})
     assert wasserstein_capacity(ProjectiveMMSpace(mm), {"a": 0.0, "b": 1.0}) == 0.0
+
+
+def test_capacity_of_a_negative_constant_is_zero():
+    # zero slope, negative integral: the sup over lam > 0 of lam * I is 0
+    sp = ProjectiveMMSpace(two_point_mm(d=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein_capacity(sp, {"p": -0.5, "q": -0.5}) == 0.0
+    # a positive constant is unbounded even where c * mass underflows to 0
+    tiny = ProjectiveMMSpace(two_point_mm(masses=(1e-200, 1e-200)))
+    assert wasserstein_capacity(tiny, {"p": 1e-200, "q": 1e-200}) == INF
 
 
 def test_capacity_closed_form_on_random_instances():
