@@ -13,7 +13,7 @@ import numpy as np
 from .category import FiniteMap
 from .extreal import INF
 from .metric import isometry_search
-from .search import MAX_ITEMS, level_sums, sorted_sums, subset_sums, subset_table, subsets
+from .search import level_sums, rank_table, subset_sums, subsets
 
 
 class BaseMismatch(ValueError):
@@ -106,17 +106,9 @@ def _kinks(ts, ms):
     return sorted(out)
 
 
-def _masses(sp):
-    """The masses in point order and, within the subset cap, their
-    subset_sums table."""
-    w = [sp.mass[p] for p in sp.points]
-    return w, (subset_sums(w) if len(w) <= MAX_ITEMS else None)
-
-
-def _nonempty(start, rows):
-    """A block of a subset table without the empty subset's row, and the
-    mask of its first row."""
-    return (1, rows[1:]) if start == 0 else (start, rows)
+def _weights(sp):
+    """The masses in point order."""
+    return list(map(sp.mass.__getitem__, sp.base.points))
 
 
 def prokhorov_seminorm(f):
@@ -138,29 +130,32 @@ def prokhorov_seminorm(f):
     candidates, and a target position inside a tie group a smaller
     value.  The result is the max of 0 and of these over A and p, so
     the 0 inside is left out: that changes only values that are 0 with
-    it.  One subset_table carries both distance rows of each A, and a
-    block's candidates are one broadcast.
+    it.  One rank_table carries both distance rows of each A, and a
+    block's candidates are one pass over (source, target, subset).
     """
     src, tgt = f.source, f.target
     n, size = len(tgt.points), len(src.points)
-    # column q: every target point's distance to q, then every source
-    # point's distance to f^-1(q)
-    cols = np.full((n, n + size), INF)
-    cols[:, :n] = tgt.base.array.T
-    np.minimum.at(cols[:, n:], np.array([tgt.base.index[f.assign[x]] for x in src.points],
-                                         dtype=np.intp), src.base.array.T)
-    (tw, tsums), (sw, ssums) = _masses(tgt), _masses(src)
+    # row p: target point p's distance to each q, then row n + y:
+    # source point y's distance to each fibre f^-1(q)
+    dists = np.empty((n + size, n))
+    dists[:n], dists[n:] = tgt.base.array, INF
+    np.minimum.at(dists[n:].T, np.array([tgt.base.index[f.assign[x]] for x in src.points],
+                                        dtype=np.intp), src.base.array.T)
+    blocks, sort, _ = rank_table(dists.T, [_weights(tgt), _weights(src)], max(n * size, n + size))
     best = 0.0
-    for start, rows in subset_table(cols, max(n * size, n + size)):
-        _, rows = _nonempty(start, rows)
-        # points on axis 0 and subsets on axis 1, so the broadcast runs
-        # along the subsets
-        dists = np.ascontiguousarray(rows.T)
-        s, v = sorted_sums(dists[:n], tw, tsums)
-        t, m = sorted_sums(dists[n:], sw, ssums)
-        gap = t[:, None] - s
-        np.maximum(gap, v - m[:, None], out=gap)
-        best = max(best, float(np.minimum(v, gap.min(axis=0, initial=INF)).max(initial=0.0)))
+    for start, rows in blocks:
+        d, totals = sort(rows[1:] if start == 0 else rows)
+        s, v, t, m = d[:n], totals[:n], d[n:], totals[n:]
+        # positions on axis 0 and subsets on axis 1, and each source
+        # position repeated over the target ones, so that every operation
+        # below runs along whole (position, subset) planes
+        shape = (size,) + s.shape
+        gap = t.repeat(n, axis=0).reshape(shape)
+        np.subtract(gap, s, out=gap)
+        slack = m.repeat(n, axis=0).reshape(shape)
+        np.maximum(gap, np.subtract(v, slack, out=slack), out=gap)
+        low = np.minimum.reduce(gap, axis=0, initial=INF)
+        best = max(best, float(np.maximum.reduce(np.minimum(v, low, out=low), axis=None, initial=0.0)))
     return best
 
 
@@ -191,8 +186,8 @@ def prokhorov_distance(mu_sp, nu_sp):
     within each, that least delta is min over k of max(t_k, nu(A) - M_k),
     for the reason given at prokhorov_seminorm; t_0 = 0, so it is 0 when
     nu(A) is.  The result is the max of 0 and of these over A, read off
-    one subset_table of the distance rows, with nu(A) and the masses
-    from exact point-order sums.
+    one rank_table of the distance rows, with nu(A) and the masses from
+    exact point-order sums.
 
     A's term is at most max(0, nu(A) - mu(A)): at the last position with
     t_k = 0 the mask holds all of A, and both the point-order sums of
@@ -205,14 +200,14 @@ def prokhorov_distance(mu_sp, nu_sp):
     if (mu_sp.base.points != nu_sp.base.points
             or mu_sp.base.dist != nu_sp.base.dist):
         raise BaseMismatch("the two measures must share one base metric space")
-    # subset_table raises above the subset cap, where _masses has no tables
-    blocks = subset_table(mu_sp.base.array.T)
-    (mu_w, mu_sums), (_, nu_sums) = _masses(mu_sp), _masses(nu_sp)
+    # rank_table raises above the subset cap, before subset_sums would
+    blocks, sort, mu_sums = rank_table(mu_sp.base.array.T, [_weights(mu_sp)])
+    nu_sums = subset_sums(_weights(nu_sp))
     bound = nu_sums - mu_sums
 
     def largest(masks, rows):
         """The largest term of the given rows of the table."""
-        t, m = sorted_sums(np.ascontiguousarray(rows.T), mu_w, mu_sums)
+        t, m = sort(rows)
         np.subtract(nu_sums[masks], m, out=m)
         return float(np.maximum(t, m, out=m).min(axis=0).max())
 

@@ -23,6 +23,9 @@ MAX_ITEMS = 16
 # bound on the floats of one block of a subset table or of a term table
 BLOCK_FLOATS = 2 ** 14
 
+# the empty mask's entry in a subset table of int32 ranks
+INT32_MAX = 2 ** 31 - 1
+
 
 def subsets(items, nonempty=True, limit=MAX_ITEMS):
     """Every subset of items as a list, in bitmask order.
@@ -48,8 +51,9 @@ def cap_items(n, limit=MAX_ITEMS):
 
 def subset_table(cols, width=None):
     """Every subset's row of an (n, m) array of columns, rows[mask] the
-    least of cols[i] over the bits i of mask (inf for the empty mask),
-    yielded as blocks (start, rows[start:start + k]) in bitmask order.
+    least of cols[i] over the bits i of mask (inf for the empty mask, or
+    INT32_MAX in a table of int32), yielded as blocks (start,
+    rows[start:start + k]) in bitmask order.
 
     The rows of the low items are built by doubling, rows[2^i + S] =
     min(rows[S], cols[i]); that table is the first block (read-only)
@@ -66,7 +70,8 @@ def subset_table(cols, width=None):
     lo = min(n, max(1, BLOCK_FLOATS // max(1, width or m)).bit_length() - 1)
 
     def blocks():
-        low = np.full((1 << lo, m), math.inf)
+        low = np.empty((1 << lo, m), dtype=cols.dtype)
+        low[0] = math.inf if cols.dtype.kind == "f" else INT32_MAX
         for i in range(lo):
             np.minimum(low[:1 << i], cols[i], out=low[1 << i:2 << i])
         low.flags.writeable = False
@@ -86,28 +91,88 @@ def subset_sums(weights):
     table costs one addition per entry.
     """
     cap_items(len(weights))
-    sums = np.zeros(1)
+    return _double(np.zeros(1 << len(weights)), weights)
+
+
+def _double(sums, weights):
+    """subset_sums of weights written into sums, whose entry 0 is 0."""
+    k = 1
     for w in weights:
-        sums = np.concatenate([sums, sums + w])
+        np.add(sums[:k], w, sums[k:k + k])
+        k += k
     return sums
 
 
-def sorted_sums(dists, weights, sums):
-    """(d, totals) for a (points, columns) array of distances: d is each
-    column sorted, and totals[k, c] the weights of the points within
-    distance d[k, c] in column c, added in index order like sum().  With
-    sums, the subset_sums table of the weights, each total is one
-    lookup by the mask of the points up to position k (inside a tie
-    group, only part of it); with sums None, a running total over the
-    points in order."""
-    order, d = np.argsort(dists, axis=0), np.sort(dists, axis=0)
-    if sums is not None:
-        np.left_shift(1, order, out=order)
-        return d, sums[np.bitwise_or.accumulate(order, axis=0, out=order)]
-    totals = np.zeros_like(d)
-    for x, w in enumerate(weights):
-        totals += np.where(dists[x] <= d, w, 0.0)
-    return d, totals
+def rank_table(cols, sides, width=None):
+    """(blocks, sort, sums) for an (n, m) array of columns split, left
+    to right, into one side per list of weights in sides, a column per
+    point.
+
+    Each entry is ranked once among its side's entries, after the sides
+    before it, ties broken by position, so a rank stands for one float
+    and one point.  blocks is subset_table on those int32 ranks: the
+    least rank over a subset is the rank of a least float.  sort(rows),
+    for rows of a block, gives (d, totals), a column per row: one int32
+    sort orders each side of a row in its own positions, d is the
+    distance at each position and totals the side's weights within it,
+    added in index order like sum().  On a side of at most MAX_ITEMS
+    points a total is one lookup in sums by the running sum of the bits
+    of the points so far (inside a tie group, part of the group): sums
+    holds each such side's subset_sums table from the last entry of the
+    one before it on, so for one side it is that table.  A larger side's
+    totals run over the points in order.  Same cap and error as subsets,
+    raised before anything is allocated.
+    """
+    n, m = cols.shape
+    cap_items(n)
+    # column by column, so that each side's entries are one run and the
+    # column of an entry is its position // n
+    flat = cols.T.ravel()
+    order = flat.argsort(kind="stable")
+    # each column's point as a bit of its side, 0 past the cap; each
+    # capped side's start in sums, and each other side's columns
+    bit, tables, plain, lo, top = [], [], [], 0, 0
+    for weights in sides:
+        k = len(weights)
+        if lo:
+            # the entries of this side and the later ones go stably after
+            # the rest, so that each side's ranks follow the sides before
+            order = order.take((order >= n * lo).argsort(kind="stable"))
+        if k > MAX_ITEMS:
+            bit += [0] * k
+            plain.append((lo, lo + k, weights))
+        else:
+            bit += [1 << i for i in range(k)]
+            tables.append((top, weights))
+            top += (1 << k) - 1
+        lo += k
+    ranks = np.empty(n * m, dtype=np.int32)
+    ranks[order] = np.arange(n * m, dtype=np.int32)
+    # down a sorted row the bits add up to the full masks of the sides
+    # before plus the side's mask so far
+    vals, bits = flat.take(order), np.array(bit, dtype=np.intp).repeat(n).take(order)
+    sums = np.zeros(top + 1)
+    # the last side first: a side's entry 0 is the full mask's entry of
+    # the table before it, written after it
+    for at, weights in reversed(tables):
+        _double(sums[at:at + (1 << len(weights))], weights)
+
+    def sort(rows):
+        # in place on a copy: on a small block np.sort's wrapper costs
+        # more than the sort
+        r = rows.copy()
+        r.sort(axis=1)
+        r = r.T
+        d, masks = vals.take(r), bits.take(r)
+        totals = sums.take(np.add.accumulate(masks, axis=0, out=masks))
+        for lo, hi, weights in plain:
+            dists, level, part = vals.take(rows[:, lo:hi].T), d[lo:hi], totals[lo:hi]
+            part.fill(0.0)
+            for x, w in enumerate(weights):
+                part += np.where(dists[x] <= level, w, 0.0)
+        return d, totals
+
+    return subset_table(ranks.reshape(m, n).T, width), sort, sums
 
 
 def level_sums(row, weights):

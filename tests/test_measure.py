@@ -27,7 +27,7 @@ from normcat.measure import (
 from normcat.generate import (random_masses, random_metric_space, random_mm_space, random_mm_map,
                               random_subset)
 from normcat import measure
-from normcat.search import sorted_sums, subset_sums, subset_table, subsets
+from normcat.search import rank_table, subset_sums, subset_table, subsets
 
 from test_laws import loop_validate_order
 
@@ -385,14 +385,20 @@ def _loose_pair(base):
 
 
 def _sorted_rows(monkeypatch, mu, nu):
-    """prokhorov_distance(mu, nu) and the rows it passed to sorted_sums."""
+    """prokhorov_distance(mu, nu) and the rows it passed to the sort of
+    its rank_table."""
     rows = []
 
-    def counted(dists, weights, sums):
-        rows.append(dists.shape[1])
-        return sorted_sums(dists, weights, sums)
+    def counted(cols, sides, width=None):
+        blocks, sort, sums = rank_table(cols, sides, width)
 
-    monkeypatch.setattr(measure, "sorted_sums", counted)
+        def counted_sort(picked):
+            rows.append(len(picked))
+            return sort(picked)
+
+        return blocks, counted_sort, sums
+
+    monkeypatch.setattr(measure, "rank_table", counted)
     return prokhorov_distance(mu, nu), sum(rows)
 
 
@@ -409,13 +415,54 @@ def test_pruned_walk_matches_the_per_subset_route():
     assert prokhorov_distance(mu, nu) == _old_distance(mu, nu) > 0.0
 
 
+def _float_sorted_sums(dists, weights, sums):
+    """The float route's sort of a (points, subsets) array of distances:
+    each column sorted by argsort and sort down the column, and the
+    weights within each position's distance."""
+    order, d = np.argsort(dists, axis=0), np.sort(dists, axis=0)
+    if sums is not None:
+        np.left_shift(1, order, out=order)
+        return d, sums[np.bitwise_or.accumulate(order, axis=0, out=order)]
+    totals = np.zeros_like(d)
+    for x, w in enumerate(weights):
+        totals += np.where(dists[x] <= d, w, 0.0)
+    return d, totals
+
+
+def _masses(sp):
+    w = [sp.mass[p] for p in sp.points]
+    return w, (subset_sums(w) if len(w) <= 16 else None)
+
+
+def _float_table_seminorm(f):
+    """prokhorov_seminorm on a float subset_table, each block's columns
+    sorted by _float_sorted_sums."""
+    src, tgt = f.source, f.target
+    n, size = len(tgt.points), len(src.points)
+    cols = np.full((n, n + size), INF)
+    cols[:, :n] = tgt.base.array.T
+    np.minimum.at(cols[:, n:], np.array([tgt.base.index[f.assign[x]] for x in src.points],
+                                         dtype=np.intp), src.base.array.T)
+    (tw, tsums), (sw, ssums) = _masses(tgt), _masses(src)
+    best = 0.0
+    for start, rows in subset_table(cols, max(n * size, n + size)):
+        dists = np.ascontiguousarray(rows[1 if start == 0 else 0:].T)
+        s, v = _float_sorted_sums(dists[:n], tw, tsums)
+        t, m = _float_sorted_sums(dists[n:], sw, ssums)
+        gap = t[:, None] - s
+        np.maximum(gap, v - m[:, None], out=gap)
+        best = max(best, float(np.minimum(v, gap.min(axis=0, initial=INF)).max(initial=0.0)))
+    return best
+
+
 def _full_table_distance(mu, nu):
-    """prokhorov_distance with every nonempty subset's row sorted."""
-    mu_w = [mu.mass[p] for p in mu.points]
-    mu_sums, nu_sums = subset_sums(mu_w), subset_sums([nu.mass[p] for p in nu.points])
+    """prokhorov_distance on a float subset_table with every nonempty
+    subset's row sorted."""
+    mu_w, mu_sums = _masses(mu)
+    nu_sums = _masses(nu)[1]
     best = 0.0
     for start, rows in subset_table(mu.base.array.T):
-        t, m = sorted_sums(np.ascontiguousarray(rows.T), mu_w, mu_sums)
+        t, m = _float_sorted_sums(np.ascontiguousarray(rows.T), mu_w, mu_sums)
         term = np.maximum(t, nu_sums[start:start + len(rows)] - m).min(axis=0)
         best = max(best, float(term[1 if start == 0 else 0:].max(initial=0.0)))
     return best
@@ -445,6 +492,33 @@ def test_pruned_walk_sorts_few_rows(monkeypatch):
     # the loose pair sorts its 1,024 subsets of bound 1 at most
     _, rows = _sorted_rows(monkeypatch, *_loose_pair(mu.base))
     assert rows <= 1024
+
+
+@pytest.mark.parametrize("kind", ["line", "random", "quasi"])
+def test_rank_table_matches_the_float_table(kind):
+    # the int32 rank table against the float table it replaced, bit for
+    # bit: tied line distances, quasi-metrics, zero masses, empty fibres
+    # and sources past the 16-point mass table
+    rng = random.Random({"line": 81, "random": 82, "quasi": 83}[kind])
+    zero = lambda sp: FiniteMMSpace(sp.base, dict.fromkeys(sp.points, 0.0))
+    for n in range(1, 17):
+        tgt = _pin_masses(rng, _pin_base(rng, n, kind))
+        m = rng.randint(17, 20) if n <= 4 else rng.randint(1, 9 if n <= 12 else 3)
+        src = _pin_masses(rng, _pin_base(rng, m, kind))
+        hit = rng.sample(tgt.points, rng.randint(1, n))
+        for a, b in ((src, tgt), (zero(src), tgt), (src, zero(tgt))):
+            f = MMSpaceMap(a, b, {x: rng.choice(hit) for x in a.points})
+            assert prokhorov_seminorm(f) == _float_table_seminorm(f), (n, m)
+        nu = _pin_masses(rng, tgt.base)
+        assert prokhorov_distance(tgt, nu) == _full_table_distance(tgt, nu), n
+        assert prokhorov_distance(nu, tgt) == _full_table_distance(nu, tgt), n
+    rng = random.Random(84)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        tgt = _pin_masses(rng, _pin_base(rng, n, kind))
+        src = _pin_masses(rng, _pin_base(rng, rng.randint(1, 8), kind))
+        f = MMSpaceMap(src, tgt, {x: rng.choice(tgt.points) for x in src.points})
+        assert prokhorov_seminorm(f) == _float_table_seminorm(f)
 
 
 def test_seminorm_triangle_under_composition():

@@ -63,7 +63,7 @@ def test_subsets_cap():
         subsets(range(11), nonempty=False, limit=10)
 
 
-# -- subset_table, subset_sums, sorted_sums, level_sums ----------------
+# -- subset_table, subset_sums, rank_table, level_sums ------------------
 
 def mask_of(items):
     return sum(2 ** i for i in items)
@@ -144,22 +144,138 @@ def test_level_sums_match_a_sum_per_level():
         assert search.level_sums(row, weights) == (levels, totals)
 
 
-def test_sorted_sums_total_each_level_like_sum():
+def _ranked(cols, sides, width=None):
+    """Every nonempty subset's sort under rank_table, by mask, as one
+    (distances, totals) per side, and the block layout: (sorted,
+    [(start, rows)])."""
+    blocks, sort, _ = search.rank_table(cols, sides, width)
+    bounds = np.cumsum([0] + [len(w) for w in sides])
+    layout, out = [], {}
+    for start, rows in blocks:
+        layout.append((start, len(rows)))
+        skip = 1 if start == 0 else 0
+        d, totals = sort(rows[skip:])
+        for r in range(len(rows) - skip):
+            out[start + skip + r] = [(d[lo:hi, r].tolist(), totals[lo:hi, r].tolist())
+                                     for lo, hi in zip(bounds, bounds[1:])]
+    return out, layout
+
+
+def test_rank_table_sorts_and_totals_each_level_like_sum():
+    # a side of up to 16 points reads its totals off the table, a larger
+    # one adds them up as it goes
     rng = random.Random(4206)
-    for _ in range(150):
-        n, c = rng.randint(0, 8), rng.randint(1, 4)
-        dists = np.array([[rng.choice((0.0, 1.0, 2.0, math.inf, rng.random())) for _ in range(c)]
-                          for _ in range(n)]).reshape(n, c)
-        weights = [rng.choice((0.0, 0.1, 0.2, 0.7, 1e16, rng.random())) for _ in range(n)]
-        for sums in (search.subset_sums(weights), None):
-            d, totals = search.sorted_sums(dists, weights, sums)
-            for b in range(c):
-                col = dists[:, b].tolist()
-                assert d[:, b].tolist() == sorted(col)
-                for k in range(n):
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        for c in (rng.randint(1, 4), rng.randint(17, 19)):
+            cols = np.array([[rng.choice((0.0, 1.0, 2.0, math.inf, rng.random())) for _ in range(c)]
+                             for _ in range(n)]).reshape(n, c)
+            weights = [rng.choice((0.0, 0.1, 0.2, 0.7, 1e16, rng.random())) for _ in range(c)]
+            out, _ = _ranked(cols, [weights])
+            for s in subsets(range(n)):
+                row = [min(cols[i, x] for i in s) for x in range(c)]
+                [(d, totals)] = out[mask_of(s)]
+                assert d == sorted(row)
+                for k in range(c):
                     # inside a tie group the table gives part of the group
-                    if sums is None or k == n - 1 or d[k + 1, b] != d[k, b]:
-                        assert totals[k, b] == sum(w for w, x in zip(weights, col) if x <= d[k, b])
+                    if c > search.MAX_ITEMS or k == c - 1 or d[k + 1] != d[k]:
+                        assert totals[k] == sum(w for w, x in zip(weights, row) if x <= d[k])
+
+
+def test_rank_table_breaks_ties_by_position():
+    # every entry ties: ranks go column by column, item by item
+    weights = [0.5, 0.25, 0.125]
+    blocks, sort, sums = search.rank_table(np.zeros((2, 3)), [weights])
+    assert sums.tolist() == search.subset_sums(weights).tolist()
+    [(start, rows)] = list(blocks)
+    assert start == 0 and rows.dtype == np.int32
+    assert rows[1:].tolist() == [[0, 2, 4], [1, 3, 5], [0, 2, 4]]
+    d, totals = sort(rows[1:])
+    assert d.tolist() == [[0.0] * 3] * 3
+    # the masks grow point by point, so each total adds a prefix in order
+    assert totals[:, 0].tolist() == [0.5, 0.75, 0.875]
+    # ties within a row, across the columns of other items
+    cols = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    out, _ = _ranked(cols, [weights])
+    assert out[1] == [([0.0, 1.0, 1.0], [0.125, 0.625, 0.875])]
+    assert out[2] == [([0.0, 1.0, 1.0], [0.5, 0.75, 0.875])]
+    assert out[3] == [([0.0, 0.0, 1.0], [0.5, 0.625, 0.875])]
+
+
+def test_rank_table_sorts_infinite_entries_last():
+    # an empty fibre: the column of a point no item reaches is inf
+    cols = np.array([[math.inf, 2.0, math.inf], [math.inf, 1.0, 3.0]])
+    weights = [1.0, 2.0, 4.0]
+    out, _ = _ranked(cols, [weights])
+    assert out[2][0][0] == [1.0, 3.0, math.inf]
+    assert out[3][0] == ([1.0, 3.0, math.inf], [2.0, 6.0, 7.0])
+    # the finite total comes before every inf, whose masks hold a prefix
+    assert out[1][0] == ([2.0, math.inf, math.inf], [2.0, 3.0, 7.0])
+    # past the cap, the running totals hold the whole group at inf
+    out, _ = _ranked(np.hstack([cols, np.full((2, 14), math.inf)]), [weights + [0.5] * 14])
+    assert out[3][0] == ([1.0, 3.0] + [math.inf] * 15, [2.0, 6.0] + [14.0] * 15)
+
+
+def test_rank_table_sorts_the_sides_of_a_row_apart():
+    # each side's finite distances lie below the side's before it, and
+    # an inf ties across the sides, yet each side's positions hold its
+    # own points, in its own columns, and its totals add its own
+    # weights, whichever sides around it are past the cap
+    rng = random.Random(4207)
+    for _ in range(80):
+        n, widths = rng.randint(1, 3), [rng.choice((1, 2, 3, 4, 17)) for _ in range(3)]
+        cols = np.array([[20.0 - 10.0 * j + rng.choice((0.0, 1.0, math.inf, rng.random()))
+                          for j, c in enumerate(widths) for _ in range(c)] for _ in range(n)])
+        sides = [[rng.choice((0.0, 0.5, rng.random())) for _ in range(c)] for c in widths]
+        out, _ = _ranked(cols, sides)
+        bounds = np.cumsum([0] + widths)
+        for s in subsets(range(n)):
+            row = [min(cols[i, x] for i in s) for x in range(bounds[-1])]
+            for (d, totals), lo, hi, w in zip(out[mask_of(s)], bounds, bounds[1:], sides):
+                part = row[lo:hi]
+                assert d == sorted(part)
+                for k in range(len(part)):
+                    # inside a tie group the table gives part of the group
+                    if len(w) > search.MAX_ITEMS or k == len(part) - 1 or d[k + 1] != d[k]:
+                        assert totals[k] == sum(x for x, y in zip(w, part) if y <= d[k])
+        # each side's table follows the full masks of the ones before it
+        sums, at = search.rank_table(cols, sides)[2], 0
+        for w in sides:
+            if len(w) <= search.MAX_ITEMS:
+                table = search.subset_sums(w)
+                assert sums[at + 1:at + len(table)].tolist() == table[1:].tolist()
+                at += len(table) - 1
+        assert len(sums) == at + 1
+
+
+def test_rank_table_blocks_match_the_subset_table():
+    rng = np.random.default_rng(4208)
+    for n, m, width in ((0, 3, None), (1, 2, None), (5, 4, None), (5, 4, search.BLOCK_FLOATS // 4),
+                        (9, 40, 2 ** 12), (16, 3, 2 ** 16)):
+        cols = rng.choice([0.0, 0.5, 1.0, math.inf], size=(n, m))
+        blocks, sort, _ = search.rank_table(cols, [[0.25] * m], width)
+        table = list(search.subset_table(cols, width))
+        ranked = list(blocks)
+        assert [(start, len(rows)) for start, rows in ranked] == [
+            (start, len(rows)) for start, rows in table]
+        for (start, ranks), (_, rows) in zip(ranked, table):
+            skip = 1 if start == 0 else 0
+            if len(rows) > skip:
+                d, _ = sort(ranks[skip:])
+                assert d.T.tolist() == np.sort(rows[skip:], axis=1).tolist()
+
+
+def test_rank_table_caps_before_allocating():
+    cols = np.zeros((17, 3000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited to 16 elements, got 17"):
+            search.rank_table(cols, [[1.0] * 3000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ranks alone would take 200 KB
+    assert peak < 64 * 1024, peak
 
 
 # -- component_counts ----------------------------------------------------------
